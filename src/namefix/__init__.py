@@ -7,104 +7,24 @@ binding target (variable capture), and renames the offending declarations
 until the output's binding structure is faithful again.
 """
 
-from .fix import (
-    CaptureEdge,
-    CaptureKind,
-    CaptureSet,
-    FixError,
-    FixResult,
-    FixStep,
-    FixTrace,
-    IterationBudgetExceeded,
-    RenamingPair,
-    comp_renaming,
-    find_capture,
-    gensym,
-    name_fix,
-)
+from .fix import IterationBudgetExceeded, find_capture, name_fix
 from .graph import (
-    AssumptionReport,
     NameGraph,
-    Resolver,
-    Violation,
     alpha_equiv,
     alpha_equiv_relabel,
     check_resolver_assumptions,
-    is_bipartite,
     sub_alpha_equiv,
-    to_dot,
-    validate_graph,
-)
-from .term import (
-    Compound,
-    Const,
-    InconsistentLabel,
-    Label,
-    LabelAllocator,
-    LabelNotFound,
-    Name,
-    Provenance,
-    Term,
-    TermError,
-    compound,
-    fresh_label,
-    fresh_source_label,
-    iter_names,
-    label_equiv,
-    labels_of,
-    mark,
-    name_at,
-    names_of,
-    rename,
-    to_sexpr,
 )
 
 __all__ = [
-    "AssumptionReport",
-    "CaptureEdge",
-    "CaptureKind",
-    "CaptureSet",
-    "Compound",
-    "Const",
-    "FixError",
-    "FixResult",
-    "FixStep",
-    "FixTrace",
-    "InconsistentLabel",
     "IterationBudgetExceeded",
-    "Label",
-    "LabelAllocator",
-    "LabelNotFound",
-    "Name",
     "NameGraph",
-    "Provenance",
-    "RenamingPair",
-    "Resolver",
-    "Term",
-    "TermError",
-    "Violation",
     "alpha_equiv",
     "alpha_equiv_relabel",
     "check_resolver_assumptions",
-    "comp_renaming",
-    "compound",
     "find_capture",
-    "fresh_label",
-    "fresh_source_label",
-    "gensym",
-    "is_bipartite",
-    "iter_names",
-    "label_equiv",
-    "labels_of",
-    "mark",
-    "name_at",
     "name_fix",
-    "names_of",
-    "rename",
     "sub_alpha_equiv",
-    "to_dot",
-    "to_sexpr",
-    "validate_graph",
 ]
 
 __version__ = "1.0.0"

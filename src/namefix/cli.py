@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -25,33 +26,19 @@ EXIT_INTERNAL = 4
 _PARSE_ERRORS = (lam.ParseError, simpl.ParseError, statemachine.ParseError)
 
 
+@dataclass
 class _Language:
-    def __init__(
-        self,
-        name: str,
-        parse: Callable[[str], Term],
-        resolver: Resolver,
-        pretty: Callable[..., str],
-    ) -> None:
-        self.name = name
-        self.parse = parse
-        self.resolver = resolver
-        self.pretty = pretty
+    parse: Callable[[str], Term]
+    resolver: Resolver
+    pretty: Callable[..., str]
 
 
 _LANGUAGES = {
     ".stm": _Language(
-        "statemachine",
-        statemachine.parse_stm,
-        statemachine.STM_RESOLVER,
-        statemachine.pretty_stm,
+        statemachine.parse_stm, statemachine.STM_RESOLVER, statemachine.pretty_stm
     ),
-    ".spl": _Language(
-        "simpl", simpl.parse_simpl, simpl.SIMPL_RESOLVER, simpl.pretty_simpl
-    ),
-    ".lam": _Language(
-        "lambda", lam.parse_lambda, lam.LAMBDA_RESOLVER, lam.pretty_lambda
-    ),
+    ".spl": _Language(simpl.parse_simpl, simpl.SIMPL_RESOLVER, simpl.pretty_simpl),
+    ".lam": _Language(lam.parse_lambda, lam.LAMBDA_RESOLVER, lam.pretty_lambda),
 }
 
 
@@ -94,12 +81,11 @@ def _emit_graphs(
     gs: NameGraph,
     target: Term,
     result: fix.FixResult,
-    resolver: Resolver,
 ) -> None:
     base = Path(args.input)
     paths = [f"{base}.src.dot", f"{base}.tgt.dot"]
     Path(paths[0]).write_text(to_dot(gs, source, title="source"))
-    gt = resolver.resolve(target)
+    gt = simpl.SIMPL_RESOLVER.resolve(target)
     capture = fix.find_capture(gs, gt)
     Path(paths[1]).write_text(
         to_dot(
@@ -110,7 +96,7 @@ def _emit_graphs(
         )
     )
     for k, step in enumerate(result.trace.steps, start=1):
-        g = resolver.resolve(step.term)
+        g = simpl.SIMPL_RESOLVER.resolve(step.term)
         path = f"{base}.fix{k}.dot"
         Path(path).write_text(to_dot(g, step.term, title=f"after repair round {k}"))
         paths.append(path)
@@ -125,67 +111,51 @@ def _print_trace(result: fix.FixResult) -> None:
 
 
 def _run_fixing(
-    args: argparse.Namespace,
-    source: Term,
-    gs: NameGraph,
-    target: Term,
-    resolver: Resolver,
-    pretty: Callable[..., str],
+    args: argparse.Namespace, source: Term, gs: NameGraph, target: Term
 ) -> None:
-    if getattr(args, "no_fix", False):
+    """Repair the naive .spl target against the source graph and print it."""
+    if args.no_fix:
         result = fix.FixResult(target, fix.FixTrace())
     else:
-        result = fix.name_fix(gs, target, resolver)
+        result = fix.name_fix(gs, target, simpl.SIMPL_RESOLVER)
     if args.trace:
         _print_trace(result)
     if args.emit_graphs:
-        _emit_graphs(args, source, gs, target, result, resolver)
-    print(pretty(result.term, show_labels=args.debug_labels), end="")
+        _emit_graphs(args, source, gs, target, result)
+    print(simpl.pretty_simpl(result.term, show_labels=args.debug_labels), end="")
 
 
-def cmd_compile(args: argparse.Namespace) -> None:
-    path = Path(args.input)
-    language, m = _load(path)
-    if language.name != "statemachine":
-        raise CliError("compile expects a .stm input", EXIT_IO)
-    gs = statemachine.resolve_machine(m)
-    target = statemachine.compile_machine(m)
-    _run_fixing(args, m, gs, target, simpl.SIMPL_RESOLVER, simpl.pretty_simpl)
-
-
-def cmd_subst(args: argparse.Namespace) -> None:
-    path = Path(args.input)
-    language, p = _load(path)
-    if language.name != "simpl":
-        raise CliError("subst expects a .spl input", EXIT_IO)
+def _substitute(args: argparse.Namespace, p: Term, gs: NameGraph) -> Term:
     try:
         repl = simpl.parse_simpl_exp(args.replacement)
     except simpl.ParseError as exc:
         raise CliError(f"replacement: {exc}", EXIT_PARSE) from exc
-    gs = simpl.resolve_simpl(p)
-    target = simpl.subst_prog(p, args.name, repl)
-    _run_fixing(args, p, gs, target, simpl.SIMPL_RESOLVER, simpl.pretty_simpl)
+    return simpl.subst_prog(p, args.name, repl)
 
 
-def cmd_inline(args: argparse.Namespace) -> None:
-    path = Path(args.input)
-    language, p = _load(path)
-    if language.name != "simpl":
-        raise CliError("inline expects a .spl input", EXIT_IO)
+# command -> (source extension, naive transformation of the parsed source
+# given its name graph). Every target is a .spl program.
+_TRANSFORMS = {
+    "compile": (".stm", lambda args, m, gs: statemachine.compile_machine(m)),
+    "subst": (".spl", _substitute),
+    "inline": (".spl", lambda args, p, gs: simpl.inline_prog(p, args.function, gs)),
+    "lift": (".spl", lambda args, p, gs: simpl.lift_prog(p, gs)),
+}
+
+
+def cmd_transform(args: argparse.Namespace) -> None:
+    extension, naive = _TRANSFORMS[args.command]
+    language, source = _load(Path(args.input))
+    if language is not _LANGUAGES[extension]:
+        raise CliError(f"{args.command} expects a {extension} input", EXIT_IO)
+    gs = language.resolver.resolve(source)
     try:
-        result = simpl.inline(p, args.function)
+        target = naive(args, source, gs)
     except simpl.UnknownFunction as exc:
         raise CliError(f"no top-level function named {exc}", EXIT_IO) from exc
-    print(simpl.pretty_simpl(result, show_labels=args.debug_labels), end="")
-
-
-def cmd_lift(args: argparse.Namespace) -> None:
-    path = Path(args.input)
-    language, p = _load(path)
-    if language.name != "simpl":
-        raise CliError("lift expects a .spl input", EXIT_IO)
-    result = simpl.lambda_lift(p)
-    print(simpl.pretty_simpl(result, show_labels=args.debug_labels), end="")
+    except simpl.SimplError as exc:
+        raise CliError(str(exc), EXIT_IO) from exc
+    _run_fixing(args, source, gs, target)
 
 
 def cmd_graph(args: argparse.Namespace) -> None:
@@ -199,7 +169,7 @@ def cmd_alphacheck(args: argparse.Namespace) -> None:
     path1, path2 = Path(args.first), Path(args.second)
     language1, p1 = _load(path1)
     language2, p2 = _load(path2)
-    if language1.name != language2.name:
+    if language1 is not language2:
         raise CliError("alphacheck inputs must share a language", EXIT_IO)
     if alpha_equiv_relabel(p1, p2, language1.resolver):
         print("alpha-equivalent")
@@ -215,48 +185,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, no_fix: bool = False) -> None:
+    def add_transform(command: str, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("input", help="input program")
         p.add_argument(
             "--debug-labels",
             action="store_true",
             help="print names with their labels attached",
         )
-        if no_fix:
-            p.add_argument(
-                "--no-fix",
-                action="store_true",
-                help="skip capture repair (show the naive output)",
-            )
-            p.add_argument(
-                "--trace",
-                action="store_true",
-                help="print each repair round to stderr",
-            )
-            p.add_argument(
-                "--emit-graphs",
-                action="store_true",
-                help="write source/target/repair name graphs as .dot files",
-            )
+        p.add_argument(
+            "--no-fix",
+            action="store_true",
+            help="skip capture repair (show the naive output)",
+        )
+        p.add_argument(
+            "--trace",
+            action="store_true",
+            help="print each repair round to stderr",
+        )
+        p.add_argument(
+            "--emit-graphs",
+            action="store_true",
+            help="write source/target/repair name graphs as .dot files",
+        )
+        p.set_defaults(func=cmd_transform)
+        return p
 
-    p = sub.add_parser("compile", help="compile a state machine (.stm)")
-    add_common(p, no_fix=True)
-    p.set_defaults(func=cmd_compile)
-
-    p = sub.add_parser("subst", help="substitute an expression for a free name")
-    add_common(p, no_fix=True)
+    add_transform("compile", "compile a state machine (.stm)")
+    p = add_transform("subst", "substitute an expression for a free name")
     p.add_argument("name", help="free name to replace")
     p.add_argument("replacement", help="replacement expression")
-    p.set_defaults(func=cmd_subst)
-
-    p = sub.add_parser("inline", help="inline a top-level function (.spl)")
-    add_common(p)
+    p = add_transform("inline", "inline a top-level function (.spl)")
     p.add_argument("function", help="name of the function to inline")
-    p.set_defaults(func=cmd_inline)
-
-    p = sub.add_parser("lift", help="lift local functions to the top level (.spl)")
-    add_common(p)
-    p.set_defaults(func=cmd_lift)
+    add_transform("lift", "lift local functions to the top level (.spl)")
 
     p = sub.add_parser("graph", help="print a program's name graph as Graphviz")
     p.add_argument("input", help="input program")
@@ -281,6 +242,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except fix.FixError as exc:
         print(f"namefix: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # includes RecursionError on deeply nested input
+        print(f"namefix: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     return 0
 

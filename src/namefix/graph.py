@@ -23,6 +23,7 @@ from .term import (
     labels_of,
     name_at,
     rename,
+    show_name,
 )
 
 Edge = tuple[Label, Label]
@@ -325,13 +326,10 @@ def to_dot(
     lines.append("  node [fontname=monospace];")
     spell = {n.label: n.text for n in iter_names(p)}
     for v in sorted(g.labels, key=lambda l: l.id):
-        tick = "'" if v.synthesized else ""
-        text = spell.get(v, "?")
+        text = show_name(Name(spell.get(v, "?"), v))
         shape = "box" if v in decls else "ellipse"
         style = ', style=filled, fillcolor="gray80"' if v.synthesized else ""
-        lines.append(
-            f'  n{v.id} [label="{text}@{tick}{v.id}", shape={shape}{style}];'
-        )
+        lines.append(f'  n{v.id} [label="{text}", shape={shape}{style}];')
     capture_pairs = {(ref.id, decl.id) for ref, decl in capture}
     for ref, decl in sorted(g.edges, key=lambda e: (e[0].id, e[1].id)):
         style = " [style=dashed]" if (ref.id, decl.id) in capture_pairs else ""

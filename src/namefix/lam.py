@@ -13,13 +13,15 @@ from .graph import NameGraph, Resolver
 from .term import (
     Compound,
     Const,
+    DuplicatePin,
     Label,
     Name,
-    Provenance,
+    NameFactory,
     Term,
     compound,
-    fresh_source_label,
-    reserve_ids,
+    labels_of,
+    show_name,
+    tag,
 )
 
 LAM = Const("lam")
@@ -49,7 +51,6 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<lambda>\\)|(?P<dot>\.)|(?P<plus>\+)|(?P<lpar>\()|(?P<rpar>\))"
     r"|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*(?:@'?\d+)?))"
 )
-_PIN = re.compile(r"@('?)(\d+)")
 
 
 @dataclass
@@ -75,34 +76,18 @@ def _tokenize(src: str) -> list[_Tok]:
     return tokens
 
 
-class _NameFactory:
-    """Turns name tokens into labeled Name nodes, honouring @id pins."""
-
-    def __init__(self, src: str) -> None:
-        pins = [int(m.group(2)) for m in _PIN.finditer(src)]
-        if pins:
-            reserve_ids(max(pins))
-        self._used_pins: set[int] = set()
-
-    def make(self, token: _Tok) -> Name:
-        m = _PIN.search(token.text)
-        if m is None:
-            return Name(token.text, fresh_source_label())
-        pin = int(m.group(2))
-        if pin in self._used_pins:
-            raise ParseError(f"pinned label id {pin} used twice", token.pos)
-        self._used_pins.add(pin)
-        provenance = (
-            Provenance.SYNTHESIZED if m.group(1) == "'" else Provenance.SOURCE
-        )
-        return Name(token.text[: m.start()], Label(pin, provenance))
-
-
 class _Parser:
     def __init__(self, src: str) -> None:
         self.tokens = _tokenize(src)
         self.i = 0
-        self.names = _NameFactory(src)
+        self.end = len(src)
+        self.names = NameFactory(src)
+
+    def name(self, tok: _Tok) -> Name:
+        try:
+            return self.names.make(tok.text)
+        except DuplicatePin as exc:
+            raise ParseError(str(exc), tok.pos) from None
 
     def peek(self) -> _Tok | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -110,7 +95,7 @@ class _Parser:
     def next(self, kind: str | None = None) -> _Tok:
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of input", len(self.tokens))
+            raise ParseError("unexpected end of input", self.end)
         if kind is not None and tok.kind != kind:
             raise ParseError(f"expected {kind}, found {tok.text!r}", tok.pos)
         self.i += 1
@@ -120,7 +105,7 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.kind == "lambda":
             self.next()
-            binder = self.names.make(self.next("name"))
+            binder = self.name(self.next("name"))
             self.next("dot")
             return lam(binder, self.parse_exp())
         return self.parse_add()
@@ -144,7 +129,7 @@ class _Parser:
     def parse_atom(self) -> Term:
         tok = self.next()
         if tok.kind == "name":
-            return self.names.make(tok)
+            return self.name(tok)
         if tok.kind == "int":
             return Const(int(tok.text))
         if tok.kind == "lpar":
@@ -162,12 +147,6 @@ def parse_lambda(src: str) -> Term:
     return e
 
 
-def _tag(t: Term) -> str | None:
-    if isinstance(t, Compound) and t.children and isinstance(t.children[0], Const):
-        return t.children[0].value  # type: ignore[return-value]
-    return None
-
-
 def resolve_lambda(p: Term) -> NameGraph:
     """Lexical scoping: a reference binds to the innermost enclosing binder
     of equal spelling; unbound names get no edge."""
@@ -179,18 +158,16 @@ def resolve_lambda(p: Term) -> NameGraph:
             if decl is not None:
                 edges.add((t.label, decl))
             return
-        if _tag(t) == "lam":
+        if tag(t) == "lam":
             binder = t.children[1]
             assert isinstance(binder, Name)
             walk(t.children[2], {**env, binder.text: binder.label})
             return
         if isinstance(t, Compound):
-            for child in t.children[1:] if _tag(t) else t.children:
+            for child in t.children[1:] if tag(t) else t.children:
                 walk(child, env)
 
     walk(p, {})
-    from .term import labels_of
-
     return NameGraph(labels_of(p), edges)
 
 
@@ -202,7 +179,7 @@ def declarations_of(p: Term) -> frozenset[Label]:
     out: set[Label] = set()
 
     def walk(t: Term) -> None:
-        if _tag(t) == "lam":
+        if tag(t) == "lam":
             binder = t.children[1]
             assert isinstance(binder, Name)
             out.add(binder.label)
@@ -216,28 +193,22 @@ def declarations_of(p: Term) -> frozenset[Label]:
 
 
 def pretty_lambda(p: Term, show_labels: bool = False) -> str:
-    def name(n: Name) -> str:
-        if not show_labels:
-            return n.text
-        tick = "'" if n.label.synthesized else ""
-        return f"{n.text}@{tick}{n.label.id}"
-
     def go(t: Term, level: int) -> str:
         # levels: 0 = lambda, 1 = add, 2 = app, 3 = atom
         if isinstance(t, Name):
-            return name(t)
+            return show_name(t, show_labels)
         if isinstance(t, Const):
             return str(t.value)
-        tag = _tag(t)
-        if tag == "lam":
+        kind = tag(t)
+        if kind == "lam":
             binder = t.children[1]
             assert isinstance(binder, Name)
-            s = f"\\{name(binder)}. {go(t.children[2], 0)}"
+            s = f"\\{show_name(binder, show_labels)}. {go(t.children[2], 0)}"
             return s if level <= 0 else f"({s})"
-        if tag == "add":
+        if kind == "add":
             s = f"{go(t.children[1], 1)} + {go(t.children[2], 2)}"
             return s if level <= 1 else f"({s})"
-        if tag == "app":
+        if kind == "app":
             s = f"{go(t.children[1], 2)} {go(t.children[2], 3)}"
             return s if level <= 2 else f"({s})"
         raise ValueError(f"not a lambda term: {t!r}")

@@ -11,22 +11,24 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .fix import name_fix
 from .graph import NameGraph, Resolver
 from .term import (
     Compound,
     Const,
+    DuplicatePin,
     Label,
     LabelAllocator,
     Name,
-    Provenance,
+    NameFactory,
     Term,
     compound,
-    fresh_source_label,
+    iter_names,
     labels_of,
-    reserve_ids,
+    show_name,
+    tag,
 )
 
 # ---------------------------------------------------------------------------
@@ -92,14 +94,6 @@ def error_call() -> Compound:
     return compound(ERROR)
 
 
-def tag(t: Term) -> str | None:
-    if isinstance(t, Compound) and t.children and isinstance(t.children[0], Const):
-        value = t.children[0].value
-        if isinstance(value, str):
-            return value
-    return None
-
-
 def prog_fdefs(p: Term) -> tuple[Compound, ...]:
     assert tag(p) == "prog"
     return p.children[1].children[1:]  # type: ignore[union-attr,return-value]
@@ -157,7 +151,6 @@ _TOKEN = re.compile(
     r"|(?P<str>\"(?:[^\"\\]|\\.)*\")"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_-]*(?:@'?\d+)?)"
 )
-_PIN = re.compile(r"@('?)(\d+)")
 
 
 @dataclass
@@ -184,40 +177,30 @@ def _tokenize(src: str) -> list[_Tok]:
             elif kind == "punct" or kind == "eqeq":
                 kind = text
             tokens.append(_Tok(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
+        line, col = _advance(line, col, text)
         pos = m.end()
     return tokens
 
 
-class _NameFactory:
-    def __init__(self, src: str) -> None:
-        pins = [int(m.group(2)) for m in _PIN.finditer(src)]
-        if pins:
-            reserve_ids(max(pins))
-        self._used: set[int] = set()
-
-    def make(self, tok: _Tok) -> Name:
-        m = _PIN.search(tok.text)
-        if m is None:
-            return Name(tok.text, fresh_source_label())
-        pin = int(m.group(2))
-        if pin in self._used:
-            raise ParseError(f"pinned label id {pin} used twice", tok.line, tok.col)
-        self._used.add(pin)
-        provenance = Provenance.SYNTHESIZED if m.group(1) == "'" else Provenance.SOURCE
-        return Name(tok.text[: m.start()], Label(pin, provenance))
+def _advance(line: int, col: int, text: str) -> tuple[int, int]:
+    """The position just past `text` when it starts at (line, col)."""
+    newlines = text.count("\n")
+    if newlines:
+        return line + newlines, len(text) - text.rfind("\n")
+    return line, col + len(text)
 
 
 class _Parser:
     def __init__(self, src: str) -> None:
         self.tokens = _tokenize(src)
         self.i = 0
-        self.names = _NameFactory(src)
+        self.names = NameFactory(src)
+
+    def name(self, tok: _Tok) -> Name:
+        try:
+            return self.names.make(tok.text)
+        except DuplicatePin as exc:
+            raise ParseError(str(exc), tok.line, tok.col) from None
 
     def peek(self, ahead: int = 0) -> _Tok | None:
         j = self.i + ahead
@@ -226,7 +209,8 @@ class _Parser:
     def next(self, kind: str | None = None) -> _Tok:
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of input", 0, 0)
+            last = self.tokens[-1] if self.tokens else _Tok("", "", 1, 1)
+            raise ParseError("unexpected end of input", *_advance(last.line, last.col, last.text))
         if kind is not None and tok.kind != kind:
             raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.col)
         self.i += 1
@@ -250,7 +234,7 @@ class _Parser:
 
     def parse_fdef(self) -> Compound:
         self.next("fun")
-        name = self.names.make(self.next("name"))
+        name = self.name(self.next("name"))
         params = self.parse_params()
         self.next("=")
         body = self.parse_exp()
@@ -261,10 +245,10 @@ class _Parser:
         self.next("(")
         params: list[Name] = []
         if not self.at(")"):
-            params.append(self.names.make(self.next("name")))
+            params.append(self.name(self.next("name")))
             while self.at(","):
                 self.next()
-                params.append(self.names.make(self.next("name")))
+                params.append(self.name(self.next("name")))
         self.next(")")
         return params
 
@@ -273,14 +257,14 @@ class _Parser:
             self.next()
             if self.at("fun"):
                 self.next()
-                name = self.names.make(self.next("name"))
+                name = self.name(self.next("name"))
                 params = self.parse_params()
                 self.next("=")
                 fbody = self.parse_exp()
                 self.next("in")
                 body = self.parse_exp()
                 return letfun(fdef(name, params, fbody), body)
-            binder = self.names.make(self.next("name"))
+            binder = self.name(self.next("name"))
             self.next("=")
             init = self.parse_exp()
             self.next("in")
@@ -340,7 +324,7 @@ class _Parser:
             self.next(")")
             return e
         tok = self.next("name")
-        name = self.names.make(tok)
+        name = self.name(tok)
         if self.at("("):
             self.next()
             args: list[Term] = []
@@ -454,19 +438,12 @@ def declarations_of(p: Term) -> frozenset[Label]:
         t = tag(e)
         if t == "fdef":
             out.add(fdef_name(e).label)
-            for param in fdef_params(e):
-                out.add(param.label)
-            walk(fdef_body(e))
+            out.update(param.label for param in fdef_params(e))
         elif t == "let":
             binder = e.children[1]
             assert isinstance(binder, Name)
             out.add(binder.label)
-            walk(e.children[2])
-            walk(e.children[3])
-        elif t == "letfun":
-            walk(e.children[1])
-            walk(e.children[2])
-        elif isinstance(e, Compound):
+        if isinstance(e, Compound):
             for child in e.children[1:] if t else e.children:
                 walk(child)
 
@@ -482,28 +459,22 @@ def _escape(s: str) -> str:
 
 
 def pretty_simpl(p: Term, show_labels: bool = False) -> str:
-    def name(n: Name) -> str:
-        if not show_labels:
-            return n.text
-        tick = "'" if n.label.synthesized else ""
-        return f"{n.text}@{tick}{n.label.id}"
-
     # levels: 0 = let/if, 1 = eq, 2 = add, 3 = mul, 4 = unary/atom
     def go(e: Term, level: int) -> str:
         if isinstance(e, Name):
-            return name(e)
+            return show_name(e, show_labels)
         if isinstance(e, Const):
             return f'"{_escape(e.value)}"' if isinstance(e.value, str) else str(e.value)
         t = tag(e)
         if t == "let":
             binder, init, body = e.children[1], e.children[2], e.children[3]
-            s = f"let {name(binder)} = {go(init, 0)} in {go(body, 0)}"
+            s = f"let {show_name(binder, show_labels)} = {go(init, 0)} in {go(body, 0)}"
             return s if level <= 0 else f"({s})"
         if t == "letfun":
             fn, body = e.children[1], e.children[2]
-            params = ", ".join(name(q) for q in fdef_params(fn))
+            params = ", ".join(show_name(q, show_labels) for q in fdef_params(fn))
             s = (
-                f"let fun {name(fdef_name(fn))}({params}) = "
+                f"let fun {show_name(fdef_name(fn), show_labels)}({params}) = "
                 f"{go(fdef_body(fn), 0)} in {go(body, 0)}"
             )
             return s if level <= 0 else f"({s})"
@@ -528,7 +499,7 @@ def pretty_simpl(p: Term, show_labels: bool = False) -> str:
             fn_name = e.children[1]
             assert isinstance(fn_name, Name)
             args = ", ".join(go(a, 0) for a in e.children[2:])
-            return f"{name(fn_name)}({args})"
+            return f"{show_name(fn_name, show_labels)}({args})"
         if t == "error":
             return "error()"
         raise ValueError(f"not an expression: {e!r}")
@@ -538,8 +509,8 @@ def pretty_simpl(p: Term, show_labels: bool = False) -> str:
 
     lines = []
     for f in prog_fdefs(p):
-        params = ", ".join(name(q) for q in fdef_params(f))
-        lines.append(f"fun {name(fdef_name(f))}({params}) = {go(fdef_body(f), 0)};")
+        params = ", ".join(show_name(q, show_labels) for q in fdef_params(f))
+        lines.append(f"fun {show_name(fdef_name(f), show_labels)}({params}) = {go(fdef_body(f), 0)};")
     for e in prog_main(p):
         lines.append(go(e, 0))
     return "\n".join(lines) + "\n"
@@ -747,8 +718,9 @@ def _relabel_copy(body: Term, graph: NameGraph, alloc: LabelAllocator) -> Term:
     return go(body)
 
 
-def inline(p: Term, fname: str) -> Term:
-    """Expand every call bound to the named top-level function, then repair.
+def inline_prog(p: Term, fname: str, graph: NameGraph) -> Term:
+    """Naive inlining: expand every call bound to the named top-level
+    function, given the name graph of p. Nothing is renamed.
 
     Each call site is expanded exactly once; calls inside inserted copies
     (recursion) are left alone.
@@ -759,7 +731,6 @@ def inline(p: Term, fname: str) -> Term:
             target = f  # last declaration wins, matching resolution
     if target is None:
         raise UnknownFunction(fname)
-    graph = resolve_simpl(p)
     target_label = fdef_name(target).label
     params = fdef_params(target)
     alloc = LabelAllocator.after(p)
@@ -783,26 +754,29 @@ def inline(p: Term, fname: str) -> Term:
             return Compound((e.children[0], fn_name) + tuple(args))
         return Compound(tuple(go(c) for c in e.children))
 
-    expanded = prog(
+    return prog(
         [fdef(fdef_name(f), fdef_params(f), go(fdef_body(f))) for f in prog_fdefs(p)],
         [go(e) for e in prog_main(p)],
     )
-    return name_fix(graph, expanded, SIMPL_RESOLVER).term
+
+
+def inline(p: Term, fname: str) -> Term:
+    """Capture-avoiding inlining: expand first, repair afterwards."""
+    gs = resolve_simpl(p)
+    return name_fix(gs, inline_prog(p, fname, gs), SIMPL_RESOLVER).term
 
 
 # ---------------------------------------------------------------------------
 # Lambda lifting
 
-def lambda_lift(p: Term) -> Term:
-    """Hoist every local function to the top level.
+def lift_prog(p: Term, graph: NameGraph) -> Term:
+    """Naive lambda lifting: hoist every local function to the top level,
+    given the name graph of p. Nothing is renamed.
 
     Let- and parameter-bound variables used (transitively) by a local
     function are passed as extra trailing arguments; the binding structure
-    is read off the name graph of the unlifted program, and one repair pass
-    at the end resolves the name clashes lifting may introduce.
+    is read off the name graph of the unlifted program.
     """
-    graph = resolve_simpl(p)
-
     # Gather local functions with the declarations made inside each.
     locals_: list[Term] = []
     inside: dict[Label, frozenset[Label]] = {}
@@ -889,7 +863,7 @@ def lambda_lift(p: Term) -> Term:
         f: sorted((d for d in needed if d not in inside[f]), key=lambda l: l.id)
         for f, needed in need.items()
     }
-    decl_text = {n.label: n.text for n in _decl_names(p)}
+    decl_text = {n.label: n.text for n in iter_names(p)}
 
     lifted: list[Term] = []
 
@@ -921,28 +895,10 @@ def lambda_lift(p: Term) -> Term:
         fdef(fdef_name(f), fdef_params(f), go(fdef_body(f))) for f in prog_fdefs(p)
     ]
     new_main = [go(e) for e in prog_main(p)]
-    stripped = prog(new_fdefs + lifted, new_main)
-    return name_fix(graph, stripped, SIMPL_RESOLVER).term
+    return prog(new_fdefs + lifted, new_main)
 
 
-def _decl_names(p: Term) -> list[Name]:
-    out: list[Name] = []
-
-    def walk(e: Term) -> None:
-        t = tag(e)
-        if t == "fdef":
-            out.append(fdef_name(e))
-            out.extend(fdef_params(e))
-            walk(fdef_body(e))
-        elif t == "let":
-            binder = e.children[1]
-            assert isinstance(binder, Name)
-            out.append(binder)
-            walk(e.children[2])
-            walk(e.children[3])
-        elif isinstance(e, Compound):
-            for c in e.children[1:] if t else e.children:
-                walk(c)
-
-    walk(p)
-    return out
+def lambda_lift(p: Term) -> Term:
+    """Capture-avoiding lambda lifting: lift first, repair afterwards."""
+    gs = resolve_simpl(p)
+    return name_fix(gs, lift_prog(p, gs), SIMPL_RESOLVER).term

@@ -10,7 +10,6 @@ clashing state names.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
 from .fix import name_fix
@@ -27,15 +26,15 @@ from .simpl import (
 from .term import (
     Compound,
     Const,
+    DuplicatePin,
     Label,
     LabelAllocator,
     Name,
-    Provenance,
+    NameFactory,
     Term,
     compound,
-    fresh_source_label,
     labels_of,
-    reserve_ids,
+    show_name,
 )
 
 MACHINE = Const("machine")
@@ -90,29 +89,20 @@ class ParseError(Exception):
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*(?:@'?\d+)?$")
-_PIN = re.compile(r"@('?)(\d+)")
 
 
 def parse_stm(src: str) -> Compound:
     """Line-oriented: `state <name>` headers, `<event> => <target>`
     transitions, optional trailing `end`."""
-    pins = [int(m.group(2)) for m in _PIN.finditer(src)]
-    if pins:
-        reserve_ids(max(pins))
-    used_pins: set[int] = set()
+    names = NameFactory(src)
 
     def make_name(text: str, lineno: int) -> Name:
-        m = _PIN.search(text)
-        if m is None:
-            if not _IDENT.match(text):
-                raise ParseError(f"invalid name {text!r}", lineno)
-            return Name(text, fresh_source_label())
-        pin = int(m.group(2))
-        if pin in used_pins:
-            raise ParseError(f"pinned label id {pin} used twice", lineno)
-        used_pins.add(pin)
-        provenance = Provenance.SYNTHESIZED if m.group(1) == "'" else Provenance.SOURCE
-        return Name(text[: m.start()], Label(pin, provenance))
+        if not _IDENT.match(text):
+            raise ParseError(f"invalid name {text!r}", lineno)
+        try:
+            return names.make(text)
+        except DuplicatePin as exc:
+            raise ParseError(str(exc), lineno) from None
 
     states: list[Term] = []
     current: tuple[Name, list[Term]] | None = None
@@ -148,17 +138,11 @@ def parse_stm(src: str) -> Compound:
 
 
 def pretty_stm(m: Term, show_labels: bool = False) -> str:
-    def name(n: Name) -> str:
-        if not show_labels:
-            return n.text
-        tick = "'" if n.label.synthesized else ""
-        return f"{n.text}@{tick}{n.label.id}"
-
     lines = []
     for s in machine_states(m):
-        lines.append(f"state {name(state_name(s))}")
+        lines.append(f"state {show_name(state_name(s), show_labels)}")
         for t in state_transitions(s):
-            lines.append(f"  {trans_event(t)} => {name(trans_target(t))}")
+            lines.append(f"  {trans_event(t)} => {show_name(trans_target(t), show_labels)}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -8,10 +8,11 @@ they copy names and allocate fresh ones for names they invent.
 
 from __future__ import annotations
 
+import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 
 class Provenance(Enum):
@@ -29,6 +30,10 @@ class LabelNotFound(TermError):
 
 class InconsistentLabel(TermError):
     """Occurrences of one label disagree on the name text (corrupt term)."""
+
+
+class DuplicatePin(TermError):
+    """Source text pins one label id on two name occurrences."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +98,24 @@ def compound(*children: Term) -> Compound:
     return Compound(tuple(children))
 
 
+def tag(t: Term) -> str | None:
+    """The constructor of a compound whose first child is a string constant."""
+    if isinstance(t, Compound) and t.children and isinstance(t.children[0], Const):
+        value = t.children[0].value
+        if isinstance(value, str):
+            return value
+    return None
+
+
+def show_name(n: Name, with_label: bool = True) -> str:
+    """`text`, or with its label `text@id` (`text@'id` when synthesized):
+    the spelling every parser reads back as a pinned label."""
+    if not with_label:
+        return n.text
+    tick = "'" if n.label.synthesized else ""
+    return f"{n.text}@{tick}{n.label.id}"
+
+
 class _Counter:
     """Monotone session-wide id source. Safe under concurrent calls."""
 
@@ -125,9 +148,34 @@ def fresh_source_label() -> Label:
     return Label(_SESSION.next_id(), Provenance.SOURCE)
 
 
-def reserve_ids(upto: int) -> None:
-    """Keep the session counter clear of explicitly pinned ids."""
-    _SESSION.reserve(upto)
+_PIN = re.compile(r"@('?)(\d+)")
+
+
+class NameFactory:
+    """Turns the name tokens of one source text into labeled Name nodes.
+
+    A token spelled `x@7` pins source label 7 and `x@'7` synthesized label 7,
+    in place of a fresh label. Every pinned id of the text is reserved up
+    front, so fresh labels never collide with a pin read later in the text.
+    """
+
+    def __init__(self, src: str) -> None:
+        pins = [int(m.group(2)) for m in _PIN.finditer(src)]
+        if pins:
+            _SESSION.reserve(max(pins))
+        self._used: set[int] = set()
+
+    def make(self, text: str) -> Name:
+        """Raises DuplicatePin when a pinned id occurs twice."""
+        m = _PIN.search(text)
+        if m is None:
+            return Name(text, fresh_source_label())
+        pin = int(m.group(2))
+        if pin in self._used:
+            raise DuplicatePin(f"pinned label id {pin} used twice")
+        self._used.add(pin)
+        provenance = Provenance.SYNTHESIZED if m.group(1) == "'" else Provenance.SOURCE
+        return Name(text[: m.start()], Label(pin, provenance))
 
 
 class LabelAllocator:
@@ -199,25 +247,30 @@ def names_of(t: Term) -> frozenset[str]:
     return frozenset(node.text for node in iter_names(t))
 
 
-def rename(t: Term, pi: Mapping[Label, str]) -> Term:
-    """Respell every name whose label is in dom(pi); labels are untouched.
-
-    Unchanged subterms are shared with the input, so an empty renaming
-    returns t itself.
-    """
-    if not pi:
-        return t
+def map_names(t: Term, f: Callable[[Name], Name]) -> Term:
+    """Replace every Name n of t by f(n). Unchanged subterms are shared with
+    the input, so a map that changes nothing returns t itself."""
     if isinstance(t, Name):
-        new_text = pi.get(t.label)
-        if new_text is None or new_text == t.text:
-            return t
-        return Name(new_text, t.label)
+        return f(t)
     if isinstance(t, Compound):
-        new_children = tuple(rename(c, pi) for c in t.children)
+        new_children = tuple(map_names(c, f) for c in t.children)
         if all(a is b for a, b in zip(new_children, t.children)):
             return t
         return Compound(new_children)
     return t
+
+
+def rename(t: Term, pi: Mapping[Label, str]) -> Term:
+    """Respell every name whose label is in dom(pi); labels are untouched.
+    An empty renaming returns t itself."""
+    if not pi:
+        return t
+
+    def respell(n: Name) -> Name:
+        new_text = pi.get(n.label)
+        return n if new_text is None or new_text == n.text else Name(new_text, n.label)
+
+    return map_names(t, respell)
 
 
 def label_equiv(t1: Term, t2: Term) -> bool:
@@ -239,16 +292,13 @@ def mark(s: str, t: Term) -> Term:
     Marked names are treated like transformation-invented names downstream,
     which lets a transformation opt out of capture repair for them.
     """
-    if isinstance(t, Name):
-        if t.text == s and not t.label.synthesized:
-            return Name(t.text, Label(t.label.id, Provenance.SYNTHESIZED))
-        return t
-    if isinstance(t, Compound):
-        new_children = tuple(mark(s, c) for c in t.children)
-        if all(a is b for a, b in zip(new_children, t.children)):
-            return t
-        return Compound(new_children)
-    return t
+
+    def flip(n: Name) -> Name:
+        if n.text == s and not n.label.synthesized:
+            return Name(n.text, Label(n.label.id, Provenance.SYNTHESIZED))
+        return n
+
+    return map_names(t, flip)
 
 
 def to_sexpr(t: Term) -> str:
@@ -256,7 +306,6 @@ def to_sexpr(t: Term) -> str:
     if isinstance(t, Const):
         return repr(t.value) if isinstance(t.value, str) else str(t.value)
     if isinstance(t, Name):
-        tick = "'" if t.label.synthesized else ""
-        return f"{t.text}@{tick}{t.label.id}"
+        return show_name(t)
     assert isinstance(t, Compound)
     return "(" + " ".join(to_sexpr(c) for c in t.children) + ")"

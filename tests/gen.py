@@ -18,8 +18,8 @@ from namefix.term import (
     Compound,
     Const,
     Label,
+    LabelAllocator,
     Name,
-    Provenance,
     Term,
     fresh_source_label,
     iter_names,
@@ -48,24 +48,11 @@ def gen_lambda(rng: random.Random, depth: int = 4, bound: int = 0) -> Term:
     return ladd(gen_lambda(rng, depth - 1, bound), gen_lambda(rng, depth - 1, bound))
 
 
-class _SynthCounter:
-    """Deterministic synthesized labels for fake transformations."""
-
-    def __init__(self, after: Term) -> None:
-        ids = [v.id for v in labels_of(after)]
-        self.next = max(ids, default=0) + 1
-
-    def fresh(self) -> Label:
-        label = Label(self.next, Provenance.SYNTHESIZED)
-        self.next += 1
-        return label
-
-
 def mutate_lambda(rng: random.Random, s: Term) -> Term:
     """A naive 'transformation' output: copies of s's subterms mixed with
     synthesized binders and references whose names clash with s's names.
     Copied names keep their labels; invented ones are synthesized."""
-    syn = _SynthCounter(s)
+    syn = LabelAllocator.after(s)
     subterms: list[Term] = []
 
     def collect(t: Term) -> None:

@@ -2,6 +2,7 @@ import pytest
 
 from namefix.cli import (
     EXIT_ALPHA,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_PARSE,
     main,
@@ -146,6 +147,54 @@ class TestInlineAndLift:
         assert "fun f0(x, y) = f0(x + y, y);" in out
         assert "let fun" not in out
 
+    def test_inline_arity_mismatch(self, tmp_path, capsys):
+        p = tmp_path / "p.spl"
+        p.write_text("fun f(x) = x;\nfun f(x, y) = x;\nf(1)")
+        assert main(["inline", str(p), "f"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("namefix: ")
+        assert err.count("\n") == 1
+
+
+# (command, program, trailing arguments, spelling only the repair introduces)
+REPAIRING_TRANSFORMS = [
+    ("inline", OR_AND, ["and"], "or0"),
+    ("lift", LOCAL_FNS, [], "f0"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, src, rest, repaired",
+    REPAIRING_TRANSFORMS,
+    ids=[case[0] for case in REPAIRING_TRANSFORMS],
+)
+class TestRepairFlags:
+    """inline and lift take the repair flags that compile and subst take."""
+
+    def run(self, tmp_path, command, src, rest, *flags):
+        p = tmp_path / "p.spl"
+        p.write_text(src)
+        return main([command, *flags, str(p), *rest]), p
+
+    def test_no_fix_shows_naive_output(self, tmp_path, capsys, command, src, rest, repaired):
+        assert self.run(tmp_path, command, src, rest, "--no-fix")[0] == 0
+        assert repaired not in capsys.readouterr().out
+        assert self.run(tmp_path, command, src, rest)[0] == 0
+        assert repaired in capsys.readouterr().out
+
+    def test_trace_goes_to_stderr(self, tmp_path, capsys, command, src, rest, repaired):
+        assert self.run(tmp_path, command, src, rest, "--trace")[0] == 0
+        captured = capsys.readouterr()
+        assert "iteration 1" in captured.err
+        assert "iteration" not in captured.out
+        assert repaired in captured.out
+
+    def test_emit_graphs_writes_dot_files(self, tmp_path, capsys, command, src, rest, repaired):
+        code, p = self.run(tmp_path, command, src, rest, "--emit-graphs")
+        assert code == 0
+        for suffix in (".src.dot", ".tgt.dot", ".fix1.dot"):
+            assert open(str(p) + suffix).read().startswith("digraph")
+
 
 class TestGraphAndAlphacheck:
     def test_graph_dot_output(self, door, capsys):
@@ -198,3 +247,15 @@ class TestErrors:
         p = tmp_path / "x.txt"
         p.write_text("state a\n")
         assert main(["compile", str(p)]) == EXIT_IO
+
+    def test_deep_nesting_is_internal_error_without_traceback(self, tmp_path, capsys):
+        depth = 1000
+        lets = "(let x0 = y in " + "".join(
+            f"(let x{i} = x{i - 1} + 1 in " for i in range(1, depth)
+        )
+        p = tmp_path / "deep.spl"
+        p.write_text(lets + f"x{depth - 1}" + ")" * depth + "\n")
+        assert main(["subst", str(p), "y", "2"]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("namefix: ")
+        assert "Traceback" not in err

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from namefix.fix import name_fix
 from namefix.graph import alpha_equiv_relabel
 from namefix.simpl import (
     SIMPL_RESOLVER,
@@ -16,7 +17,9 @@ from namefix.simpl import (
     fdef_name,
     fdef_params,
     inline,
+    inline_prog,
     lambda_lift,
+    lift_prog,
     parse_simpl,
     parse_simpl_exp,
     pretty_simpl,
@@ -106,6 +109,14 @@ class TestParsing:
     def test_bad_token_rejected(self):
         with pytest.raises(ParseError):
             parse_simpl("fun f(x) = x; $")
+
+    def test_end_of_input_located_past_last_token(self):
+        with pytest.raises(ParseError) as err:
+            parse_simpl("fun f(x) =")
+        assert (err.value.line, err.value.col) == (1, 11)
+        with pytest.raises(ParseError) as err:
+            parse_simpl_exp('let s = "a\nbc" in\n')
+        assert (err.value.line, err.value.col) == (2, 7)
 
     def test_hyphenated_identifiers(self):
         e = parse_simpl_exp("opened-dispatch(1)")
@@ -321,3 +332,28 @@ class TestLambdaLift:
         by_name = {fdef_name(f).text: f for f in prog_fdefs(out)}
         assert [q.text for q in fdef_params(by_name["h"])] == ["x", "y"]
         assert eval_simpl(out) == 12
+
+
+class TestNaiveTransformPlusRepair:
+    """The capture-avoiding transformations are their naive versions
+    followed by one name_fix against the source graph."""
+
+    def programs(self):
+        rng = random.Random(29)
+        yield parse_simpl(OR_AND)
+        yield parse_simpl(LOCAL_FNS)
+        for _ in range(20):
+            yield parse_simpl(gen_simpl_source(rng, closed=True))
+
+    def test_inline(self):
+        for p in self.programs():
+            gs = resolve_simpl(p)
+            for f in prog_fdefs(p):
+                name = fdef_name(f).text
+                repaired = name_fix(gs, inline_prog(p, name, gs), SIMPL_RESOLVER).term
+                assert inline(p, name) == repaired
+
+    def test_lambda_lift(self):
+        for p in self.programs():
+            gs = resolve_simpl(p)
+            assert lambda_lift(p) == name_fix(gs, lift_prog(p, gs), SIMPL_RESOLVER).term

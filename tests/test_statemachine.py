@@ -98,6 +98,11 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_stm("state a@401\n  go => a@401\n")
 
+    def test_invalid_pinned_name_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse_stm("state a\n  go => b c@402\n")
+        assert err.value.line == 2
+
     def test_pretty_parse_fixpoint(self):
         m = parse_stm(DOOR)
         text = pretty_stm(m)
