@@ -82,21 +82,22 @@ def _emit_graphs(
     target: Term,
     result: fix.FixResult,
 ) -> None:
+    """Write the source graph and the graphs the repair loop resolved."""
     base = Path(args.input)
     paths = [f"{base}.src.dot", f"{base}.tgt.dot"]
     Path(paths[0]).write_text(to_dot(gs, source, title="source"))
-    gt = simpl.SIMPL_RESOLVER.resolve(target)
-    capture = fix.find_capture(gs, gt)
+    steps = result.trace.steps
+    graphs = [s.graph for s in steps] + [result.graph]
+    capture = fix.find_capture(gs, graphs[0])
     Path(paths[1]).write_text(
         to_dot(
-            gt,
+            graphs[0],
             target,
             capture=[(e.ref, e.decl) for e in capture.edges],
             title="target (before repair)",
         )
     )
-    for k, step in enumerate(result.trace.steps, start=1):
-        g = simpl.SIMPL_RESOLVER.resolve(step.term)
+    for k, (step, g) in enumerate(zip(steps, graphs[1:]), start=1):
         path = f"{base}.fix{k}.dot"
         Path(path).write_text(to_dot(g, step.term, title=f"after repair round {k}"))
         paths.append(path)
@@ -115,7 +116,8 @@ def _run_fixing(
 ) -> None:
     """Repair the naive .spl target against the source graph and print it."""
     if args.no_fix:
-        result = fix.FixResult(target, fix.FixTrace())
+        gt = simpl.SIMPL_RESOLVER.resolve(target)
+        result = fix.FixResult(target, fix.FixTrace(), gt)
     else:
         result = fix.name_fix(gs, target, simpl.SIMPL_RESOLVER)
     if args.trace:

@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Mapping
 
 from .graph import NameGraph, Resolver
-from .term import Label, Term, labels_of, name_at, names_of, rename
+from .term import Label, Term, labels_of, rename, spellings
 
 
 class CaptureKind(Enum):
@@ -97,6 +97,7 @@ class FixTrace:
 class FixResult:
     term: Term
     trace: FixTrace
+    graph: NameGraph | None = None  # capture-free name graph of term
 
 
 class FixError(Exception):
@@ -148,21 +149,22 @@ def comp_renaming(
         raise ValueError("comp_renaming requires a nonempty capture set")
     pi_src: dict[Label, str] = {}
     pi_syn: dict[Label, str] = {}
-    term_names = names_of(t)
+    spell = spellings(t)
+    used = set(spell.values())  # every spelling of t, plus each fresh one assigned
     for v_d in sorted(capture.captured_declarations, key=lambda l: l.id):
-        used = term_names | set(pi_src.values()) | set(pi_syn.values())
-        fresh = gensym(name_at(t, v_d), used)
+        fresh = gensym(spell[v_d], used)
         if gs.counts_as_source(v_d):
             if v_d not in pi_src:
                 pi_src[v_d] = fresh
+                used.add(fresh)
                 for v_r, bound in gs.edges:
                     if bound == v_d:
                         pi_src[v_r] = fresh
         elif v_d not in pi_syn:
-            target_name = name_at(t, v_d)
             for v in gt.labels:
-                if not gs.counts_as_source(v) and name_at(t, v) == target_name:
+                if not gs.counts_as_source(v) and spell[v] == spell[v_d]:
                     pi_syn[v] = fresh
+                    used.add(fresh)
     return RenamingPair(pi_src, pi_syn)
 
 
@@ -181,7 +183,7 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
         gt = r.resolve(current)
         capture = find_capture(gs, gt)
         if not capture:
-            return FixResult(current, FixTrace(tuple(steps)))
+            return FixResult(current, FixTrace(tuple(steps)), gt)
         if len(steps) >= budget:
             raise IterationBudgetExceeded(
                 f"capture repair did not converge within {budget} rounds"

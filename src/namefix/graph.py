@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 from .term import (
+    Compound,
+    Const,
     Label,
     Name,
     Term,
-    iter_names,
     label_equiv,
-    labels_of,
-    name_at,
     rename,
     show_name,
+    spellings,
 )
 
 Edge = tuple[Label, Label]
@@ -31,8 +32,6 @@ Edge = tuple[Label, Label]
 
 class NameGraph:
     """Label set plus binding edges (reference label, declaration label)."""
-
-    __slots__ = ("labels", "edges")
 
     def __init__(
         self,
@@ -81,8 +80,18 @@ class NameGraph:
             out[r] = d
         return out
 
+    @cached_property
+    def _index(self) -> tuple[dict[int, Label], dict[Label, frozenset[Label]]]:
+        """id -> label and reference -> its declarations, built on the first
+        query: graphs only kept, like each FixStep's, never build one."""
+        decls: dict[Label, set[Label]] = {}
+        for r, d in self.edges:
+            decls.setdefault(r, set()).add(d)
+        by_id = {v.id: v for v in self.labels}
+        return by_id, {r: frozenset(ds) for r, ds in decls.items()}
+
     def bindings(self, ref: Label) -> frozenset[Label]:
-        return frozenset(d for r, d in self.edges if r == ref)
+        return self._index[1].get(ref, frozenset())
 
     def lookup(self, ref: Label) -> Label | None:
         """The unique binding of ref, or None if unbound. Raises on an
@@ -95,10 +104,7 @@ class NameGraph:
         return next(iter(ds))
 
     def find(self, label_id: int) -> Label | None:
-        for lbl in self.labels:
-            if lbl.id == label_id:
-                return lbl
-        return None
+        return self._index[0].get(label_id)
 
     def counts_as_source(self, v: Label) -> bool:
         """Whether v, as it occurs in a target program, originates here.
@@ -124,12 +130,12 @@ class Violation:
 def validate_graph(p: Term, g: NameGraph) -> list[Violation]:
     """Check g against p: exact label set and name agreement on every edge."""
     violations: list[Violation] = []
-    term_labels = labels_of(p)
-    for missing in sorted(term_labels - g.labels, key=lambda l: l.id):
+    spell = spellings(p)
+    for missing in sorted(spell.keys() - g.labels, key=lambda l: l.id):
         violations.append(
             Violation("MissingLabel", f"label {missing!r} of program not in graph")
         )
-    for extra in sorted(g.labels - term_labels, key=lambda l: l.id):
+    for extra in sorted(g.labels - spell.keys(), key=lambda l: l.id):
         violations.append(
             Violation("ExtraLabel", f"graph label {extra!r} not in program")
         )
@@ -139,14 +145,14 @@ def validate_graph(p: Term, g: NameGraph) -> list[Violation]:
                 Violation("DanglingEdge", f"edge {ref!r} -> {decl!r} leaves label set")
             )
             continue
-        if ref not in term_labels or decl not in term_labels:
+        if ref not in spell or decl not in spell:
             continue
-        if name_at(p, ref) != name_at(p, decl):
+        if spell[ref] != spell[decl]:
             violations.append(
                 Violation(
                     "NameMismatch",
                     f"edge {ref!r} -> {decl!r} connects names "
-                    f"{name_at(p, ref)!r} and {name_at(p, decl)!r}",
+                    f"{spell[ref]!r} and {spell[decl]!r}",
                 )
             )
     return violations
@@ -177,8 +183,6 @@ def alpha_equiv_relabel(p1: Term, p2: Term, r: Resolver) -> bool:
     reverse: dict[int, int] = {}
 
     def match(a: Term, b: Term) -> bool:
-        from .term import Compound, Const
-
         if isinstance(a, Const) and isinstance(b, Const):
             return a.value == b.value
         if isinstance(a, Name) and isinstance(b, Name):
@@ -207,8 +211,8 @@ def sub_alpha_equiv(p1: Term, p2: Term, g: NameGraph) -> bool:
     """
     if not label_equiv(p1, p2):
         return False
-    spell1 = {n.label: n.text for n in iter_names(p1)}
-    spell2 = {n.label: n.text for n in iter_names(p2)}
+    spell1 = spellings(p1)
+    spell2 = spellings(p2)
     common = set(spell1)
     for ref, decl in g.edges:
         if ref in common and decl in common:
@@ -252,8 +256,9 @@ def check_resolver_assumptions(
     g1 = r.resolve(p)
     for bad in validate_graph(p, g1):
         report.violations.append(f"base graph invalid: {bad.kind}: {bad.message}")
-    labels = sorted(labels_of(p), key=lambda l: l.id)
-    base_names = sorted({n.text for n in iter_names(p)})
+    spell_p = spellings(p)
+    labels = sorted(spell_p, key=lambda l: l.id)
+    base_names = sorted(set(spell_p.values()))
     pool = base_names + [f"v{k}" for k in range(max(2, len(base_names)))]
 
     for trial in range(trials):
@@ -274,15 +279,16 @@ def check_resolver_assumptions(
         if g1.labels != g2.labels:
             report.violations.append(f"trial {trial}: label sets differ")
             continue
-        _check_pair(p, g1, q, g2, trial, report)
-        _check_pair(q, g2, p, g1, trial, report)
+        spell_q = spellings(q)
+        _check_pair(spell_p, g1, spell_q, g2, trial, report)
+        _check_pair(spell_q, g2, spell_p, g1, trial, report)
     return report
 
 
 def _check_pair(
-    pa: Term,
+    spell_a: Mapping[Label, str],
     ga: NameGraph,
-    pb: Term,
+    spell_b: Mapping[Label, str],
     gb: NameGraph,
     trial: int,
     report: AssumptionReport,
@@ -290,7 +296,7 @@ def _check_pair(
     gb_refs = gb.references
     for ref, decl in ga.edges:
         # Resolvability must carry over when the names still agree.
-        if name_at(pb, ref) == name_at(pb, decl) and ref not in gb_refs:
+        if spell_b[ref] == spell_b[decl] and ref not in gb_refs:
             report.violations.append(
                 f"trial {trial}: reference {ref!r} resolvable in one variant "
                 f"but dropped in the other"
@@ -301,10 +307,7 @@ def _check_pair(
                 continue
             # Two candidate targets spelled alike in both programs must not
             # be chosen differently.
-            if (
-                name_at(pa, decl) == name_at(pa, other)
-                and name_at(pb, decl) == name_at(pb, other)
-            ):
+            if spell_a[decl] == spell_a[other] and spell_b[decl] == spell_b[other]:
                 report.violations.append(
                     f"trial {trial}: reference {ref!r} resolved to {decl!r} "
                     f"in one variant and {other!r} in the other"
@@ -324,7 +327,7 @@ def to_dot(
     if title:
         lines.append(f'  label="{title}";')
     lines.append("  node [fontname=monospace];")
-    spell = {n.label: n.text for n in iter_names(p)}
+    spell = spellings(p)
     for v in sorted(g.labels, key=lambda l: l.id):
         text = show_name(Name(spell.get(v, "?"), v))
         shape = "box" if v in decls else "ellipse"

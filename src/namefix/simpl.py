@@ -25,9 +25,9 @@ from .term import (
     NameFactory,
     Term,
     compound,
-    iter_names,
     labels_of,
     show_name,
+    spellings,
     tag,
 )
 
@@ -799,13 +799,8 @@ def lift_prog(p: Term, graph: NameGraph) -> Term:
     if not locals_:
         return p
 
-    local_by_label = {fdef_name(fn).label: fn for fn in locals_}
-    var_decls = {
-        d
-        for d in declarations_of(p)
-        if d not in local_by_label
-        and d not in {fdef_name(f).label for f in prog_fdefs(p)}
-    }
+    local_fns = {fdef_name(fn).label for fn in locals_}
+    var_decls = declarations_of(p) - local_fns - {fdef_name(f).label for f in prog_fdefs(p)}
 
     def refs_in(e: Term) -> list[Name]:
         out: list[Name] = []
@@ -842,7 +837,7 @@ def lift_prog(p: Term, graph: NameGraph) -> Term:
             for bound in graph.bindings(ref.label):
                 if bound in var_decls and bound not in inside[f_label]:
                     needs.add(bound)
-                elif bound in local_by_label and bound != f_label:
+                elif bound in local_fns and bound != f_label:
                     called.add(bound)
         direct[f_label] = needs
         calls[f_label] = called
@@ -863,7 +858,7 @@ def lift_prog(p: Term, graph: NameGraph) -> Term:
         f: sorted((d for d in needed if d not in inside[f]), key=lambda l: l.id)
         for f, needed in need.items()
     }
-    decl_text = {n.label: n.text for n in iter_names(p)}
+    decl_text = spellings(p)
 
     lifted: list[Term] = []
 

@@ -212,17 +212,22 @@ def iter_names(t: Term) -> Iterator[Name]:
     return iter(out)
 
 
-def name_at(t: Term, v: Label) -> str:
-    """The name text at label v. All occurrences of v must agree on it."""
-    text: str | None = None
+def spellings(t: Term) -> dict[Label, str]:
+    """Every label of t mapped to its spelling, in order of first occurrence.
+    Raises InconsistentLabel when two occurrences of a label disagree."""
+    spell: dict[Label, str] = {}
     for node in iter_names(t):
-        if node.label == v:
-            if text is None:
-                text = node.text
-            elif text != node.text:
-                raise InconsistentLabel(
-                    f"label {v!r} occurs as both {text!r} and {node.text!r}"
-                )
+        text = spell.setdefault(node.label, node.text)
+        if text != node.text:
+            raise InconsistentLabel(
+                f"label {node.label!r} occurs as both {text!r} and {node.text!r}"
+            )
+    return spell
+
+
+def name_at(t: Term, v: Label) -> str:
+    """The name text at label v."""
+    text = spellings(t).get(v)
     if text is None:
         raise LabelNotFound(f"label {v!r} does not occur in term")
     return text
@@ -230,21 +235,12 @@ def name_at(t: Term, v: Label) -> str:
 
 def labels_of(t: Term) -> frozenset[Label]:
     """The set of labels occurring in t."""
-    seen: dict[int, tuple[Label, str]] = {}
-    for node in iter_names(t):
-        prior = seen.get(node.label.id)
-        if prior is None:
-            seen[node.label.id] = (node.label, node.text)
-        elif prior[1] != node.text:
-            raise InconsistentLabel(
-                f"label {node.label!r} occurs as both {prior[1]!r} and {node.text!r}"
-            )
-    return frozenset(label for label, _ in seen.values())
+    return frozenset(spellings(t))
 
 
 def names_of(t: Term) -> frozenset[str]:
     """All name texts occurring in t."""
-    return frozenset(node.text for node in iter_names(t))
+    return frozenset(spellings(t).values())
 
 
 def map_names(t: Term, f: Callable[[Name], Name]) -> Term:

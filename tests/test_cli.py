@@ -1,5 +1,6 @@
 import pytest
 
+from namefix import simpl
 from namefix.cli import (
     EXIT_ALPHA,
     EXIT_INTERNAL,
@@ -194,6 +195,31 @@ class TestRepairFlags:
         assert code == 0
         for suffix in (".src.dot", ".tgt.dot", ".fix1.dot"):
             assert open(str(p) + suffix).read().startswith("digraph")
+
+
+def count_resolves(argv):
+    """main(argv)'s exit code and how often it ran the .spl resolver."""
+    resolver = simpl.SIMPL_RESOLVER
+    resolve = resolver.resolve
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return resolve(t)
+
+    object.__setattr__(resolver, "resolve", counting)  # Resolver is frozen
+    try:
+        return main(argv), len(calls)
+    finally:
+        object.__setattr__(resolver, "resolve", resolve)
+
+
+def test_emit_graphs_reuses_the_loops_graphs(tmp_path, capsys):
+    p = tmp_path / "p.spl"
+    p.write_text(OR_AND)
+    assert count_resolves(["inline", str(p), "and"]) == (0, 3)
+    assert count_resolves(["inline", "--emit-graphs", str(p), "and"]) == (0, 3)
+    assert count_resolves(["inline", "--no-fix", "--emit-graphs", str(p), "and"]) == (0, 2)
 
 
 class TestGraphAndAlphacheck:

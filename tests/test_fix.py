@@ -18,7 +18,7 @@ from namefix.lam import (
     pretty_lambda,
     resolve_lambda,
 )
-from namefix.term import Label, Name, Provenance, labels_of, mark, name_at
+from namefix.term import Label, Name, Provenance, compound, labels_of, mark, name_at
 
 from gen import gen_lambda, mutate_lambda
 
@@ -108,6 +108,19 @@ class TestCompRenaming:
         # ascending order: source decl 32 first, then synthesized '33 group
         assert pair.pi_src == {lbl(32): "x0"}
         assert pair.pi_syn == {lbl(33, True): "x1", lbl(34, True): "x1"}
+
+    def test_fresh_spelling_never_handed_out_twice(self):
+        # @1 is captured and is also a source reference of captured @2, so
+        # renaming @2 overwrites the x00 given to @1; the @4 group must still
+        # get a spelling not handed out before in the round.
+        t = compound(
+            Name("x0", lbl(1)), Name("x", lbl(2)), Name("x", lbl(3)), Name("x0", lbl(4))
+        )
+        gs = NameGraph({lbl(1), lbl(2)}, {lbl(1): lbl(2)})
+        gt = NameGraph(labels_of(t), [(lbl(2), lbl(1)), (lbl(2), lbl(4)), (lbl(3), lbl(2))])
+        pair = comp_renaming(gs, gt, t, find_capture(gs, gt))
+        assert pair.pi_src == {lbl(1): "x1", lbl(2): "x1"}
+        assert pair.pi_syn == {lbl(4): "x01"}
 
     def test_requires_capture(self):
         g = NameGraph(set(), {})

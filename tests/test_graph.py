@@ -61,6 +61,17 @@ class TestNameGraphBasics:
         with pytest.raises(ValueError):
             g.rho
 
+    def test_queried_graph_stays_immutable_and_equal(self):
+        edges = [(lbl(3), lbl(1)), (lbl(3), lbl(2))]
+        g = NameGraph({lbl(1), lbl(2), lbl(3)}, edges)
+        assert g.find(3) == lbl(3) and g.bindings(lbl(3)) == {lbl(1), lbl(2)}
+        with pytest.raises(AttributeError):
+            g.labels = frozenset()
+        with pytest.raises(AttributeError):
+            g.extra = 1
+        unqueried = NameGraph({lbl(1), lbl(2), lbl(3)}, edges)
+        assert g == unqueried and hash(g) == hash(unqueried)
+
     def test_counts_as_source_checks_provenance(self):
         g = NameGraph({lbl(1)}, {})
         assert g.counts_as_source(lbl(1))

@@ -21,9 +21,11 @@ from namefix.term import (
     name_at,
     names_of,
     rename,
+    spellings,
     to_sexpr,
 )
 
+import reference
 from gen import gen_lambda
 
 
@@ -84,6 +86,14 @@ class TestLabel:
         assert len(ids) == 10_000
 
 
+# (term, queried label, its spelling or None when absent, or the error)
+NAME_AT_CASES = [
+    (Name("x", lbl(1)), lbl(1), "x"),
+    (Name("x", lbl(1)), lbl(2), None),
+    (compound(Name("a", lbl(1)), Name("b", lbl(1))), lbl(1), InconsistentLabel),
+]
+
+
 class TestNameAt:
     def test_single_occurrence(self):
         assert name_at(Name("x", lbl(1)), lbl(1)) == "x"
@@ -94,6 +104,33 @@ class TestNameAt:
 
     def test_inconsistent_occurrences(self):
         t = compound(Name("a", lbl(1)), Name("b", lbl(1)))
+        with pytest.raises(InconsistentLabel):
+            name_at(t, lbl(1))
+
+
+class TestSpellings:
+    @pytest.mark.parametrize("t, v, expected", NAME_AT_CASES)
+    def test_name_at_cases(self, t, v, expected):
+        if expected is InconsistentLabel:
+            with pytest.raises(InconsistentLabel):
+                spellings(t)
+        else:
+            assert spellings(t).get(v) == expected
+
+    def test_first_occurrence_order(self):
+        t = compound(Name("b", lbl(2)), Name("a", lbl(1)), Name("b", lbl(2)))
+        assert list(spellings(t).items()) == [(lbl(2), "b"), (lbl(1), "a")]
+
+    @given(consistent_terms())
+    def test_agrees_with_term_walks(self, t):
+        spell = spellings(t)
+        assert frozenset(spell) == reference.labels_of(t) == labels_of(t)
+        assert frozenset(spell.values()) == reference.names_of(t) == names_of(t)
+        for v, text in spell.items():
+            assert reference.name_at(t, v) == text == name_at(t, v)
+
+    def test_name_at_checks_every_label(self):
+        t = compound(Name("x", lbl(1)), Name("a", lbl(2)), Name("b", lbl(2)))
         with pytest.raises(InconsistentLabel):
             name_at(t, lbl(1))
 
