@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Mapping
 
 from .graph import NameGraph, Resolver
-from .term import Label, Term, labels_of, rename, spellings
+from .term import Label, Term, rename, spellings
 
 
 class CaptureKind(Enum):
@@ -172,15 +172,17 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
     """Repair loop: resolve, detect capture, rename, repeat until clean.
 
     Capture-free input comes back as the very same term object. The
-    iteration budget is the label count of the input; the repair argument
-    guarantees each declaration is renamed at most once, so running past
-    the budget means a resolver assumption does not hold.
+    iteration budget is the label count of the input, read off its first
+    resolved graph (a resolver's graph holds exactly the term's labels);
+    the repair argument guarantees each declaration is renamed at most
+    once, so running past the budget means a resolver assumption does not
+    hold.
     """
-    budget = len(labels_of(t))
+    gt = r.resolve(t)
+    budget = len(gt.labels)
     steps: list[FixStep] = []
     current = t
     while True:
-        gt = r.resolve(current)
         capture = find_capture(gs, gt)
         if not capture:
             return FixResult(current, FixTrace(tuple(steps)), gt)
@@ -191,3 +193,4 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
         pair = comp_renaming(gs, gt, current, capture)
         current = rename(current, pair.combined())
         steps.append(FixStep(capture, pair, current, gt))
+        gt = r.resolve(current)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .term import (
     Compound,
@@ -114,6 +114,12 @@ class NameGraph:
         """
         w = self.find(v.id)
         return w is not None and w.provenance is v.provenance
+
+
+def pick_declaration(candidates: Sequence[Label], ref: Label) -> Label:
+    """The resolvers' rule for same-spelled duplicate declarations: the one
+    carrying the reference's id, else the last one."""
+    return next((c for c in candidates if c.id == ref.id), candidates[-1])
 
 
 def is_bipartite(g: NameGraph) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .fix import name_fix
-from .graph import NameGraph, Resolver
+from .graph import NameGraph, Resolver, pick_declaration
 from .term import (
     Compound,
     Const,
@@ -25,6 +25,7 @@ from .term import (
     NameFactory,
     Term,
     compound,
+    iter_names,
     labels_of,
     show_name,
     spellings,
@@ -375,11 +376,7 @@ def resolve_simpl(p: Term) -> NameGraph:
             candidates = top.get(ref.text)
             if not candidates:
                 return
-            decl = candidates[-1]
-            for c in candidates:
-                if c.id == ref.label.id:
-                    decl = c
-                    break
+            decl = pick_declaration(candidates, ref.label)
         edges.add((ref.label, decl))
 
     def walk(e: Term, env: dict[str, Label]) -> None:
@@ -697,9 +694,8 @@ def subst(p: Term, x: str, repl: Term) -> Term:
 def _relabel_copy(body: Term, graph: NameGraph, alloc: LabelAllocator) -> Term:
     """Copy a function body for one call site: declarations inside the copy
     and the references bound to them get one fresh label per original."""
-    local_decls = declarations_of(compound(FDEFS, body)) & labels_of(body)
     fresh: dict[Label, Label] = {
-        d: alloc.fresh() for d in sorted(local_decls, key=lambda l: l.id)
+        d: alloc.fresh() for d in sorted(declarations_of(body), key=lambda l: l.id)
     }
 
     def go(e: Term) -> Term:
@@ -774,76 +770,34 @@ def lift_prog(p: Term, graph: NameGraph) -> Term:
     given the name graph of p. Nothing is renamed.
 
     Let- and parameter-bound variables used (transitively) by a local
-    function are passed as extra trailing arguments; the binding structure
-    is read off the name graph of the unlifted program.
+    function are passed as extra trailing arguments. Every binding fact
+    comes from `graph`: a local function needs the declarations that the
+    names in its body are bound to, less functions and the declarations it
+    makes itself.
     """
-    # Gather local functions with the declarations made inside each.
-    locals_: list[Term] = []
-    inside: dict[Label, frozenset[Label]] = {}
+    local: dict[Label, Term] = {}  # local functions in preorder
 
     def scan(e: Term) -> None:
         if tag(e) == "letfun":
-            fn = e.children[1]
-            locals_.append(fn)
-            fn_decls = {fdef_name(fn).label} | {q.label for q in fdef_params(fn)}
-            inside[fdef_name(fn).label] = frozenset(
-                fn_decls | declarations_of(compound(FDEFS, fdef_body(fn)))
-            )
-            scan(fdef_body(fn))
-            scan(e.children[2])
-        elif isinstance(e, Compound):
+            local[fdef_name(e.children[1]).label] = e.children[1]
+        if isinstance(e, Compound):
             for c in e.children:
                 scan(c)
 
     scan(p)
-    if not locals_:
+    if not local:
         return p
 
-    local_fns = {fdef_name(fn).label for fn in locals_}
-    var_decls = declarations_of(p) - local_fns - {fdef_name(f).label for f in prog_fdefs(p)}
-
-    def refs_in(e: Term) -> list[Name]:
-        out: list[Name] = []
-
-        def walk(x: Term) -> None:
-            if isinstance(x, Name):
-                out.append(x)
-            elif tag(x) == "let":
-                walk(x.children[2])
-                walk(x.children[3])
-            elif tag(x) == "letfun":
-                walk(fdef_body(x.children[1]))
-                walk(x.children[2])
-            elif tag(x) == "call":
-                fn_name = x.children[1]
-                assert isinstance(fn_name, Name)
-                out.append(fn_name)
-                for a in x.children[2:]:
-                    walk(a)
-            elif isinstance(x, Compound):
-                for c in x.children[1:] if tag(x) else x.children:
-                    walk(c)
-
-        walk(e)
-        return out
-
-    direct: dict[Label, set[Label]] = {}
+    functions = local.keys() | {fdef_name(f).label for f in prog_fdefs(p)}
+    inside = {f: declarations_of(fn) for f, fn in local.items()}
+    need: dict[Label, set[Label]] = {}
     calls: dict[Label, set[Label]] = {}
-    for fn in locals_:
-        f_label = fdef_name(fn).label
-        needs: set[Label] = set()
-        called: set[Label] = set()
-        for ref in refs_in(fdef_body(fn)):
-            for bound in graph.bindings(ref.label):
-                if bound in var_decls and bound not in inside[f_label]:
-                    needs.add(bound)
-                elif bound in local_fns and bound != f_label:
-                    called.add(bound)
-        direct[f_label] = needs
-        calls[f_label] = called
+    for f, fn in local.items():
+        bound = {d for n in iter_names(fdef_body(fn)) for d in graph.bindings(n.label)}
+        need[f] = bound - functions - inside[f]
+        calls[f] = (bound & local.keys()) - {f}
 
     # Transitive closure: a caller must be able to supply what its callees need.
-    need = {f: set(s) for f, s in direct.items()}
     changed = True
     while changed:
         changed = False
@@ -854,11 +808,11 @@ def lift_prog(p: Term, graph: NameGraph) -> Term:
                     need[f] |= extra
                     changed = True
 
-    extra_params: dict[Label, list[Label]] = {
-        f: sorted((d for d in needed if d not in inside[f]), key=lambda l: l.id)
+    spell = spellings(p)
+    extra_args: dict[Label, list[Name]] = {
+        f: [Name(spell[d], d) for d in sorted(needed, key=lambda l: l.id)]
         for f, needed in need.items()
     }
-    decl_text = spellings(p)
 
     lifted: list[Term] = []
 
@@ -868,20 +822,16 @@ def lift_prog(p: Term, graph: NameGraph) -> Term:
         t = tag(e)
         if t == "letfun":
             fn = e.children[1]
-            f_label = fdef_name(fn).label
-            new_params = tuple(fdef_params(fn)) + tuple(
-                Name(decl_text[d], d) for d in extra_params[f_label]
-            )
-            new_body = go(fdef_body(fn))
-            lifted.append(fdef(fdef_name(fn), new_params, new_body))
+            new_params = tuple(fdef_params(fn)) + tuple(extra_args[fdef_name(fn).label])
+            lifted.append(fdef(fdef_name(fn), new_params, go(fdef_body(fn))))
             return go(e.children[2])
         if t == "call":
             fn_name = e.children[1]
             assert isinstance(fn_name, Name)
             args = [go(a) for a in e.children[2:]]
             for bound in sorted(graph.bindings(fn_name.label), key=lambda l: l.id):
-                if bound in extra_params:
-                    args += [Name(decl_text[d], d) for d in extra_params[bound]]
+                if bound in extra_args:
+                    args += extra_args[bound]
                     break
             return Compound((e.children[0], fn_name) + tuple(args))
         return Compound(tuple(go(c) for c in e.children))

@@ -13,7 +13,7 @@ import re
 from typing import Sequence
 
 from .fix import name_fix
-from .graph import NameGraph, Resolver
+from .graph import NameGraph, Resolver, pick_declaration
 from .simpl import (
     SIMPL_RESOLVER,
     call,
@@ -163,22 +163,12 @@ def resolve_machine(m: Term) -> NameGraph:
         for t in state_transitions(s):
             target = trans_target(t)
             candidates = decls.get(target.text)
-            if not candidates:
-                continue
-            chosen = candidates[-1]
-            for c in candidates:
-                if c.id == target.label.id:
-                    chosen = c
-                    break
-            edges.add((target.label, chosen))
+            if candidates:
+                edges.add((target.label, pick_declaration(candidates, target.label)))
     return NameGraph(labels_of(m), edges)
 
 
 STM_RESOLVER = Resolver("statemachine", resolve_machine)
-
-
-def declarations_of(m: Term) -> frozenset[Label]:
-    return frozenset(state_name(s).label for s in machine_states(m))
 
 
 # ---------------------------------------------------------------------------

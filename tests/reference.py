@@ -4,6 +4,8 @@ Each query here walks the whole term or scans the whole graph on every
 call, which is the plain reading of the paper's definitions. The library
 answers the same queries from one spelling map per term and one index per
 graph; the differential suite in test_oracle.py requires both to agree.
+It also keeps the lambda lifting that derived its scoping by itself, as
+the oracle for the library's version, which reads it off the name graph.
 """
 
 from __future__ import annotations
@@ -20,13 +22,29 @@ from namefix.fix import (
     gensym,
 )
 from namefix.graph import NameGraph, Resolver
+from namefix.simpl import (
+    FDEFS,
+    declarations_of,
+    fdef,
+    fdef_body,
+    fdef_name,
+    fdef_params,
+    prog,
+    prog_fdefs,
+    prog_main,
+)
 from namefix.term import (
+    Compound,
     InconsistentLabel,
     Label,
     LabelNotFound,
+    Name,
     Term,
+    compound,
     iter_names,
     rename,
+    spellings,
+    tag,
 )
 
 
@@ -140,3 +158,131 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
         pair = comp_renaming(gs, gt, current, capture)
         current = rename(current, pair.combined())
         steps.append(FixStep(capture, pair, current, gt))
+
+
+# ---------------------------------------------------------------------------
+# Lambda lifting with its own scope analysis: a walk that tells references
+# from declarations and hand-built declaration sets per local function
+
+def lift_prog(p: Term, graph: NameGraph) -> Term:
+    """Naive lambda lifting: hoist every local function to the top level,
+    given the name graph of p. Nothing is renamed.
+
+    Let- and parameter-bound variables used (transitively) by a local
+    function are passed as extra trailing arguments; the binding structure
+    is read off the name graph of the unlifted program.
+    """
+    # Gather local functions with the declarations made inside each.
+    locals_: list[Term] = []
+    inside: dict[Label, frozenset[Label]] = {}
+
+    def scan(e: Term) -> None:
+        if tag(e) == "letfun":
+            fn = e.children[1]
+            locals_.append(fn)
+            fn_decls = {fdef_name(fn).label} | {q.label for q in fdef_params(fn)}
+            inside[fdef_name(fn).label] = frozenset(
+                fn_decls | declarations_of(compound(FDEFS, fdef_body(fn)))
+            )
+            scan(fdef_body(fn))
+            scan(e.children[2])
+        elif isinstance(e, Compound):
+            for c in e.children:
+                scan(c)
+
+    scan(p)
+    if not locals_:
+        return p
+
+    local_fns = {fdef_name(fn).label for fn in locals_}
+    var_decls = declarations_of(p) - local_fns - {fdef_name(f).label for f in prog_fdefs(p)}
+
+    def refs_in(e: Term) -> list[Name]:
+        out: list[Name] = []
+
+        def walk(x: Term) -> None:
+            if isinstance(x, Name):
+                out.append(x)
+            elif tag(x) == "let":
+                walk(x.children[2])
+                walk(x.children[3])
+            elif tag(x) == "letfun":
+                walk(fdef_body(x.children[1]))
+                walk(x.children[2])
+            elif tag(x) == "call":
+                fn_name = x.children[1]
+                assert isinstance(fn_name, Name)
+                out.append(fn_name)
+                for a in x.children[2:]:
+                    walk(a)
+            elif isinstance(x, Compound):
+                for c in x.children[1:] if tag(x) else x.children:
+                    walk(c)
+
+        walk(e)
+        return out
+
+    direct: dict[Label, set[Label]] = {}
+    calls: dict[Label, set[Label]] = {}
+    for fn in locals_:
+        f_label = fdef_name(fn).label
+        needs: set[Label] = set()
+        called: set[Label] = set()
+        for ref in refs_in(fdef_body(fn)):
+            for bound in graph.bindings(ref.label):
+                if bound in var_decls and bound not in inside[f_label]:
+                    needs.add(bound)
+                elif bound in local_fns and bound != f_label:
+                    called.add(bound)
+        direct[f_label] = needs
+        calls[f_label] = called
+
+    # Transitive closure: a caller must be able to supply what its callees need.
+    need = {f: set(s) for f, s in direct.items()}
+    changed = True
+    while changed:
+        changed = False
+        for f, called in calls.items():
+            for g in called:
+                extra = need[g] - inside[f] - need[f]
+                if extra:
+                    need[f] |= extra
+                    changed = True
+
+    extra_params: dict[Label, list[Label]] = {
+        f: sorted((d for d in needed if d not in inside[f]), key=lambda l: l.id)
+        for f, needed in need.items()
+    }
+    decl_text = spellings(p)
+
+    lifted: list[Term] = []
+
+    def go(e: Term) -> Term:
+        if not isinstance(e, Compound):
+            return e
+        t = tag(e)
+        if t == "letfun":
+            fn = e.children[1]
+            f_label = fdef_name(fn).label
+            new_params = tuple(fdef_params(fn)) + tuple(
+                Name(decl_text[d], d) for d in extra_params[f_label]
+            )
+            new_body = go(fdef_body(fn))
+            lifted.append(fdef(fdef_name(fn), new_params, new_body))
+            return go(e.children[2])
+        if t == "call":
+            fn_name = e.children[1]
+            assert isinstance(fn_name, Name)
+            args = [go(a) for a in e.children[2:]]
+            for bound in sorted(graph.bindings(fn_name.label), key=lambda l: l.id):
+                if bound in extra_params:
+                    args += [Name(decl_text[d], d) for d in extra_params[bound]]
+                    break
+            return Compound((e.children[0], fn_name) + tuple(args))
+        return Compound(tuple(go(c) for c in e.children))
+
+    new_fdefs = [
+        fdef(fdef_name(f), fdef_params(f), go(fdef_body(f))) for f in prog_fdefs(p)
+    ]
+    new_main = [go(e) for e in prog_main(p)]
+    return prog(new_fdefs + lifted, new_main)

@@ -17,6 +17,7 @@ from namefix.graph import NameGraph
 from namefix.lam import LAMBDA_RESOLVER, resolve_lambda
 from namefix.simpl import (
     SIMPL_RESOLVER,
+    SimplError,
     fdef_name,
     inline_prog,
     lift_prog,
@@ -69,6 +70,30 @@ def test_inline_and_lift_on_closed_programs(seed):
     for fname in sorted({fdef_name(f).text for f in prog_fdefs(p)}):
         assert_same_repair(gs, inline_prog(p, fname, gs), SIMPL_RESOLVER)
     assert_same_repair(gs, lift_prog(p, gs), SIMPL_RESOLVER)
+
+
+def lift_inputs(seed):
+    """Open and closed generated programs, plus the naive inlining of up to
+    three of their functions, whose copied arguments duplicate labels."""
+    rng = random.Random(seed)
+    n_fdefs = rng.choice([3, 8, 25])
+    for closed in (False, True):
+        p = parse_simpl(gen_simpl_source(rng, closed=closed, n_fdefs=n_fdefs))
+        yield p
+        gs = resolve_simpl(p)
+        for fname in sorted({fdef_name(f).text for f in prog_fdefs(p)})[:3]:
+            try:
+                yield inline_prog(p, fname, gs)
+            except SimplError:  # open programs may call a duplicate of another arity
+                pass
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds)
+def test_lift_reads_its_scoping_off_the_graph(seed):
+    for q in lift_inputs(seed):
+        graph = resolve_simpl(q)
+        assert lift_prog(q, graph) == reference.lift_prog(q, graph)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,7 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from namefix import simpl
 from namefix.fix import name_fix
 from namefix.graph import alpha_equiv_relabel
 from namefix.simpl import (
@@ -23,6 +25,7 @@ from namefix.simpl import (
     parse_simpl,
     parse_simpl_exp,
     pretty_simpl,
+    prog,
     prog_fdefs,
     prog_main,
     resolve_simpl,
@@ -332,6 +335,44 @@ class TestLambdaLift:
         by_name = {fdef_name(f).text: f for f in prog_fdefs(out)}
         assert [q.text for q in fdef_params(by_name["h"])] == ["x", "y"]
         assert eval_simpl(out) == 12
+
+    def test_need_passes_through_nesting(self):
+        # h uses a directly and b through g; f, which encloses h, must
+        # supply both to its call of h
+        src = (
+            "fun main(a) = let b = a + 1 in "
+            "let fun g(x) = x + b in "
+            "let fun f(y) = let fun h(z) = g(z) + a in h(y) in f(2); "
+            "main(1)"
+        )
+        p = parse_simpl(src)
+        out = lambda_lift(p)
+        by_name = {fdef_name(f).text: f for f in prog_fdefs(out)}
+        assert pretty_simpl(prog([by_name["f"]], [])) == "fun f(y, a, b) = h(y, a, b);\n"
+        assert eval_simpl(out) == eval_simpl(p) == 5
+
+    def test_caller_keeps_its_own_declarations(self):
+        # g needs f's parameter y; f calls g but declares y itself, so f
+        # gains no parameter
+        p = parse_simpl("let fun f(y) = let fun g(z) = z + y in g(1) in f(2)")
+        out = lambda_lift(p)
+        assert pretty_simpl(out) == "fun g(z, y) = z + y;\nfun f(y) = g(1, y);\nf(2)\n"
+        assert eval_simpl(out) == eval_simpl(p) == 3
+
+    def test_benchmark_tracer_wraps_the_lifting_path(self, monkeypatch):
+        # The benchmark's tracer looks up every function it wraps by name,
+        # so it breaks when one of them is renamed or removed.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        import tracing
+
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            simpl.lambda_lift(parse_simpl(LOCAL_FNS))
+        finally:
+            tracer.uninstall()
+        assert tracer.calls["fix.name_fix"] == 1
+        assert tracer.calls["simpl.transform"] == 1
 
 
 class TestNaiveTransformPlusRepair:
