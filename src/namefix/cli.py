@@ -16,14 +16,12 @@ from typing import Callable
 
 from . import fix, lam, simpl, statemachine
 from .graph import NameGraph, Resolver, alpha_equiv_relabel, to_dot
-from .term import Term
+from .term import ParseError, Term
 
 EXIT_PARSE = 1
 EXIT_IO = 2
 EXIT_ALPHA = 3
 EXIT_INTERNAL = 4
-
-_PARSE_ERRORS = (lam.ParseError, simpl.ParseError, statemachine.ParseError)
 
 
 @dataclass
@@ -71,7 +69,7 @@ def _load(path: Path) -> tuple[_Language, Term]:
     src = _read(path)
     try:
         return language, language.parse(src)
-    except _PARSE_ERRORS as exc:
+    except ParseError as exc:
         raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc
 
 
@@ -245,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     except fix.FixError as exc:
         print(f"namefix: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except Exception as exc:  # includes RecursionError on deeply nested input
+    except Exception as exc:  # e.g. RecursionError in a tree walk on deep input
         print(f"namefix: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     return 0

@@ -6,22 +6,20 @@ suites; there is deliberately no evaluator.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-
+from . import term
 from .graph import NameGraph, Resolver
 from .term import (
     Compound,
     Const,
-    DuplicatePin,
     Label,
     Name,
-    NameFactory,
+    Scanner,
     Term,
     compound,
     labels_of,
     show_name,
     tag,
+    token_pattern,
 )
 
 LAM = Const("lam")
@@ -41,110 +39,62 @@ def add(left: Term, right: Term) -> Compound:
     return compound(ADD, left, right)
 
 
-class ParseError(Exception):
+class ParseError(term.ParseError):
     def __init__(self, message: str, pos: int) -> None:
         super().__init__(f"{message} (at offset {pos})")
         self.pos = pos
 
+    @classmethod
+    def at(cls, message: str, src: str, offset: int) -> "ParseError":
+        return cls(message, offset)
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<lambda>\\)|(?P<dot>\.)|(?P<plus>\+)|(?P<lpar>\()|(?P<rpar>\))"
-    r"|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*(?:@'?\d+)?))"
+
+_TOKEN = token_pattern(
+    r"(?P<punct>[\\.+()])|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*(?:@'?\d+)?)"
 )
 
 
-@dataclass
-class _Tok:
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(src: str) -> list[_Tok]:
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None or m.lastgroup is None:
-            if src[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {src[pos:pos+1]!r}", pos)
-        if m.end() == pos and not m.group().strip():
-            break
-        tokens.append(_Tok(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
+class _Parser(Scanner):
     def __init__(self, src: str) -> None:
-        self.tokens = _tokenize(src)
-        self.i = 0
-        self.end = len(src)
-        self.names = NameFactory(src)
-
-    def name(self, tok: _Tok) -> Name:
-        try:
-            return self.names.make(tok.text)
-        except DuplicatePin as exc:
-            raise ParseError(str(exc), tok.pos) from None
-
-    def peek(self) -> _Tok | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self, kind: str | None = None) -> _Tok:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.end)
-        if kind is not None and tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.text!r}", tok.pos)
-        self.i += 1
-        return tok
+        super().__init__(src, _TOKEN, frozenset(), ParseError, len(src))
 
     def parse_exp(self) -> Term:
-        tok = self.peek()
-        if tok is not None and tok.kind == "lambda":
+        if self.at("\\"):
             self.next()
             binder = self.name(self.next("name"))
-            self.next("dot")
+            self.next(".")
             return lam(binder, self.parse_exp())
         return self.parse_add()
 
     def parse_add(self) -> Term:
         e = self.parse_app()
-        while (tok := self.peek()) is not None and tok.kind == "plus":
+        while self.at("+"):
             self.next()
             e = add(e, self.parse_app())
         return e
 
     def parse_app(self) -> Term:
+        # application binds tighter than a lambda; a lambda argument needs parens
         e = self.parse_atom()
-        while (tok := self.peek()) is not None and tok.kind in ("name", "int", "lpar", "lambda"):
-            if tok.kind == "lambda":
-                # application binds tighter; a lambda argument needs parens
-                break
+        while self.peek()[0] in ("name", "int", "("):
             e = app(e, self.parse_atom())
         return e
 
     def parse_atom(self) -> Term:
         tok = self.next()
-        if tok.kind == "name":
+        if tok[0] == "name":
             return self.name(tok)
-        if tok.kind == "int":
-            return Const(int(tok.text))
-        if tok.kind == "lpar":
+        if tok[0] == "int":
+            return Const(self.integer(tok))
+        if tok[0] == "(":
             e = self.parse_exp()
-            self.next("rpar")
+            self.next(")")
             return e
-        raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
+        raise self.error(f"unexpected token {tok[1]!r}", tok[2])
 
 
 def parse_lambda(src: str) -> Term:
-    parser = _Parser(src)
-    e = parser.parse_exp()
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input {parser.peek().text!r}", parser.peek().pos)
-    return e
+    return _Parser(src).parse(_Parser.parse_exp)
 
 
 def resolve_lambda(p: Term) -> NameGraph:

@@ -9,20 +9,20 @@ pass against the source program's name graph.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from . import term
 from .fix import name_fix
 from .graph import NameGraph, Resolver, pick_declaration
 from .term import (
+    END,
     Compound,
     Const,
-    DuplicatePin,
     Label,
     LabelAllocator,
     Name,
-    NameFactory,
+    Scanner,
     Term,
     compound,
     iter_names,
@@ -30,6 +30,7 @@ from .term import (
     show_name,
     spellings,
     tag,
+    token_pattern,
 )
 
 # ---------------------------------------------------------------------------
@@ -135,102 +136,40 @@ class ArityMismatch(SimplError):
 # ---------------------------------------------------------------------------
 # Parsing
 
-class ParseError(Exception):
+class ParseError(term.ParseError):
     def __init__(self, message: str, line: int, col: int) -> None:
         super().__init__(f"{message} (line {line}, column {col})")
         self.line = line
         self.col = col
 
+    @classmethod
+    def at(cls, message: str, src: str, offset: int) -> "ParseError":
+        line = src.count("\n", 0, offset) + 1
+        return cls(message, line, offset - src.rfind("\n", 0, offset))
 
-_KEYWORDS = {"fun", "let", "in", "if", "then", "else", "error"}
 
-_TOKEN = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<eqeq>==)"
-    r"|(?P<punct>[=;(),+*!])"
+_KEYWORDS = frozenset({"fun", "let", "in", "if", "then", "else", "error"})
+
+_TOKEN = token_pattern(
+    r"(?P<punct>==|[=;(),+*!])"
     r"|(?P<int>\d+)"
     r"|(?P<str>\"(?:[^\"\\]|\\.)*\")"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_-]*(?:@'?\d+)?)"
 )
 
 
-@dataclass
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(src: str) -> list[_Tok]:
-    tokens: list[_Tok] = []
-    pos = 0
-    line, col = 1, 1
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
-        text = m.group()
-        kind = m.lastgroup or "ws"
-        if kind != "ws":
-            if kind == "name" and text.split("@")[0] in _KEYWORDS:
-                kind = text.split("@")[0]
-            elif kind == "punct" or kind == "eqeq":
-                kind = text
-            tokens.append(_Tok(kind, text, line, col))
-        line, col = _advance(line, col, text)
-        pos = m.end()
-    return tokens
-
-
-def _advance(line: int, col: int, text: str) -> tuple[int, int]:
-    """The position just past `text` when it starts at (line, col)."""
-    newlines = text.count("\n")
-    if newlines:
-        return line + newlines, len(text) - text.rfind("\n")
-    return line, col + len(text)
-
-
-class _Parser:
+class _Parser(Scanner):
     def __init__(self, src: str) -> None:
-        self.tokens = _tokenize(src)
-        self.i = 0
-        self.names = NameFactory(src)
-
-    def name(self, tok: _Tok) -> Name:
-        try:
-            return self.names.make(tok.text)
-        except DuplicatePin as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
-
-    def peek(self, ahead: int = 0) -> _Tok | None:
-        j = self.i + ahead
-        return self.tokens[j] if j < len(self.tokens) else None
-
-    def next(self, kind: str | None = None) -> _Tok:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Tok("", "", 1, 1)
-            raise ParseError("unexpected end of input", *_advance(last.line, last.col, last.text))
-        if kind is not None and tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.col)
-        self.i += 1
-        return tok
-
-    def at(self, kind: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == kind
+        # end of input is reported just past the last token
+        super().__init__(src, _TOKEN, _KEYWORDS, ParseError, len(src.rstrip()))
 
     def parse_program(self) -> Compound:
         fdefs: list[Term] = []
         while self.at("fun"):
             fdefs.append(self.parse_fdef())
         main: list[Term] = []
-        if self.peek() is not None:
+        if not self.at(END):
             main.append(self.parse_exp())
-        if self.peek() is not None:
-            tok = self.peek()
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
         return prog(fdefs, main)
 
     def parse_fdef(self) -> Compound:
@@ -310,9 +249,9 @@ class _Parser:
 
     def parse_atom(self) -> Term:
         if self.at("int"):
-            return Const(int(self.next().text))
+            return Const(self.integer(self.next()))
         if self.at("str"):
-            raw = self.next().text
+            raw = self.next()[1]
             return Const(raw[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
         if self.at("error"):
             self.next()
@@ -340,16 +279,11 @@ class _Parser:
 
 
 def parse_simpl(src: str) -> Compound:
-    return _Parser(src).parse_program()
+    return _Parser(src).parse(_Parser.parse_program)
 
 
 def parse_simpl_exp(src: str) -> Term:
-    parser = _Parser(src)
-    e = parser.parse_exp()
-    if parser.peek() is not None:
-        tok = parser.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return e
+    return _Parser(src).parse(_Parser.parse_exp)
 
 
 # ---------------------------------------------------------------------------

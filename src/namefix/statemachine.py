@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
+from . import term
 from .fix import name_fix
 from .graph import NameGraph, Resolver, pick_declaration
 from .simpl import (
@@ -26,11 +27,11 @@ from .simpl import (
 from .term import (
     Compound,
     Const,
-    DuplicatePin,
     Label,
     LabelAllocator,
     Name,
     NameFactory,
+    PinError,
     Term,
     compound,
     labels_of,
@@ -82,7 +83,7 @@ def trans_target(t: Term) -> Name:
 # ---------------------------------------------------------------------------
 # Parsing
 
-class ParseError(Exception):
+class ParseError(term.ParseError):
     def __init__(self, message: str, line: int) -> None:
         super().__init__(f"{message} (line {line})")
         self.line = line
@@ -101,7 +102,7 @@ def parse_stm(src: str) -> Compound:
             raise ParseError(f"invalid name {text!r}", lineno)
         try:
             return names.make(text)
-        except DuplicatePin as exc:
+        except PinError as exc:
             raise ParseError(str(exc), lineno) from None
 
     states: list[Term] = []

@@ -1,4 +1,4 @@
-"""Labeled s-expression terms.
+"""Labeled s-expression terms, and what the parsers share to build them.
 
 Programs are plain s-expressions: constants, name occurrences, and compound
 terms. Every name occurrence carries a label that identifies the variable
@@ -12,7 +12,7 @@ import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, TypeVar
 
 
 class Provenance(Enum):
@@ -32,8 +32,19 @@ class InconsistentLabel(TermError):
     """Occurrences of one label disagree on the name text (corrupt term)."""
 
 
-class DuplicatePin(TermError):
-    """Source text pins one label id on two name occurrences."""
+class PinError(TermError):
+    """Source text pins one label id on two name occurrences, or pins an id
+    with more digits than `int` reads."""
+
+
+class ParseError(Exception):
+    """Base of the front ends' parse errors. Each language's subclass
+    locates an error in its own terms."""
+
+    @classmethod
+    def at(cls, message: str, src: str, offset: int) -> "ParseError":
+        """The error at `offset` of `src`, as a Scanner raises it."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,22 +171,126 @@ class NameFactory:
     """
 
     def __init__(self, src: str) -> None:
-        pins = [int(m.group(2)) for m in _PIN.finditer(src)]
-        if pins:
-            _SESSION.reserve(max(pins))
+        top = 0
+        for m in _PIN.finditer(src):
+            try:
+                top = max(top, int(m.group(2)))
+            except ValueError:  # too many digits: make() rejects it as a name
+                pass
+        _SESSION.reserve(top)
         self._used: set[int] = set()
 
     def make(self, text: str) -> Name:
-        """Raises DuplicatePin when a pinned id occurs twice."""
+        """Raises PinError when a pinned id occurs twice or is too long."""
         m = _PIN.search(text)
         if m is None:
             return Name(text, fresh_source_label())
-        pin = int(m.group(2))
+        try:
+            pin = int(m.group(2))
+        except ValueError:
+            raise PinError(f"pinned label id too long ({len(m.group(2))} digits)") from None
         if pin in self._used:
-            raise DuplicatePin(f"pinned label id {pin} used twice")
+            raise PinError(f"pinned label id {pin} used twice")
         self._used.add(pin)
         provenance = Provenance.SYNTHESIZED if m.group(1) == "'" else Provenance.SOURCE
         return Name(text[: m.start()], Label(pin, provenance))
+
+
+Token = tuple[str, str, int]  # kind, text, offset into the source
+END = "end of input"  # the kind of the token that closes every scan
+T = TypeVar("T")
+
+
+def token_pattern(tokens: str) -> re.Pattern[str]:
+    """The Scanner pattern of a language whose tokens `tokens` matches, one
+    named group per token kind: whitespace first, any other character last."""
+    return re.compile(rf"\s+|{tokens}|(?P<_bad>.)")
+
+
+class Scanner:
+    """One source text as tokens, and a cursor over them for a recursive
+    descent parser.
+
+    The text is scanned in one pass of `pattern` (from `token_pattern`). A
+    token's kind is its group's name, except that a `punct` token's kind is
+    its text and a `name` token spelled like one of `keywords` (up to its
+    pin) has that keyword as its kind. An END token at offset `end` closes
+    the scan: there the parser reports running out of input. Errors are
+    raised as `error.at(message, src, offset)`.
+    """
+
+    def __init__(
+        self,
+        src: str,
+        pattern: re.Pattern[str],
+        keywords: frozenset[str],
+        error: type[ParseError],
+        end: int,
+    ) -> None:
+        self.src = src
+        self._error = error
+        tokens: list[Token] = []
+        for m in pattern.finditer(src):
+            kind = m.lastgroup
+            if kind is None:  # whitespace
+                continue
+            text = m.group()
+            if kind == "name":
+                word = text.partition("@")[0]
+                if word in keywords:
+                    kind = word
+            elif kind == "punct":
+                kind = text
+            elif kind == "_bad":
+                raise self.error(f"unexpected character {text!r}", m.start())
+            tokens.append((kind, text, m.start()))
+        tokens.append((END, "", end))
+        self.tokens = tokens
+        self.i = 0
+        self.names = NameFactory(src)
+
+    def error(self, message: str, offset: int) -> ParseError:
+        return self._error.at(message, self.src, offset)
+
+    def peek(self) -> Token:
+        return self.tokens[self.i]
+
+    def at(self, kind: str) -> bool:
+        return self.tokens[self.i][0] == kind
+
+    def next(self, kind: str | None = None) -> Token:
+        tok = self.tokens[self.i]
+        if tok[0] == END:
+            raise self.error("unexpected end of input", tok[2])
+        if kind is not None and tok[0] != kind:
+            raise self.error(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+        self.i += 1
+        return tok
+
+    def name(self, tok: Token) -> Name:
+        """The Name of a name token, its pin read by the text's NameFactory."""
+        try:
+            return self.names.make(tok[1])
+        except PinError as exc:
+            raise self.error(str(exc), tok[2]) from None
+
+    def integer(self, tok: Token) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:
+            raise self.error(f"integer literal too long ({len(tok[1])} digits)", tok[2]) from None
+
+    def parse(self, rule: Callable[..., T]) -> T:
+        """`rule(self)` over the whole text. Input left after it, or nesting
+        too deep for the recursive rules, is a located error."""
+        try:
+            result = rule(self)
+        except RecursionError:
+            raise self.error("nested too deeply", self.tokens[self.i][2]) from None
+        kind, text, offset = self.tokens[self.i]
+        if kind != END:
+            raise self.error(f"trailing input {text!r}", offset)
+        return result
 
 
 class LabelAllocator:

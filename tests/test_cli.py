@@ -3,7 +3,6 @@ import pytest
 from namefix import simpl
 from namefix.cli import (
     EXIT_ALPHA,
-    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_PARSE,
     main,
@@ -274,14 +273,21 @@ class TestErrors:
         p.write_text("state a\n")
         assert main(["compile", str(p)]) == EXIT_IO
 
-    def test_deep_nesting_is_internal_error_without_traceback(self, tmp_path, capsys):
+    def test_deep_nesting_is_parse_error_without_traceback(self, tmp_path, capsys):
         depth = 1000
         lets = "(let x0 = y in " + "".join(
             f"(let x{i} = x{i - 1} + 1 in " for i in range(1, depth)
         )
         p = tmp_path / "deep.spl"
         p.write_text(lets + f"x{depth - 1}" + ")" * depth + "\n")
-        assert main(["subst", str(p), "y", "2"]) == EXIT_INTERNAL
+        assert main(["subst", str(p), "y", "2"]) == EXIT_PARSE
         err = capsys.readouterr().err
-        assert err.startswith("namefix: ")
-        assert "Traceback" not in err
+        assert err.startswith(f"namefix: {p}: nested too deeply (line 1, column ")
+        assert err.count("\n") == 1
+
+    def test_too_long_integer_is_parse_error(self, tmp_path, capsys):
+        p = tmp_path / "long.spl"
+        p.write_text("fun f(x) = x + " + "9" * 4400 + ";\nf(1)\n")
+        assert main(["lift", str(p)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == f"namefix: {p}: integer literal too long (4400 digits) (line 1, column 16)\n"

@@ -1,0 +1,134 @@
+"""Parse errors of the three front ends: exact messages and locations, input
+too large for the parsers, and fuzzing (only a ParseError may escape)."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from namefix import lam, simpl, statemachine, term
+
+PARSERS = {
+    "spl": (simpl.parse_simpl, simpl.ParseError),
+    "spl-exp": (simpl.parse_simpl_exp, simpl.ParseError),
+    "lam": (lam.parse_lambda, lam.ParseError),
+    "stm": (statemachine.parse_stm, statemachine.ParseError),
+}
+
+# parser, source, str(exc), location attributes
+TABLE = [
+    ("spl", "fun f(x) = x;\nlet y = 1 in $y", "unexpected character '$' (line 2, column 14)", {"line": 2, "col": 14}),
+    ("spl", 'let s = "a\nbc" in s $', "unexpected character '$' (line 2, column 10)", {"line": 2, "col": 10}),
+    ("spl", 'let s = "a\nbc" in\n  s + )', "expected 'name', found ')' (line 3, column 7)", {"line": 3, "col": 7}),
+    ("spl", "fun f(x) = x\nf(1)", "expected ';', found 'f' (line 2, column 1)", {"line": 2, "col": 1}),
+    ("spl", "fun f(x) = let y = 1\n", "unexpected end of input (line 1, column 21)", {"line": 1, "col": 21}),
+    ("spl", "fun f(x) = x;\nf(1) )", "trailing input ')' (line 2, column 6)", {"line": 2, "col": 6}),
+    ("spl-exp", "1 + 2\n  3", "trailing input '3' (line 2, column 3)", {"line": 2, "col": 3}),
+    ("spl", "fun f@1(x) = \n  f@1(x);", "pinned label id 1 used twice (line 2, column 3)", {"line": 2, "col": 3}),
+    ("lam", "\\x. x\ny$", "unexpected character '$' (at offset 7)", {"pos": 7}),
+    ("lam", "\\x y. x", "expected '.', found 'y' (at offset 3)", {"pos": 3}),
+    ("lam", "(x y\n", "unexpected end of input (at offset 5)", {"pos": 5}),
+    ("lam", "x (\\y. y)\n z )", "trailing input ')' (at offset 13)", {"pos": 13}),
+    ("lam", "\\x@9. x@9", "pinned label id 9 used twice (at offset 6)", {"pos": 6}),
+    ("stm", "state a\n  go => b\nstate b\n  go = a\n", "cannot parse line 'go = a' (line 4)", {"line": 4}),
+    ("stm", "state a\n  go => b\n\nstate a b\n", "invalid name 'a b' (line 4)", {"line": 4}),
+    ("stm", "state a\nend\nstate b\n", "input after end: 'state b' (line 3)", {"line": 3}),
+    ("stm", "  go => a\nstate a\n", "transition before any state (line 1)", {"line": 1}),
+    ("stm", "state a@3\nstate b@3\n", "pinned label id 3 used twice (line 2)", {"line": 2}),
+]
+
+
+@pytest.mark.parametrize(
+    "parser, src, message, location", TABLE, ids=[f"{row[0]}-{k}" for k, row in enumerate(TABLE)]
+)
+def test_error_message_and_location(parser, src, message, location):
+    parse, error = PARSERS[parser]
+    with pytest.raises(error) as err:
+        parse(src)
+    assert str(err.value) == message
+    assert {k: getattr(err.value, k) for k in location} == location
+
+
+def test_language_errors_share_one_base():
+    for _, error in PARSERS.values():
+        assert issubclass(error, term.ParseError)
+
+
+LONG = "9" * 4400  # more digits than int() converts
+
+
+@pytest.mark.parametrize(
+    "parser, src, message, location",
+    [
+        ("spl", f"fun f(x) = x + {LONG};", "integer literal too long (4400 digits) (line 1, column 16)", {"line": 1, "col": 16}),
+        ("spl-exp", f"let x@{LONG} = 1 in x", "pinned label id too long (4400 digits) (line 1, column 5)", {"line": 1, "col": 5}),
+        ("lam", f"\\x. x {LONG}", "integer literal too long (4400 digits) (at offset 6)", {"pos": 6}),
+        ("lam", f"\\x@{LONG}. x", "pinned label id too long (4400 digits) (at offset 1)", {"pos": 1}),
+        ("stm", f"state a\n  go => b@{LONG}\n", "pinned label id too long (4400 digits) (line 2)", {"line": 2}),
+    ],
+    ids=["spl-int", "spl-pin", "lam-int", "lam-pin", "stm-pin"],
+)
+def test_too_many_digits(parser, src, message, location):
+    test_error_message_and_location(parser, src, message, location)
+
+
+def test_too_many_digits_in_a_string_is_no_pin():
+    assert simpl.parse_simpl_exp(f'"x@{LONG}"') == term.Const(f"x@{LONG}")
+
+
+@pytest.mark.parametrize(
+    "parser, src",
+    [
+        ("spl", "fun f(x) = " + "(" * 5000 + "x" + ")" * 5000 + ";"),
+        ("spl-exp", "let x = 1 in " * 5000 + "x"),
+        ("lam", "\\x. " + "(" * 5000 + "x" + ")" * 5000),
+    ],
+    ids=["spl", "spl-exp", "lam"],
+)
+def test_deep_nesting(parser, src):
+    parse, error = PARSERS[parser]
+    with pytest.raises(error, match=r"^nested too deeply \("):
+        parse(src)
+
+
+def test_lam_unexpected_character_located_at_itself():
+    with pytest.raises(lam.ParseError) as err:
+        lam.parse_lambda("\\x. x\n  y $")
+    assert (str(err.value), err.value.pos) == ("unexpected character '$' (at offset 10)", 10)
+
+
+# Token spellings per language; joined without separators they also make
+# longer names, numbers and keyword prefixes.
+TOKENS = {
+    "spl": [
+        "fun", "let", "in", "if", "then", "else", "error", "==", "=", ";", "(", ")", ",",
+        "+", "*", "!", "0", "42", '"s"', '"a\\"b\n"', "x", "f", "x@1", "f@'2", "-", "@", " ", "\n",
+    ],
+    "lam": ["\\", ".", "+", "(", ")", "x", "y", "x@3", "y@'4", "0", "7", "@", "'", " ", "\n"],
+    "stm": [
+        "state ", "end", "=>", "//", "go", "a", "b", "a@5", "b@'6", "a-b", "@", "-", " ", "\t", "\n",
+    ],
+}
+TOKENS["spl-exp"] = TOKENS["spl"]
+
+
+def _parses_or_raises_parse_error(parser, src):
+    parse, error = PARSERS[parser]
+    try:
+        parse(src)
+    except error:
+        pass
+
+
+@pytest.mark.parametrize("parser", PARSERS)
+@settings(max_examples=100, deadline=None)
+@given(src=st.text(max_size=40))
+def test_fuzz_arbitrary_text(parser, src):
+    _parses_or_raises_parse_error(parser, src)
+
+
+@pytest.mark.parametrize("parser", PARSERS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzz_token_text(parser, data):
+    src = "".join(data.draw(st.lists(st.sampled_from(TOKENS[parser]), max_size=30)))
+    _parses_or_raises_parse_error(parser, src)
