@@ -243,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     except fix.FixError as exc:
         print(f"namefix: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except Exception as exc:  # e.g. RecursionError in a tree walk on deep input
+    except Exception as exc:  # a defect: report it in one line, not a traceback
         print(f"namefix: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     return 0

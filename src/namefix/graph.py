@@ -16,12 +16,11 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .term import (
-    Compound,
-    Const,
     Label,
     Name,
     Term,
     label_equiv,
+    lockstep,
     rename,
     show_name,
     spellings,
@@ -69,17 +68,6 @@ class NameGraph:
     def declarations(self) -> frozenset[Label]:
         return frozenset(d for _, d in self.edges)
 
-    @property
-    def rho(self) -> dict[Label, Label]:
-        """Functional view of the edges, for graphs where every reference
-        has one binding (resolver output on freshly parsed programs)."""
-        out: dict[Label, Label] = {}
-        for r, d in sorted(self.edges, key=lambda e: (e[0].id, e[1].id)):
-            if r in out and out[r] != d:
-                raise ValueError(f"reference {r!r} has multiple bindings")
-            out[r] = d
-        return out
-
     @cached_property
     def _index(self) -> tuple[dict[int, Label], dict[Label, frozenset[Label]]]:
         """id -> label and reference -> its declarations, built on the first
@@ -92,16 +80,6 @@ class NameGraph:
 
     def bindings(self, ref: Label) -> frozenset[Label]:
         return self._index[1].get(ref, frozenset())
-
-    def lookup(self, ref: Label) -> Label | None:
-        """The unique binding of ref, or None if unbound. Raises on an
-        ambiguously bound reference."""
-        ds = self.bindings(ref)
-        if not ds:
-            return None
-        if len(ds) > 1:
-            raise ValueError(f"reference {ref!r} has multiple bindings")
-        return next(iter(ds))
 
     def find(self, label_id: int) -> Label | None:
         return self._index[0].get(label_id)
@@ -188,20 +166,12 @@ def alpha_equiv_relabel(p1: Term, p2: Term, r: Resolver) -> bool:
     mapping: dict[int, int] = {}
     reverse: dict[int, int] = {}
 
-    def match(a: Term, b: Term) -> bool:
-        if isinstance(a, Const) and isinstance(b, Const):
-            return a.value == b.value
-        if isinstance(a, Name) and isinstance(b, Name):
-            fwd = mapping.setdefault(a.label.id, b.label.id)
-            bwd = reverse.setdefault(b.label.id, a.label.id)
-            return fwd == b.label.id and bwd == a.label.id
-        if isinstance(a, Compound) and isinstance(b, Compound):
-            return len(a.children) == len(b.children) and all(
-                match(x, y) for x, y in zip(a.children, b.children)
-            )
-        return False
+    def bijective(a: Name, b: Name) -> bool:
+        fwd = mapping.setdefault(a.label.id, b.label.id)
+        bwd = reverse.setdefault(b.label.id, a.label.id)
+        return fwd == b.label.id and bwd == a.label.id
 
-    if not match(p1, p2):
+    if not lockstep(p1, p2, bijective):
         return False
     edges1 = {(r1.id, d1.id) for r1, d1 in r.resolve(p1).edges}
     edges2 = {(r2.id, d2.id) for r2, d2 in r.resolve(p2).edges}

@@ -6,6 +6,8 @@ suites; there is deliberately no evaluator.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from . import term
 from .graph import NameGraph, Resolver
 from .term import (
@@ -13,11 +15,17 @@ from .term import (
     Const,
     Label,
     Name,
+    Pairs,
     Scanner,
     Term,
     compound,
-    labels_of,
+    descend,
+    fold,
+    note_spelling,
+    operand,
+    scoped,
     show_name,
+    subterms,
     tag,
     token_pattern,
 )
@@ -101,24 +109,27 @@ def resolve_lambda(p: Term) -> NameGraph:
     """Lexical scoping: a reference binds to the innermost enclosing binder
     of equal spelling; unbound names get no edge."""
     edges: set[tuple[Label, Label]] = set()
+    spell: dict[Label, str] = {}
 
-    def walk(t: Term, env: dict[str, Label]) -> None:
-        if isinstance(t, Name):
-            decl = env.get(t.text)
+    # The environment of a binder is None.
+    def scope(t: Term, env: dict[str, Label] | None) -> Pairs:
+        kind = t.__class__
+        if kind is Name:
+            note_spelling(spell, t)
+            decl = None if env is None else env.get(t.text)
             if decl is not None:
                 edges.add((t.label, decl))
-            return
-        if tag(t) == "lam":
+            return ()
+        if kind is Const:
+            return ()
+        k = tag(t)
+        if k == "lam":
             binder = t.children[1]
-            assert isinstance(binder, Name)
-            walk(t.children[2], {**env, binder.text: binder.label})
-            return
-        if isinstance(t, Compound):
-            for child in t.children[1:] if tag(t) else t.children:
-                walk(child, env)
+            return ((binder, None), (t.children[2], {**env, binder.text: binder.label}))
+        return scoped(t.children[1:] if k else t.children, env)
 
-    walk(p, {})
-    return NameGraph(labels_of(p), edges)
+    descend(p, {}, scope)
+    return NameGraph(spell, edges)
 
 
 LAMBDA_RESOLVER = Resolver("lambda", resolve_lambda)
@@ -126,41 +137,21 @@ LAMBDA_RESOLVER = Resolver("lambda", resolve_lambda)
 
 def declarations_of(p: Term) -> frozenset[Label]:
     """Binder labels of every lambda node."""
-    out: set[Label] = set()
-
-    def walk(t: Term) -> None:
-        if tag(t) == "lam":
-            binder = t.children[1]
-            assert isinstance(binder, Name)
-            out.add(binder.label)
-            walk(t.children[2])
-        elif isinstance(t, Compound):
-            for child in t.children:
-                walk(child)
-
-    walk(p)
-    return frozenset(out)
+    return frozenset(t.children[1].label for t in subterms(p) if tag(t) == "lam")
 
 
 def pretty_lambda(p: Term, show_labels: bool = False) -> str:
-    def go(t: Term, level: int) -> str:
-        # levels: 0 = lambda, 1 = add, 2 = app, 3 = atom
-        if isinstance(t, Name):
-            return show_name(t, show_labels)
-        if isinstance(t, Const):
-            return str(t.value)
-        kind = tag(t)
-        if kind == "lam":
-            binder = t.children[1]
-            assert isinstance(binder, Name)
-            s = f"\\{show_name(binder, show_labels)}. {go(t.children[2], 0)}"
-            return s if level <= 0 else f"({s})"
-        if kind == "add":
-            s = f"{go(t.children[1], 1)} + {go(t.children[2], 2)}"
-            return s if level <= 1 else f"({s})"
-        if kind == "app":
-            s = f"{go(t.children[1], 2)} {go(t.children[2], 3)}"
-            return s if level <= 2 else f"({s})"
-        raise ValueError(f"not a lambda term: {t!r}")
+    return operand(fold(p, show_name if show_labels else attrgetter("text"), _print), 0)
 
-    return go(p, 0)
+
+def _print(t: Compound, parts: list) -> tuple[str, int]:
+    """fold rule of pretty_lambda: each term prints as (text, precedence),
+    with 0 = lambda, 1 = add, 2 = app, 3 = atom."""
+    kind = parts[0].value
+    if kind == "lam":
+        return f"\\{parts[1]}. {operand(parts[2], 0)}", 0
+    if kind == "app":
+        return f"{operand(parts[1], 2)} {operand(parts[2], 3)}", 2
+    if kind == "add":
+        return f"{operand(parts[1], 1)} + {operand(parts[2], 2)}", 1
+    raise ValueError(f"not a lambda term: {t!r}")

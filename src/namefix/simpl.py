@@ -10,6 +10,7 @@ pass against the source program's name graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from . import term
@@ -22,13 +23,20 @@ from .term import (
     Label,
     LabelAllocator,
     Name,
+    Pairs,
     Scanner,
     Term,
     compound,
+    descend,
+    fold,
     iter_names,
-    labels_of,
+    note_spelling,
+    scoped,
+    share,
+    operand,
     show_name,
     spellings,
+    subterms,
     tag,
     token_pattern,
 )
@@ -303,58 +311,42 @@ def resolve_simpl(p: Term) -> NameGraph:
         n = fdef_name(f)
         top.setdefault(n.text, []).append(n.label)
     edges: set[tuple[Label, Label]] = set()
+    spell: dict[Label, str] = {}
 
-    def bind(ref: Name, env: Mapping[str, Label]) -> None:
-        decl = env.get(ref.text)
-        if decl is None:
-            candidates = top.get(ref.text)
-            if not candidates:
-                return
-            decl = pick_declaration(candidates, ref.label)
-        edges.add((ref.label, decl))
-
-    def walk(e: Term, env: dict[str, Label]) -> None:
-        if isinstance(e, Name):
-            bind(e, env)
-            return
-        if isinstance(e, Const):
-            return
+    # The environment of a declaration is None.
+    def scope(e: Term, env: dict[str, Label] | None) -> Pairs:
+        kind = e.__class__
+        if kind is Name:
+            note_spelling(spell, e)
+            if env is not None:
+                decl = env.get(e.text)
+                if decl is None:
+                    candidates = top.get(e.text)
+                    if not candidates:
+                        return ()
+                    decl = pick_declaration(candidates, e.label)
+                edges.add((e.label, decl))
+            return ()
+        if kind is Const:
+            return ()
         t = tag(e)
         if t == "let":
-            binder, init, body = e.children[1], e.children[2], e.children[3]
-            assert isinstance(binder, Name)
-            walk(init, env)
-            walk(body, {**env, binder.text: binder.label})
-            return
+            binder = e.children[1]
+            inner = {**env, binder.text: binder.label}
+            return ((binder, None), (e.children[2], env), (e.children[3], inner))
         if t == "letfun":
-            fn, body = e.children[1], e.children[2]
-            n = fdef_name(fn)
+            _, fn, body = e.children
+            n = fn.children[1]
             inner = {**env, n.text: n.label}
-            fn_env = dict(inner)
-            for param in fdef_params(fn):
-                fn_env[param.text] = param.label
-            walk(fdef_body(fn), fn_env)
-            walk(body, inner)
-            return
-        if t == "call":
-            fn_name = e.children[1]
-            assert isinstance(fn_name, Name)
-            bind(fn_name, env)
-            for arg in e.children[2:]:
-                walk(arg, env)
-            return
-        assert isinstance(e, Compound)
-        for child in e.children[1:] if t else e.children:
-            walk(child, env)
+            return ((fn, inner), (body, inner))
+        if t == "fdef":
+            _, n, params, body = e.children
+            body_env = {**env, **{q.text: q.label for q in params.children[1:]}}
+            return ((n, None), *scoped(params.children[1:], None), (body, body_env))
+        return scoped(e.children[1:] if t else e.children, env)
 
-    for f in prog_fdefs(p):
-        env: dict[str, Label] = {}
-        for param in fdef_params(f):
-            env[param.text] = param.label
-        walk(fdef_body(f), env)
-    for e in prog_main(p):
-        walk(e, {})
-    return NameGraph(labels_of(p), edges)
+    descend(p, {}, scope)
+    return NameGraph(spell, edges)
 
 
 SIMPL_RESOLVER = Resolver("simpl", resolve_simpl)
@@ -364,87 +356,58 @@ def declarations_of(p: Term) -> frozenset[Label]:
     """Labels in declaration position: function names, parameters, and
     let/letfun binders."""
     out: set[Label] = set()
-
-    def walk(e: Term) -> None:
+    for e in subterms(p):
         t = tag(e)
         if t == "fdef":
             out.add(fdef_name(e).label)
             out.update(param.label for param in fdef_params(e))
         elif t == "let":
-            binder = e.children[1]
-            assert isinstance(binder, Name)
-            out.add(binder.label)
-        if isinstance(e, Compound):
-            for child in e.children[1:] if t else e.children:
-                walk(child)
-
-    walk(p)
+            out.add(e.children[1].label)
     return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
 # Pretty printing
 
-def _escape(s: str) -> str:
-    return s.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def pretty_simpl(p: Term, show_labels: bool = False) -> str:
-    # levels: 0 = let/if, 1 = eq, 2 = add, 3 = mul, 4 = unary/atom
-    def go(e: Term, level: int) -> str:
-        if isinstance(e, Name):
-            return show_name(e, show_labels)
-        if isinstance(e, Const):
-            return f'"{_escape(e.value)}"' if isinstance(e.value, str) else str(e.value)
-        t = tag(e)
-        if t == "let":
-            binder, init, body = e.children[1], e.children[2], e.children[3]
-            s = f"let {show_name(binder, show_labels)} = {go(init, 0)} in {go(body, 0)}"
-            return s if level <= 0 else f"({s})"
-        if t == "letfun":
-            fn, body = e.children[1], e.children[2]
-            params = ", ".join(show_name(q, show_labels) for q in fdef_params(fn))
-            s = (
-                f"let fun {show_name(fdef_name(fn), show_labels)}({params}) = "
-                f"{go(fdef_body(fn), 0)} in {go(body, 0)}"
-            )
-            return s if level <= 0 else f"({s})"
-        if t == "if":
-            s = (
-                f"if {go(e.children[1], 1)} then {go(e.children[2], 0)} "
-                f"else {go(e.children[3], 0)}"
-            )
-            return s if level <= 0 else f"({s})"
-        if t == "eq":
-            s = f"{go(e.children[1], 2)} == {go(e.children[2], 2)}"
-            return s if level <= 1 else f"({s})"
-        if t == "add":
-            s = f"{go(e.children[1], 2)} + {go(e.children[2], 3)}"
-            return s if level <= 2 else f"({s})"
-        if t == "mul":
-            s = f"{go(e.children[1], 3)} * {go(e.children[2], 4)}"
-            return s if level <= 3 else f"({s})"
-        if t == "not":
-            return f"!{go(e.children[1], 4)}"
-        if t == "call":
-            fn_name = e.children[1]
-            assert isinstance(fn_name, Name)
-            args = ", ".join(go(a, 0) for a in e.children[2:])
-            return f"{show_name(fn_name, show_labels)}({args})"
-        if t == "error":
-            return "error()"
-        raise ValueError(f"not an expression: {e!r}")
+    return operand(fold(p, show_name if show_labels else attrgetter("text"), _print), 0)
 
-    if tag(p) != "prog":
-        return go(p, 0)
 
-    lines = []
-    for f in prog_fdefs(p):
-        params = ", ".join(show_name(q, show_labels) for q in fdef_params(f))
-        lines.append(f"fun {show_name(fdef_name(f), show_labels)}({params}) = {go(fdef_body(f), 0)};")
-    for e in prog_main(p):
-        lines.append(go(e, 0))
-    return "\n".join(lines) + "\n"
+def _print(e: Compound, parts: list) -> object:
+    """fold rule of pretty_simpl. An expression prints as (text,
+    precedence), with 0 = let/if, 1 = eq, 2 = add, 3 = mul, 4 = unary/atom;
+    a function definition as (name, parameters, body); a program as its
+    text."""
+    t = parts[0].value
+    if t == "if":
+        return f"if {operand(parts[1], 1)} then {operand(parts[2], 0)} else {operand(parts[3], 0)}", 0
+    if t == "eq":
+        return f"{operand(parts[1], 2)} == {operand(parts[2], 2)}", 1
+    if t == "call":
+        return f"{parts[1]}({', '.join([operand(a, 0) for a in parts[2:]])})", 4
+    if t == "let":
+        return f"let {parts[1]} = {operand(parts[2], 0)} in {operand(parts[3], 0)}", 0
+    if t == "add":
+        return f"{operand(parts[1], 2)} + {operand(parts[2], 3)}", 2
+    if t == "mul":
+        return f"{operand(parts[1], 3)} * {operand(parts[2], 4)}", 3
+    if t == "not":
+        return f"!{operand(parts[1], 4)}", 4
+    if t == "letfun":
+        fname, params, body = parts[1]
+        return f"let fun {fname}({params}) = {body} in {operand(parts[2], 0)}", 0
+    if t == "fdef":
+        return parts[1], parts[2], operand(parts[3], 0)
+    if t == "params":
+        return ", ".join(parts[1:])
+    if t == "error":
+        return "error()", 4
+    if t in ("fdefs", "main"):
+        return parts[1:]
+    if t == "prog":
+        lines = [f"fun {fname}({params}) = {body};" for fname, params, body in parts[1]]
+        return "\n".join(lines + [operand(x, 0) for x in parts[2]]) + "\n"
+    raise ValueError(f"not an expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -500,55 +463,61 @@ def eval_simpl(p: Term, fuel: int = 100_000) -> object:
         return ev(fdef_body(fn), call_env)
 
     def ev(e: Term, env: Mapping[str, object]) -> object:
-        spend()
-        if isinstance(e, Const):
-            return e.value
-        if isinstance(e, Name):
-            if e.text in env:
-                value = env[e.text]
-                if isinstance(value, _Closure):
-                    raise SimplError(f"function {e.text} used as a value")
-                return value
-            raise UnboundName(e.text)
-        t = tag(e)
-        if t == "let":
-            binder, init, body = e.children[1], e.children[2], e.children[3]
-            assert isinstance(binder, Name)
-            value = ev(init, env)
-            return ev(body, {**env, binder.text: value})
-        if t == "letfun":
-            fn, body = e.children[1], e.children[2]
-            inner: dict[str, object] = dict(env)
-            closure = _Closure(fn, inner)
-            inner[fdef_name(fn).text] = closure
-            return ev(body, inner)
-        if t == "if":
-            cond = ev(e.children[1], env)
-            return ev(e.children[2] if cond != 0 else e.children[3], env)
-        if t == "eq":
-            return 1 if ev(e.children[1], env) == ev(e.children[2], env) else 0
-        if t == "add":
-            return ev(e.children[1], env) + ev(e.children[2], env)  # type: ignore[operator]
-        if t == "mul":
-            return ev(e.children[1], env) * ev(e.children[2], env)  # type: ignore[operator]
-        if t == "not":
-            return 1 if ev(e.children[1], env) == 0 else 0
-        if t == "error":
-            raise EvalError("error() reached")
-        if t == "call":
-            fn_name = e.children[1]
-            assert isinstance(fn_name, Name)
-            args = [ev(a, env) for a in e.children[2:]]
-            bound = env.get(fn_name.text)
-            if isinstance(bound, _Closure):
-                return apply(bound.fn, bound.env, args)
-            if bound is not None:
-                raise SimplError(f"{fn_name.text} is not a function")
-            fn = top.get(fn_name.text)
-            if fn is None:
-                raise UnboundName(fn_name.text)
-            return apply(fn, {}, args)
-        raise SimplError(f"cannot evaluate {e!r}")
+        # The taken branch of an if and the body of a let or letfun run in
+        # this frame: only operands and calls deepen the Python stack.
+        while True:
+            spend()
+            if isinstance(e, Const):
+                return e.value
+            if isinstance(e, Name):
+                if e.text in env:
+                    value = env[e.text]
+                    if isinstance(value, _Closure):
+                        raise SimplError(f"function {e.text} used as a value")
+                    return value
+                raise UnboundName(e.text)
+            t = tag(e)
+            if t == "let":
+                binder, init, body = e.children[1], e.children[2], e.children[3]
+                assert isinstance(binder, Name)
+                value = ev(init, env)
+                e, env = body, {**env, binder.text: value}
+                continue
+            if t == "letfun":
+                fn, body = e.children[1], e.children[2]
+                inner: dict[str, object] = dict(env)
+                closure = _Closure(fn, inner)
+                inner[fdef_name(fn).text] = closure
+                e, env = body, inner
+                continue
+            if t == "if":
+                cond = ev(e.children[1], env)
+                e = e.children[2] if cond != 0 else e.children[3]
+                continue
+            if t == "eq":
+                return 1 if ev(e.children[1], env) == ev(e.children[2], env) else 0
+            if t == "add":
+                return ev(e.children[1], env) + ev(e.children[2], env)  # type: ignore[operator]
+            if t == "mul":
+                return ev(e.children[1], env) * ev(e.children[2], env)  # type: ignore[operator]
+            if t == "not":
+                return 1 if ev(e.children[1], env) == 0 else 0
+            if t == "error":
+                raise EvalError("error() reached")
+            if t == "call":
+                fn_name = e.children[1]
+                assert isinstance(fn_name, Name)
+                args = [ev(a, env) for a in e.children[2:]]
+                bound = env.get(fn_name.text)
+                if isinstance(bound, _Closure):
+                    return apply(bound.fn, bound.env, args)
+                if bound is not None:
+                    raise SimplError(f"{fn_name.text} is not a function")
+                fn = top.get(fn_name.text)
+                if fn is None:
+                    raise UnboundName(fn_name.text)
+                return apply(fn, {}, args)
+            raise SimplError(f"cannot evaluate {e!r}")
 
     result: object = None
     try:
@@ -564,57 +533,47 @@ def eval_simpl(p: Term, fuel: int = 100_000) -> object:
 
 def subst_exp_many(e: Term, sub: Mapping[str, Term]) -> Term:
     """Simultaneous name-driven substitution. Deliberately capturing:
-    shadowed binders cut off substitution, nothing is renamed."""
+    shadowed binders cut off substitution, nothing is renamed. Declared
+    names and the names of called functions are never substituted."""
     if not sub:
         return e
-    if isinstance(e, Name):
-        return sub.get(e.text, e)
-    if isinstance(e, Const):
-        return e
-    t = tag(e)
-    if t == "let":
-        binder, init, body = e.children[1], e.children[2], e.children[3]
-        assert isinstance(binder, Name)
-        inner = {x: r for x, r in sub.items() if x != binder.text}
-        return let(binder, subst_exp_many(init, sub), subst_exp_many(body, inner))
-    if t == "letfun":
-        fn, body = e.children[1], e.children[2]
-        n = fdef_name(fn)
-        inner = {x: r for x, r in sub.items() if x != n.text}
-        fn_sub = {
-            x: r
-            for x, r in inner.items()
-            if x not in {q.text for q in fdef_params(fn)}
-        }
-        new_fn = fdef(n, fdef_params(fn), subst_exp_many(fdef_body(fn), fn_sub))
-        return letfun(new_fn, subst_exp_many(body, inner))
-    if t == "call":
-        fn_name = e.children[1]
-        assert isinstance(fn_name, Name)
-        return Compound(
-            (CALL, fn_name) + tuple(subst_exp_many(a, sub) for a in e.children[2:])
-        )
-    assert isinstance(e, Compound)
-    head = e.children[:1] if t else ()
-    rest = e.children[1:] if t else e.children
-    return Compound(head + tuple(subst_exp_many(c, sub) for c in rest))
+    # What replaces a name depends on the binders above it, which descend
+    # tracks. The result is rebuilt by fold, which meets the names in the
+    # same order, as long as the rule below visits every name in order.
+    replacements: list[Term] = []
 
+    def scope(x: Term, sub: Mapping[str, Term]) -> Pairs:
+        kind = x.__class__
+        if kind is Name:
+            replacements.append(sub.get(x.text, x))
+            return ()
+        if kind is Const:
+            return ()
+        t = tag(x)
+        if t == "let":
+            _, binder, init, body = x.children
+            inner = {y: r for y, r in sub.items() if y != binder.text}
+            return ((binder, {}), (init, sub), (body, inner))
+        if t == "letfun":
+            _, fn, body = x.children
+            inner = {y: r for y, r in sub.items() if y != fn.children[1].text}
+            return ((fn, inner), (body, inner))
+        if t == "fdef":
+            _, name, params, body = x.children
+            shadowed = {q.text for q in params.children[1:]}
+            return ((name, {}), (params, {}), (body, {y: r for y, r in sub.items() if y not in shadowed}))
+        if t == "call":
+            return ((x.children[1], {}), *scoped(x.children[2:], sub))
+        return scoped(x.children[1:] if t else x.children, sub)
 
-def subst_exp(e: Term, x: str, repl: Term) -> Term:
-    return subst_exp_many(e, {x: repl})
-
-
-def subst_fdef(f: Term, x: str, repl: Term) -> Term:
-    if x in {q.text for q in fdef_params(f)}:
-        return f
-    return fdef(fdef_name(f), fdef_params(f), subst_exp(fdef_body(f), x, repl))
+    descend(e, sub, scope)
+    substituted = iter(replacements)
+    return fold(e, lambda _: next(substituted))
 
 
 def subst_prog(p: Term, x: str, repl: Term) -> Term:
-    return prog(
-        [subst_fdef(f, x, repl) for f in prog_fdefs(p)],
-        [subst_exp(e, x, repl) for e in prog_main(p)],
-    )
+    """Naive substitution of repl for x in the program p."""
+    return subst_exp_many(p, {x: repl})
 
 
 def subst(p: Term, x: str, repl: Term) -> Term:
@@ -632,20 +591,16 @@ def _relabel_copy(body: Term, graph: NameGraph, alloc: LabelAllocator) -> Term:
         d: alloc.fresh() for d in sorted(declarations_of(body), key=lambda l: l.id)
     }
 
-    def go(e: Term) -> Term:
-        if isinstance(e, Name):
-            new = fresh.get(e.label)
-            if new is None:
-                for bound in sorted(graph.bindings(e.label), key=lambda l: l.id):
-                    if bound in fresh:
-                        new = fresh[bound]
-                        break
-            return Name(e.text, new) if new is not None else e
-        if isinstance(e, Compound):
-            return Compound(tuple(go(c) for c in e.children))
-        return e
+    def relabel(n: Name) -> Name:
+        new = fresh.get(n.label)
+        if new is None:
+            for bound in sorted(graph.bindings(n.label), key=lambda l: l.id):
+                if bound in fresh:
+                    new = fresh[bound]
+                    break
+        return Name(n.text, new) if new is not None else n
 
-    return go(body)
+    return fold(body, relabel)
 
 
 def inline_prog(p: Term, fname: str, graph: NameGraph) -> Term:
@@ -665,29 +620,19 @@ def inline_prog(p: Term, fname: str, graph: NameGraph) -> Term:
     params = fdef_params(target)
     alloc = LabelAllocator.after(p)
 
-    def go(e: Term) -> Term:
-        if not isinstance(e, Compound):
-            return e
-        if tag(e) == "call":
-            fn_name = e.children[1]
-            assert isinstance(fn_name, Name)
-            args = [go(a) for a in e.children[2:]]
-            if target_label in graph.bindings(fn_name.label):
-                if len(args) != len(params):
-                    raise ArityMismatch(
-                        f"{fname} expects {len(params)} args, got {len(args)}"
-                    )
-                body = _relabel_copy(fdef_body(target), graph, alloc)
-                return subst_exp_many(
-                    body, {q.text: a for q, a in zip(params, args)}
+    # Post-order, so a call's arguments are expanded before the call is.
+    def expand(e: Compound, parts: list[Term]) -> Term:
+        if tag(e) == "call" and target_label in graph.bindings(e.children[1].label):
+            args = parts[2:]
+            if len(args) != len(params):
+                raise ArityMismatch(
+                    f"{fname} expects {len(params)} args, got {len(args)}"
                 )
-            return Compound((e.children[0], fn_name) + tuple(args))
-        return Compound(tuple(go(c) for c in e.children))
+            body = _relabel_copy(fdef_body(target), graph, alloc)
+            return subst_exp_many(body, {q.text: a for q, a in zip(params, args)})
+        return share(e, parts)
 
-    return prog(
-        [fdef(fdef_name(f), fdef_params(f), go(fdef_body(f))) for f in prog_fdefs(p)],
-        [go(e) for e in prog_main(p)],
-    )
+    return fold(p, node=expand)
 
 
 def inline(p: Term, fname: str) -> Term:
@@ -709,16 +654,8 @@ def lift_prog(p: Term, graph: NameGraph) -> Term:
     names in its body are bound to, less functions and the declarations it
     makes itself.
     """
-    local: dict[Label, Term] = {}  # local functions in preorder
-
-    def scan(e: Term) -> None:
-        if tag(e) == "letfun":
-            local[fdef_name(e.children[1]).label] = e.children[1]
-        if isinstance(e, Compound):
-            for c in e.children:
-                scan(c)
-
-    scan(p)
+    # local functions in preorder
+    local = {fdef_name(e.children[1]).label: e.children[1] for e in subterms(p) if tag(e) == "letfun"}
     if not local:
         return p
 
@@ -750,31 +687,27 @@ def lift_prog(p: Term, graph: NameGraph) -> Term:
 
     lifted: list[Term] = []
 
-    def go(e: Term) -> Term:
-        if not isinstance(e, Compound):
-            return e
+    # Post-order, so a local function is lifted after the functions local
+    # to its body, and before those of the let body it scopes over.
+    def hoist(e: Compound, parts: list[Term]) -> Term:
         t = tag(e)
-        if t == "letfun":
-            fn = e.children[1]
-            new_params = tuple(fdef_params(fn)) + tuple(extra_args[fdef_name(fn).label])
-            lifted.append(fdef(fdef_name(fn), new_params, go(fdef_body(fn))))
-            return go(e.children[2])
-        if t == "call":
+        if t == "fdef" and fdef_name(e).label in extra_args:
+            _, name, params, body = parts
+            lifted.append(fdef(name, params.children[1:] + tuple(extra_args[name.label]), body))
+        elif t == "letfun":
+            return parts[2]
+        elif t == "call":
             fn_name = e.children[1]
             assert isinstance(fn_name, Name)
-            args = [go(a) for a in e.children[2:]]
             for bound in sorted(graph.bindings(fn_name.label), key=lambda l: l.id):
                 if bound in extra_args:
-                    args += extra_args[bound]
-                    break
-            return Compound((e.children[0], fn_name) + tuple(args))
-        return Compound(tuple(go(c) for c in e.children))
+                    return Compound((*parts, *extra_args[bound]))
+        elif t == "prog":
+            _, fdefs, main = parts
+            return prog(fdefs.children[1:] + tuple(lifted), main.children[1:])
+        return share(e, parts)
 
-    new_fdefs = [
-        fdef(fdef_name(f), fdef_params(f), go(fdef_body(f))) for f in prog_fdefs(p)
-    ]
-    new_main = [go(e) for e in prog_main(p)]
-    return prog(new_fdefs + lifted, new_main)
+    return fold(p, node=hoist)
 
 
 def lambda_lift(p: Term) -> Term:

@@ -34,7 +34,7 @@ from .term import (
     PinError,
     Term,
     compound,
-    labels_of,
+    note_spelling,
     show_name,
 )
 
@@ -160,13 +160,16 @@ def resolve_machine(m: Term) -> NameGraph:
         n = state_name(s)
         decls.setdefault(n.text, []).append(n.label)
     edges: set[tuple[Label, Label]] = set()
+    spell: dict[Label, str] = {}
     for s in machine_states(m):
+        note_spelling(spell, state_name(s))
         for t in state_transitions(s):
             target = trans_target(t)
+            note_spelling(spell, target)
             candidates = decls.get(target.text)
             if candidates:
                 edges.add((target.label, pick_declaration(candidates, target.label)))
-    return NameGraph(labels_of(m), edges)
+    return NameGraph(spell, edges)
 
 
 STM_RESOLVER = Resolver("statemachine", resolve_machine)

@@ -12,7 +12,9 @@ import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Mapping, TypeVar
+import operator
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 
 class Provenance(Enum):
@@ -97,9 +99,17 @@ class Name(Term):
         return f"Name({self.text!r}{self.label!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Compound(Term):
     children: tuple[Term, ...]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Compound):
+            return NotImplemented
+        return lockstep(self, other, operator.eq)
+
+    def __hash__(self) -> int:
+        return fold(self, hash, lambda c, parts: hash(tuple(parts)))
 
     def __repr__(self) -> str:
         return "Compound" + repr(self.children)
@@ -111,10 +121,10 @@ def compound(*children: Term) -> Compound:
 
 def tag(t: Term) -> str | None:
     """The constructor of a compound whose first child is a string constant."""
-    if isinstance(t, Compound) and t.children and isinstance(t.children[0], Const):
-        value = t.children[0].value
-        if isinstance(value, str):
-            return value
+    if t.__class__ is Compound and t.children:
+        head = t.children[0]
+        if head.__class__ is Const and isinstance(head.value, str):
+            return head.value
     return None
 
 
@@ -125,6 +135,22 @@ def show_name(n: Name, with_label: bool = True) -> str:
         return n.text
     tick = "'" if n.label.synthesized else ""
     return f"{n.text}@{tick}{n.label.id}"
+
+
+def operand(part: object, level: int) -> str:
+    """The text of a printer's fold result where precedence `level` is
+    expected: a compound's (text, precedence), parenthesized when it binds
+    looser; a name's text; a constant's value, a string quoted."""
+    kind = part.__class__
+    if kind is tuple:
+        text, precedence = part
+        return text if precedence >= level else f"({text})"
+    if kind is str:
+        return part
+    value = part.value
+    if isinstance(value, str):
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return str(value)
 
 
 class _Counter:
@@ -147,11 +173,6 @@ class _Counter:
 
 
 _SESSION = _Counter()
-
-
-def fresh_label() -> Label:
-    """A synthesized label distinct from every label produced so far."""
-    return Label(_SESSION.next_id(), Provenance.SYNTHESIZED)
 
 
 def fresh_source_label() -> Label:
@@ -199,6 +220,8 @@ class NameFactory:
 Token = tuple[str, str, int]  # kind, text, offset into the source
 END = "end of input"  # the kind of the token that closes every scan
 T = TypeVar("T")
+E = TypeVar("E")
+R = TypeVar("R")
 
 
 def token_pattern(tokens: str) -> re.Pattern[str]:
@@ -314,17 +337,120 @@ class LabelAllocator:
         return label
 
 
-def iter_names(t: Term) -> Iterator[Name]:
-    """All Name nodes of t in preorder."""
+# ---------------------------------------------------------------------------
+# Traversal. Every tree walk is a `descend`, a `fold` or a pass over
+# `subterms`: they keep their own stack, so depth is bounded by memory only.
+
+Pairs = Iterable[tuple[Term, E]]
+
+
+def scoped(children: Iterable[Term], env: E) -> Pairs[E]:
+    """Each of `children` paired with the same environment."""
+    return zip(children, repeat(env))
+
+
+def descend(t: Term, env: E, rule: Callable[[Term, E], Pairs[E] | None]) -> bool:
+    """Pre-order walk of t that carries an environment: `rule(node, env)`
+    returns the (child, env) pairs to visit next, in order, or None to stop
+    the walk, in which case descend returns False. With a second term as
+    the environment, the walk runs over two terms in lockstep."""
+    stack: list[Iterator[tuple[Term, E]]] = []
+    pairs: Iterator[tuple[Term, E]] = iter(((t, env),))
+    while True:
+        for node, env in pairs:
+            more = rule(node, env)
+            if more:
+                stack.append(pairs)
+                pairs = iter(more)
+                break
+            if more is None:
+                return False
+        else:
+            if not stack:
+                return True
+            pairs = stack.pop()
+
+
+def share(c: Compound, children: list[Term]) -> Compound:
+    """c with `children` in place of its own, or c itself when they are
+    its own children."""
+    if all(map(operator.is_, children, c.children)):
+        return c
+    return Compound(tuple(children))
+
+
+def fold(
+    t: Term,
+    name: Callable[[Name], R] = lambda n: n,
+    node: Callable[[Compound, list], R] = share,
+) -> R:
+    """Post-order fold of t: each Name n gives `name(n)`, each Const stands
+    for itself, and each compound c gives `node(c, results of its children
+    in order)`. Names are met left to right, as `descend` meets them. The
+    default `node` rebuilds c, sharing unchanged subterms: a fold whose
+    `name` changes nothing returns t itself."""
+    kind = t.__class__
+    if kind is not Compound:
+        return name(t) if kind is Name else t
+    stack: list[tuple[Compound, Iterator[Term], list]] = []
+    c, children, results = t, iter(t.children), []
+    while True:
+        for child in children:
+            kind = child.__class__
+            if kind is Compound:
+                stack.append((c, children, results))
+                c, children, results = child, iter(child.children), []
+                break
+            results.append(name(child) if kind is Name else child)
+        else:
+            result = node(c, results)
+            if not stack:
+                return result
+            c, children, results = stack.pop()
+            results.append(result)
+
+
+def lockstep(t1: Term, t2: Term, names: Callable[[Name, Name], bool]) -> bool:
+    """Whether t1 and t2 have the same shape and constants, and `names`
+    holds for every two names in the same position, met in pre-order."""
+
+    def pair(a: Term, b: Term) -> Pairs[Term] | None:
+        if isinstance(a, Compound):
+            if isinstance(b, Compound) and len(a.children) == len(b.children):
+                return zip(a.children, b.children)
+        elif isinstance(a, Name):
+            if isinstance(b, Name) and names(a, b):
+                return ()
+        elif isinstance(b, Const) and a.value == b.value:
+            return ()
+        return None
+
+    return descend(t1, t2, pair)
+
+
+def subterms(t: Term) -> list[Term]:
+    """Every node of t in pre-order."""
     stack = [t]
-    out: list[Name] = []
+    out: list[Term] = []
     while stack:
         node = stack.pop()
-        if isinstance(node, Name):
-            out.append(node)
-        elif isinstance(node, Compound):
+        out.append(node)
+        if node.__class__ is Compound:
             stack.extend(reversed(node.children))
-    return iter(out)
+    return out
+
+
+def iter_names(t: Term) -> Iterator[Name]:
+    """All Name nodes of t in preorder."""
+    return iter([node for node in subterms(t) if node.__class__ is Name])
+
+
+def note_spelling(spell: dict[Label, str], n: Name) -> None:
+    """Record n's spelling under its label. Raises InconsistentLabel when
+    the label is already recorded with another spelling."""
+    text = spell.setdefault(n.label, n.text)
+    if text != n.text:
+        raise InconsistentLabel(f"label {n.label!r} occurs as both {text!r} and {n.text!r}")
 
 
 def spellings(t: Term) -> dict[Label, str]:
@@ -332,11 +458,7 @@ def spellings(t: Term) -> dict[Label, str]:
     Raises InconsistentLabel when two occurrences of a label disagree."""
     spell: dict[Label, str] = {}
     for node in iter_names(t):
-        text = spell.setdefault(node.label, node.text)
-        if text != node.text:
-            raise InconsistentLabel(
-                f"label {node.label!r} occurs as both {text!r} and {node.text!r}"
-            )
+        note_spelling(spell, node)
     return spell
 
 
@@ -353,24 +475,6 @@ def labels_of(t: Term) -> frozenset[Label]:
     return frozenset(spellings(t))
 
 
-def names_of(t: Term) -> frozenset[str]:
-    """All name texts occurring in t."""
-    return frozenset(spellings(t).values())
-
-
-def map_names(t: Term, f: Callable[[Name], Name]) -> Term:
-    """Replace every Name n of t by f(n). Unchanged subterms are shared with
-    the input, so a map that changes nothing returns t itself."""
-    if isinstance(t, Name):
-        return f(t)
-    if isinstance(t, Compound):
-        new_children = tuple(map_names(c, f) for c in t.children)
-        if all(a is b for a, b in zip(new_children, t.children)):
-            return t
-        return Compound(new_children)
-    return t
-
-
 def rename(t: Term, pi: Mapping[Label, str]) -> Term:
     """Respell every name whose label is in dom(pi); labels are untouched.
     An empty renaming returns t itself."""
@@ -381,20 +485,12 @@ def rename(t: Term, pi: Mapping[Label, str]) -> Term:
         new_text = pi.get(n.label)
         return n if new_text is None or new_text == n.text else Name(new_text, n.label)
 
-    return map_names(t, respell)
+    return fold(t, respell)
 
 
 def label_equiv(t1: Term, t2: Term) -> bool:
     """Equal up to name spellings: same structure, constants, and labels."""
-    if isinstance(t1, Const) and isinstance(t2, Const):
-        return t1.value == t2.value
-    if isinstance(t1, Name) and isinstance(t2, Name):
-        return t1.label == t2.label
-    if isinstance(t1, Compound) and isinstance(t2, Compound):
-        return len(t1.children) == len(t2.children) and all(
-            label_equiv(a, b) for a, b in zip(t1.children, t2.children)
-        )
-    return False
+    return lockstep(t1, t2, lambda a, b: a.label == b.label)
 
 
 def mark(s: str, t: Term) -> Term:
@@ -409,14 +505,15 @@ def mark(s: str, t: Term) -> Term:
             return Name(n.text, Label(n.label.id, Provenance.SYNTHESIZED))
         return n
 
-    return map_names(t, flip)
+    return fold(t, flip)
 
 
 def to_sexpr(t: Term) -> str:
     """Debug rendering: names as name@id, synthesized ids ticked."""
-    if isinstance(t, Const):
-        return repr(t.value) if isinstance(t.value, str) else str(t.value)
-    if isinstance(t, Name):
-        return show_name(t)
-    assert isinstance(t, Compound)
-    return "(" + " ".join(to_sexpr(c) for c in t.children) + ")"
+
+    def text(part: object) -> str:
+        if isinstance(part, Const):
+            return repr(part.value) if isinstance(part.value, str) else str(part.value)
+        return part
+
+    return text(fold(t, show_name, lambda c, parts: "(" + " ".join(map(text, parts)) + ")"))

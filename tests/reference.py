@@ -1,4 +1,4 @@
-"""Scan-based reference versions of the repair loop.
+"""Reference versions of the repair loop and of the tree walks.
 
 Each query here walks the whole term or scans the whole graph on every
 call, which is the plain reading of the paper's definitions. The library
@@ -6,6 +6,12 @@ answers the same queries from one spelling map per term and one index per
 graph; the differential suite in test_oracle.py requires both to agree.
 It also keeps the lambda lifting that derived its scoping by itself, as
 the oracle for the library's version, which reads it off the name graph.
+
+The tree walks below are plain recursive functions, one per walk, as the
+library had them before it ran every walk through the explicit-stack
+traversal of `namefix.term`. They overflow the Python stack on deep terms,
+so the differential suite gives them terms of ordinary depth. Last come
+the helpers only tests use.
 """
 
 from __future__ import annotations
@@ -21,28 +27,39 @@ from namefix.fix import (
     RenamingPair,
     gensym,
 )
-from namefix.graph import NameGraph, Resolver
+from typing import Callable, Mapping
+
+from namefix import term
+from namefix.graph import NameGraph, Resolver, pick_declaration
 from namefix.simpl import (
+    CALL,
     FDEFS,
-    declarations_of,
+    ArityMismatch,
+    UnknownFunction,
     fdef,
     fdef_body,
     fdef_name,
     fdef_params,
+    let,
+    letfun,
     prog,
     prog_fdefs,
     prog_main,
 )
 from namefix.term import (
     Compound,
+    Const,
     InconsistentLabel,
     Label,
+    LabelAllocator,
     LabelNotFound,
     Name,
+    Provenance,
     Term,
     compound,
     iter_names,
     rename,
+    show_name,
     spellings,
     tag,
 )
@@ -286,3 +303,415 @@ def lift_prog(p: Term, graph: NameGraph) -> Term:
     ]
     new_main = [go(e) for e in prog_main(p)]
     return prog(new_fdefs + lifted, new_main)
+
+
+# ---------------------------------------------------------------------------
+# Recursive tree walks
+
+def map_names(t: Term, f: Callable[[Name], Name]) -> Term:
+    if isinstance(t, Name):
+        return f(t)
+    if isinstance(t, Compound):
+        new_children = tuple(map_names(c, f) for c in t.children)
+        if all(a is b for a, b in zip(new_children, t.children)):
+            return t
+        return Compound(new_children)
+    return t
+
+
+def label_equiv(t1: Term, t2: Term) -> bool:
+    if isinstance(t1, Const) and isinstance(t2, Const):
+        return t1.value == t2.value
+    if isinstance(t1, Name) and isinstance(t2, Name):
+        return t1.label == t2.label
+    if isinstance(t1, Compound) and isinstance(t2, Compound):
+        return len(t1.children) == len(t2.children) and all(
+            label_equiv(a, b) for a, b in zip(t1.children, t2.children)
+        )
+    return False
+
+
+def term_eq(t1: Term, t2: Term) -> bool:
+    """Structural equality, as the dataclass-generated Compound.__eq__ had it."""
+    if isinstance(t1, Compound) and isinstance(t2, Compound):
+        return len(t1.children) == len(t2.children) and all(
+            term_eq(a, b) for a, b in zip(t1.children, t2.children)
+        )
+    return type(t1) is type(t2) and not isinstance(t1, Compound) and t1 == t2
+
+
+def to_sexpr(t: Term) -> str:
+    if isinstance(t, Const):
+        return repr(t.value) if isinstance(t.value, str) else str(t.value)
+    if isinstance(t, Name):
+        return show_name(t)
+    assert isinstance(t, Compound)
+    return "(" + " ".join(to_sexpr(c) for c in t.children) + ")"
+
+
+def alpha_equiv_relabel(p1: Term, p2: Term, r: Resolver) -> bool:
+    mapping: dict[int, int] = {}
+    reverse: dict[int, int] = {}
+
+    def match(a: Term, b: Term) -> bool:
+        if isinstance(a, Const) and isinstance(b, Const):
+            return a.value == b.value
+        if isinstance(a, Name) and isinstance(b, Name):
+            fwd = mapping.setdefault(a.label.id, b.label.id)
+            bwd = reverse.setdefault(b.label.id, a.label.id)
+            return fwd == b.label.id and bwd == a.label.id
+        if isinstance(a, Compound) and isinstance(b, Compound):
+            return len(a.children) == len(b.children) and all(
+                match(x, y) for x, y in zip(a.children, b.children)
+            )
+        return False
+
+    if not match(p1, p2):
+        return False
+    edges1 = {(r1.id, d1.id) for r1, d1 in r.resolve(p1).edges}
+    edges2 = {(r2.id, d2.id) for r2, d2 in r.resolve(p2).edges}
+    return {(mapping[a], mapping[b]) for a, b in edges1} == edges2
+
+
+def resolve_simpl(p: Term) -> NameGraph:
+    top: dict[str, list[Label]] = {}
+    for f in prog_fdefs(p):
+        n = fdef_name(f)
+        top.setdefault(n.text, []).append(n.label)
+    edges: set[tuple[Label, Label]] = set()
+
+    def bind(ref: Name, env: Mapping[str, Label]) -> None:
+        decl = env.get(ref.text)
+        if decl is None:
+            candidates = top.get(ref.text)
+            if not candidates:
+                return
+            decl = pick_declaration(candidates, ref.label)
+        edges.add((ref.label, decl))
+
+    def walk(e: Term, env: dict[str, Label]) -> None:
+        if isinstance(e, Name):
+            bind(e, env)
+            return
+        if isinstance(e, Const):
+            return
+        t = tag(e)
+        if t == "let":
+            binder, init, body = e.children[1], e.children[2], e.children[3]
+            assert isinstance(binder, Name)
+            walk(init, env)
+            walk(body, {**env, binder.text: binder.label})
+            return
+        if t == "letfun":
+            fn, body = e.children[1], e.children[2]
+            n = fdef_name(fn)
+            inner = {**env, n.text: n.label}
+            fn_env = dict(inner)
+            for param in fdef_params(fn):
+                fn_env[param.text] = param.label
+            walk(fdef_body(fn), fn_env)
+            walk(body, inner)
+            return
+        if t == "call":
+            fn_name = e.children[1]
+            assert isinstance(fn_name, Name)
+            bind(fn_name, env)
+            for arg in e.children[2:]:
+                walk(arg, env)
+            return
+        assert isinstance(e, Compound)
+        for child in e.children[1:] if t else e.children:
+            walk(child, env)
+
+    for f in prog_fdefs(p):
+        env: dict[str, Label] = {}
+        for param in fdef_params(f):
+            env[param.text] = param.label
+        walk(fdef_body(f), env)
+    for e in prog_main(p):
+        walk(e, {})
+    return NameGraph(term.labels_of(p), edges)
+
+
+def declarations_of(p: Term) -> frozenset[Label]:
+    """simpl.declarations_of"""
+    out: set[Label] = set()
+
+    def walk(e: Term) -> None:
+        t = tag(e)
+        if t == "fdef":
+            out.add(fdef_name(e).label)
+            out.update(param.label for param in fdef_params(e))
+        elif t == "let":
+            binder = e.children[1]
+            assert isinstance(binder, Name)
+            out.add(binder.label)
+        if isinstance(e, Compound):
+            for child in e.children[1:] if t else e.children:
+                walk(child)
+
+    walk(p)
+    return frozenset(out)
+
+
+def _escape(s: str) -> str:
+    return s.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def pretty_simpl(p: Term, show_labels: bool = False) -> str:
+    def go(e: Term, level: int) -> str:
+        if isinstance(e, Name):
+            return show_name(e, show_labels)
+        if isinstance(e, Const):
+            return f'"{_escape(e.value)}"' if isinstance(e.value, str) else str(e.value)
+        t = tag(e)
+        if t == "let":
+            binder, init, body = e.children[1], e.children[2], e.children[3]
+            s = f"let {show_name(binder, show_labels)} = {go(init, 0)} in {go(body, 0)}"
+            return s if level <= 0 else f"({s})"
+        if t == "letfun":
+            fn, body = e.children[1], e.children[2]
+            params = ", ".join(show_name(q, show_labels) for q in fdef_params(fn))
+            s = (
+                f"let fun {show_name(fdef_name(fn), show_labels)}({params}) = "
+                f"{go(fdef_body(fn), 0)} in {go(body, 0)}"
+            )
+            return s if level <= 0 else f"({s})"
+        if t == "if":
+            s = (
+                f"if {go(e.children[1], 1)} then {go(e.children[2], 0)} "
+                f"else {go(e.children[3], 0)}"
+            )
+            return s if level <= 0 else f"({s})"
+        if t == "eq":
+            s = f"{go(e.children[1], 2)} == {go(e.children[2], 2)}"
+            return s if level <= 1 else f"({s})"
+        if t == "add":
+            s = f"{go(e.children[1], 2)} + {go(e.children[2], 3)}"
+            return s if level <= 2 else f"({s})"
+        if t == "mul":
+            s = f"{go(e.children[1], 3)} * {go(e.children[2], 4)}"
+            return s if level <= 3 else f"({s})"
+        if t == "not":
+            return f"!{go(e.children[1], 4)}"
+        if t == "call":
+            fn_name = e.children[1]
+            assert isinstance(fn_name, Name)
+            args = ", ".join(go(a, 0) for a in e.children[2:])
+            return f"{show_name(fn_name, show_labels)}({args})"
+        if t == "error":
+            return "error()"
+        raise ValueError(f"not an expression: {e!r}")
+
+    if tag(p) != "prog":
+        return go(p, 0)
+
+    lines = []
+    for f in prog_fdefs(p):
+        params = ", ".join(show_name(q, show_labels) for q in fdef_params(f))
+        lines.append(f"fun {show_name(fdef_name(f), show_labels)}({params}) = {go(fdef_body(f), 0)};")
+    for e in prog_main(p):
+        lines.append(go(e, 0))
+    return "\n".join(lines) + "\n"
+
+
+def subst_exp_many(e: Term, sub: Mapping[str, Term]) -> Term:
+    if not sub:
+        return e
+    if isinstance(e, Name):
+        return sub.get(e.text, e)
+    if isinstance(e, Const):
+        return e
+    t = tag(e)
+    if t == "let":
+        binder, init, body = e.children[1], e.children[2], e.children[3]
+        assert isinstance(binder, Name)
+        inner = {x: r for x, r in sub.items() if x != binder.text}
+        return let(binder, subst_exp_many(init, sub), subst_exp_many(body, inner))
+    if t == "letfun":
+        fn, body = e.children[1], e.children[2]
+        n = fdef_name(fn)
+        inner = {x: r for x, r in sub.items() if x != n.text}
+        fn_sub = {
+            x: r
+            for x, r in inner.items()
+            if x not in {q.text for q in fdef_params(fn)}
+        }
+        new_fn = fdef(n, fdef_params(fn), subst_exp_many(fdef_body(fn), fn_sub))
+        return letfun(new_fn, subst_exp_many(body, inner))
+    if t == "call":
+        fn_name = e.children[1]
+        assert isinstance(fn_name, Name)
+        return Compound(
+            (CALL, fn_name) + tuple(subst_exp_many(a, sub) for a in e.children[2:])
+        )
+    assert isinstance(e, Compound)
+    head = e.children[:1] if t else ()
+    rest = e.children[1:] if t else e.children
+    return Compound(head + tuple(subst_exp_many(c, sub) for c in rest))
+
+
+def subst_exp(e: Term, x: str, repl: Term) -> Term:
+    return subst_exp_many(e, {x: repl})
+
+
+def subst_fdef(f: Term, x: str, repl: Term) -> Term:
+    if x in {q.text for q in fdef_params(f)}:
+        return f
+    return fdef(fdef_name(f), fdef_params(f), subst_exp(fdef_body(f), x, repl))
+
+
+def subst_prog(p: Term, x: str, repl: Term) -> Term:
+    return prog(
+        [subst_fdef(f, x, repl) for f in prog_fdefs(p)],
+        [subst_exp(e, x, repl) for e in prog_main(p)],
+    )
+
+
+def _relabel_copy(body: Term, graph: NameGraph, alloc: LabelAllocator) -> Term:
+    fresh: dict[Label, Label] = {
+        d: alloc.fresh() for d in sorted(declarations_of(body), key=lambda l: l.id)
+    }
+
+    def go(e: Term) -> Term:
+        if isinstance(e, Name):
+            new = fresh.get(e.label)
+            if new is None:
+                for bound in sorted(graph.bindings(e.label), key=lambda l: l.id):
+                    if bound in fresh:
+                        new = fresh[bound]
+                        break
+            return Name(e.text, new) if new is not None else e
+        if isinstance(e, Compound):
+            return Compound(tuple(go(c) for c in e.children))
+        return e
+
+    return go(body)
+
+
+def inline_prog(p: Term, fname: str, graph: NameGraph) -> Term:
+    target: Term | None = None
+    for f in prog_fdefs(p):
+        if fdef_name(f).text == fname:
+            target = f
+    if target is None:
+        raise UnknownFunction(fname)
+    target_label = fdef_name(target).label
+    params = fdef_params(target)
+    alloc = LabelAllocator.after(p)
+
+    def go(e: Term) -> Term:
+        if not isinstance(e, Compound):
+            return e
+        if tag(e) == "call":
+            fn_name = e.children[1]
+            assert isinstance(fn_name, Name)
+            args = [go(a) for a in e.children[2:]]
+            if target_label in graph.bindings(fn_name.label):
+                if len(args) != len(params):
+                    raise ArityMismatch(
+                        f"{fname} expects {len(params)} args, got {len(args)}"
+                    )
+                body = _relabel_copy(fdef_body(target), graph, alloc)
+                return subst_exp_many(
+                    body, {q.text: a for q, a in zip(params, args)}
+                )
+            return Compound((e.children[0], fn_name) + tuple(args))
+        return Compound(tuple(go(c) for c in e.children))
+
+    return prog(
+        [fdef(fdef_name(f), fdef_params(f), go(fdef_body(f))) for f in prog_fdefs(p)],
+        [go(e) for e in prog_main(p)],
+    )
+
+
+def resolve_lambda(p: Term) -> NameGraph:
+    edges: set[tuple[Label, Label]] = set()
+
+    def walk(t: Term, env: dict[str, Label]) -> None:
+        if isinstance(t, Name):
+            decl = env.get(t.text)
+            if decl is not None:
+                edges.add((t.label, decl))
+            return
+        if tag(t) == "lam":
+            binder = t.children[1]
+            assert isinstance(binder, Name)
+            walk(t.children[2], {**env, binder.text: binder.label})
+            return
+        if isinstance(t, Compound):
+            for child in t.children[1:] if tag(t) else t.children:
+                walk(child, env)
+
+    walk(p, {})
+    return NameGraph(term.labels_of(p), edges)
+
+
+def lam_declarations_of(p: Term) -> frozenset[Label]:
+    out: set[Label] = set()
+
+    def walk(t: Term) -> None:
+        if tag(t) == "lam":
+            binder = t.children[1]
+            assert isinstance(binder, Name)
+            out.add(binder.label)
+            walk(t.children[2])
+        elif isinstance(t, Compound):
+            for child in t.children:
+                walk(child)
+
+    walk(p)
+    return frozenset(out)
+
+
+def pretty_lambda(p: Term, show_labels: bool = False) -> str:
+    def go(t: Term, level: int) -> str:
+        if isinstance(t, Name):
+            return show_name(t, show_labels)
+        if isinstance(t, Const):
+            return str(t.value)
+        kind = tag(t)
+        if kind == "lam":
+            binder = t.children[1]
+            assert isinstance(binder, Name)
+            s = f"\\{show_name(binder, show_labels)}. {go(t.children[2], 0)}"
+            return s if level <= 0 else f"({s})"
+        if kind == "add":
+            s = f"{go(t.children[1], 1)} + {go(t.children[2], 2)}"
+            return s if level <= 1 else f"({s})"
+        if kind == "app":
+            s = f"{go(t.children[1], 2)} {go(t.children[2], 3)}"
+            return s if level <= 2 else f"({s})"
+        raise ValueError(f"not a lambda term: {t!r}")
+
+    return go(p, 0)
+
+
+# ---------------------------------------------------------------------------
+# Helpers only tests use
+
+def fresh_label() -> Label:
+    """A synthesized label distinct from every label produced so far."""
+    return Label(term._SESSION.next_id(), Provenance.SYNTHESIZED)
+
+
+def rho(g: NameGraph) -> dict[Label, Label]:
+    """Functional view of the edges, for graphs where every reference has
+    one binding (resolver output on freshly parsed programs)."""
+    out: dict[Label, Label] = {}
+    for r, d in sorted(g.edges, key=lambda e: (e[0].id, e[1].id)):
+        if r in out and out[r] != d:
+            raise ValueError(f"reference {r!r} has multiple bindings")
+        out[r] = d
+    return out
+
+
+def lookup(g: NameGraph, ref: Label) -> Label | None:
+    """The unique binding of ref, or None if unbound. Raises on an
+    ambiguously bound reference."""
+    ds = g.bindings(ref)
+    if not ds:
+        return None
+    if len(ds) > 1:
+        raise ValueError(f"reference {ref!r} has multiple bindings")
+    return next(iter(ds))

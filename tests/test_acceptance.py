@@ -59,6 +59,7 @@ from namefix.term import (
     rename,
 )
 
+import reference
 from gen import (
     gen_lambda,
     gen_machine_source,
@@ -140,7 +141,7 @@ def test_criterion_2_two_round_repair_trace():
         result = name_fix(gs, t, LAMBDA_RESOLVER)
         assert len(result.trace) == 2
         final = resolve_lambda(result.term)
-        assert final.rho == {lbl(4): lbl(1), lbl(3): lbl(2)}
+        assert reference.rho(final) == {lbl(4): lbl(1), lbl(3): lbl(2)}
         assert final.bindings(lbl(5, True)) == frozenset()  # left unbound
 
 

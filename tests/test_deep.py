@@ -1,0 +1,128 @@
+"""Deep programs: every tree walk keeps its own stack, so term depth is
+bounded by memory and not by the Python stack.
+
+A 5,000-state machine compiles to a `main` whose if-chain is one level deep
+per state; 10,000 nested lambdas are 10,000 levels deep. Only the parsers
+still recurse, so these inputs are built in memory or from flat `.stm`
+text.
+"""
+
+from namefix import simpl
+from namefix.cli import main
+from namefix.fix import find_capture, name_fix
+from namefix.graph import alpha_equiv_relabel, sub_alpha_equiv
+from namefix.lam import LAMBDA_RESOLVER, lam, pretty_lambda, resolve_lambda
+from namefix.simpl import SIMPL_RESOLVER, call, eval_simpl, fdef_name, prog, prog_fdefs
+from namefix.statemachine import compile_machine, parse_stm, resolve_machine
+from namefix.term import Const, Label, Name, Provenance, fold, label_equiv
+
+STATES = 5_000
+LAMBDAS = 10_000
+
+
+def machine_source(n: int, clash: bool) -> tuple[str, dict[tuple[int, str], int]]:
+    """A flat machine with states s0..s<n-1>, and its transition table.
+
+    With clash=True, the middle state is spelled `s1-dispatch`, the name of
+    the dispatch function compiled for state s1, and its predecessor has a
+    transition into it.
+    """
+    names = [f"s{i}" for i in range(n)]
+    if clash:
+        names[n // 2] = f"{names[1]}-dispatch"
+    table = {}
+    lines = []
+    for i, name in enumerate(names):
+        table[(i, "go")] = (i + 1) % n
+        table[(i, "stop")] = (7 * i + 3) % n
+        lines.append(f"state {name}")
+        lines += [f"  {event} => {names[table[(i, event)]]}" for event in ("go", "stop")]
+    return "\n".join(lines) + "\n", table
+
+
+def successor(p, state: int, event: str) -> object:
+    """What the compiled `main` returns for a state index and an event."""
+    main_fn = Name("main", Label(0))
+    return eval_simpl(prog(prog_fdefs(p), [call(main_fn, [Const(state), Const(event)])]))
+
+
+def test_compile_5000_states_with_a_clash(tmp_path, capsys, monkeypatch):
+    src, table = machine_source(STATES, clash=True)
+    path = tmp_path / "big.stm"
+    path.write_text(src)
+    printed = []
+    pretty = simpl.pretty_simpl
+
+    def keep(p, show_labels=False):
+        printed.append((p, pretty(p, show_labels)))
+        return printed[-1][1]
+
+    monkeypatch.setattr(simpl, "pretty_simpl", keep)
+    assert main(["compile", str(path)]) == 0
+    ((repaired, text),) = printed
+    out = capsys.readouterr().out
+    assert out == text
+    # The synthesized dispatch function gave way to the state's name.
+    assert "fun s1-dispatch0(event) = " in out
+    assert {fdef_name(f).text for f in prog_fdefs(repaired)} >= {"s1-dispatch", "main"}
+    clash = STATES // 2
+    for state in (0, STATES - 1, clash - 1):
+        assert successor(repaired, state, "go") == table[(state, "go")]
+    assert table[(clash - 1, "go")] == clash
+
+
+def test_clean_5000_state_machine_comes_back_as_the_naive_object():
+    src, _ = machine_source(STATES, clash=False)
+    m = parse_stm(src)
+    naive = compile_machine(m)
+    assert name_fix(resolve_machine(m), naive, SIMPL_RESOLVER).term is naive
+
+
+def nested_lambdas(n: int, capture: bool, ref: str = "x"):
+    """\\x. \\y. ... \\y. [\\x'.] x with n binders y, labels fixed by
+    position; the optional inner binder is synthesized and spelled like the
+    outer x. The innermost reference is spelled `ref`.
+
+    The y binders shadow each other: resolvers copy their scope at every
+    binder, so n distinct names would cost time quadratic in n."""
+    body = Name(ref, Label(1))
+    if capture:
+        body = lam(Name("x", Label(n + 3, Provenance.SYNTHESIZED)), body)
+    for i in reversed(range(n)):
+        body = lam(Name("y", Label(i + 2)), body)
+    return lam(Name("x", Label(n + 2)), body)
+
+
+def test_10000_nested_lambdas_resolve_repair_and_print():
+    source = nested_lambdas(LAMBDAS, capture=False)
+    naive = nested_lambdas(LAMBDAS, capture=True)
+    gs = resolve_lambda(source)
+    assert len(gs.edges) == 1
+    captured = resolve_lambda(naive)
+    assert find_capture(gs, captured)
+
+    result = name_fix(gs, naive, LAMBDA_RESOLVER)
+    repaired = result.term
+    assert len(result.trace) == 1
+    assert not find_capture(gs, resolve_lambda(repaired))
+    assert label_equiv(repaired, naive)
+    assert sub_alpha_equiv(naive, repaired, gs)
+    again = fold(repaired, lambda n: Name(n.text, n.label))
+    assert again is not repaired
+    assert alpha_equiv_relabel(repaired, again, LAMBDA_RESOLVER)
+    assert not alpha_equiv_relabel(naive, repaired, LAMBDA_RESOLVER)
+
+    text = pretty_lambda(repaired)
+    assert text == "\\x. " + "\\y. " * LAMBDAS + "\\x0. x"
+
+
+def test_equality_and_hash_of_10000_deep_terms():
+    a = nested_lambdas(LAMBDAS, capture=False)
+    b = nested_lambdas(LAMBDAS, capture=False)
+    assert a is not b
+    assert a == b
+    assert hash(a) == hash(b)
+    c = nested_lambdas(LAMBDAS, capture=False, ref="z")
+    assert a != c
+    assert not a == c
+    assert isinstance(hash(c), int)

@@ -20,6 +20,7 @@ from namefix.lam import (
 )
 from namefix.term import Label, Name, Provenance, compound, labels_of, mark, name_at
 
+import reference
 from gen import gen_lambda, mutate_lambda
 
 
@@ -136,7 +137,7 @@ class TestNameFixTraces:
         assert len(result.trace) == 2
         assert pretty_lambda(result.term) == r"\x1. (\x0. x0 x) x1"
         final = resolve_lambda(result.term)
-        assert final.rho == {lbl(44): lbl(41), lbl(43): lbl(42)}
+        assert reference.rho(final) == {lbl(44): lbl(41), lbl(43): lbl(42)}
         assert lbl(45, True) not in final.references  # left free
 
     def test_synthesized_group_one_round(self):

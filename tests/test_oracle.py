@@ -1,5 +1,6 @@
 """Differential suite: the indexed repair loop against the scan-based
-reference in reference.py, on the same generated cases.
+reference in reference.py, on the same generated cases, and the tree walks
+against their recursive versions there.
 
 Equal results means the same repaired term, the same trace (captures,
 renamings, intermediate terms and graphs, round by round) and the same
@@ -12,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from namefix import lam, simpl
 from namefix.fix import comp_renaming, find_capture, name_fix
-from namefix.graph import NameGraph
-from namefix.lam import LAMBDA_RESOLVER, resolve_lambda
+from namefix.graph import NameGraph, alpha_equiv_relabel
+from namefix.lam import LAMBDA_RESOLVER, pretty_lambda, resolve_lambda
 from namefix.simpl import (
     SIMPL_RESOLVER,
     SimplError,
@@ -23,12 +25,24 @@ from namefix.simpl import (
     lift_prog,
     parse_simpl,
     parse_simpl_exp,
+    pretty_simpl,
     prog_fdefs,
     resolve_simpl,
     subst_prog,
 )
 from namefix.statemachine import compile_machine, parse_stm, resolve_machine
-from namefix.term import Compound, Label, Name, Provenance
+from namefix.term import (
+    Compound,
+    Label,
+    Name,
+    Provenance,
+    descend,
+    fold,
+    label_equiv,
+    mark,
+    spellings,
+    to_sexpr,
+)
 
 from gen import gen_lambda, gen_machine_source, gen_simpl_source, mutate_lambda
 
@@ -155,3 +169,134 @@ def test_comp_renaming_on_arbitrary_graphs(data):
     capture = find_capture(gs, gt)
     if capture:
         assert comp_renaming(gs, gt, t, capture) == reference.comp_renaming(gs, gt, t, capture)
+
+
+# ---------------------------------------------------------------------------
+# Tree walks against their recursive versions
+
+def same_sharing(got, want, original) -> bool:
+    """got and want reuse the same subterms of original, position by
+    position."""
+
+    def rule(a, env):
+        b, o = env
+        if (a is o) != (b is o):
+            return None
+        if a is o or not isinstance(a, Compound):
+            return ()
+        return zip(a.children, zip(b.children, o.children))
+
+    return descend(got, (want, original), rule)
+
+
+def assert_same_term(got, want):
+    assert reference.term_eq(got, want)
+    assert got == want
+    assert hash(got) == hash(want)
+
+
+def assert_same_maps(rng, t):
+    """Maps over the names of t (what rename and mark do), sharing
+    included, against the recursive map_names, and equality."""
+    spell = spellings(t)
+    pi = {v: rng.choice(["x", "y", text]) for v, text in spell.items() if rng.random() < 0.3}
+
+    def respell(n):
+        new = pi.get(n.label)
+        return n if new is None or new == n.text else Name(new, n.label)
+
+    def flip(n):
+        return Name(n.text, Label(n.label.id, Provenance.SYNTHESIZED)) if n.text == "x" else n
+
+    for f in (respell, lambda n: n, flip):
+        got, want = fold(t, f), reference.map_names(t, f)
+        assert_same_term(got, want)
+        assert same_sharing(got, want, t)
+    assert mark("x", t) == reference.map_names(t, flip)
+    copy = reference.map_names(t, lambda n: Name(n.text, n.label))
+    assert_same_term(copy, t)
+    variant = fold(t, respell)
+    assert (variant == t) is reference.term_eq(variant, t)
+    assert label_equiv(variant, t) and reference.label_equiv(variant, t)
+    assert label_equiv(t, copy)
+    assert to_sexpr(t) == reference.to_sexpr(t)
+
+
+def assert_same_simpl_walks(rng, q):
+    assert_same_maps(rng, q)
+    assert resolve_simpl(q) == reference.resolve_simpl(q)
+    assert simpl.declarations_of(q) == reference.declarations_of(q)
+    for labels in (False, True):
+        assert pretty_simpl(q, labels) == reference.pretty_simpl(q, labels)
+    reparsed = parse_simpl(pretty_simpl(q))
+    assert alpha_equiv_relabel(q, reparsed, SIMPL_RESOLVER) is reference.alpha_equiv_relabel(
+        q, reparsed, SIMPL_RESOLVER
+    )
+    repl = parse_simpl_exp(rng.choice(["2 * n", "x + y", "f(1)", "let x = 2 in x + z"]))
+    for x in ("x", "y", "f"):
+        assert_same_term(subst_prog(q, x, repl), reference.subst_prog(q, x, repl))
+
+
+def simpl_walk_inputs(seed):
+    """Open and closed programs of 3, 8 or 25 functions, with their naive
+    lifting and the naive inlining of two of their functions."""
+    rng = random.Random(seed)
+    n_fdefs = rng.choice([3, 8, 25])
+    for closed in (False, True):
+        p = parse_simpl(gen_simpl_source(rng, closed=closed, n_fdefs=n_fdefs))
+        yield p
+        gs = resolve_simpl(p)
+        yield lift_prog(p, gs)
+        for fname in sorted({fdef_name(f).text for f in prog_fdefs(p)})[:2]:
+            try:
+                got = inline_prog(p, fname, gs)
+            except SimplError as exc:
+                try:
+                    reference.inline_prog(p, fname, gs)
+                except SimplError as ref_exc:
+                    assert str(exc) == str(ref_exc)
+                    continue
+                raise
+            assert_same_term(got, reference.inline_prog(p, fname, gs))
+            yield got
+
+
+@settings(max_examples=8, deadline=None)
+@given(seeds)
+def test_simpl_walks_match_their_recursive_versions(seed):
+    rng = random.Random(seed)
+    for q in simpl_walk_inputs(seed):
+        assert_same_simpl_walks(rng, q)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds)
+def test_compile_outputs_walk_like_the_recursive_versions(seed):
+    rng = random.Random(seed)
+    m = parse_stm(gen_machine_source(rng))
+    t = compile_machine(m)
+    assert_same_maps(rng, t)
+    assert resolve_simpl(t) == reference.resolve_simpl(t)
+    assert simpl.declarations_of(t) == reference.declarations_of(t)
+    for labels in (False, True):
+        assert pretty_simpl(t, labels) == reference.pretty_simpl(t, labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds)
+def test_lambda_walks_match_their_recursive_versions(seed):
+    rng = random.Random(seed)
+    s = gen_lambda(rng)
+    t = mutate_lambda(rng, s)
+    for q in (s, t):
+        assert_same_maps(rng, q)
+        assert resolve_lambda(q) == reference.resolve_lambda(q)
+        assert lam.declarations_of(q) == reference.lam_declarations_of(q)
+        for labels in (False, True):
+            assert pretty_lambda(q, labels) == reference.pretty_lambda(q, labels)
+    assert label_equiv(s, t) is reference.label_equiv(s, t)
+    assert (s == t) is reference.term_eq(s, t)
+    for a, b in ((s, t), (t, s), (s, s)):
+        assert alpha_equiv_relabel(a, b, LAMBDA_RESOLVER) is reference.alpha_equiv_relabel(
+            a, b, LAMBDA_RESOLVER
+        )

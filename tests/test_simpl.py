@@ -30,11 +30,12 @@ from namefix.simpl import (
     prog_main,
     resolve_simpl,
     subst,
-    subst_exp,
+    subst_exp_many,
     tag,
 )
 from namefix.term import Compound, Label, Name, Provenance, iter_names, labels_of
 
+import reference
 from gen import gen_simpl_source
 
 
@@ -142,14 +143,14 @@ class TestResolve:
     def test_param_scope(self):
         p = parse_simpl("fun f@321(x@322) = x@323 + y@324; f@325(1)")
         g = resolve_simpl(p)
-        assert g.rho == {lbl(323): lbl(322), lbl(325): lbl(321)}
+        assert reference.rho(g) == {lbl(323): lbl(322), lbl(325): lbl(321)}
 
     def test_toplevel_functions_mutually_visible(self):
         p = parse_simpl(
             "fun f@331() = g@332(); fun g@333() = f@334(); f@335()"
         )
         g = resolve_simpl(p)
-        assert g.rho == {
+        assert reference.rho(g) == {
             lbl(332): lbl(333),
             lbl(334): lbl(331),
             lbl(335): lbl(331),
@@ -220,7 +221,7 @@ class TestEval:
 class TestSubst:
     def test_naive_subst_skips_shadowing_let(self):
         e = parse_simpl_exp("x + (let x = 1 in x)")
-        out = subst_exp(e, "x", parse_simpl_exp("9"))
+        out = subst_exp_many(e, {"x": parse_simpl_exp("9")})
         assert pretty_simpl(out) == "9 + (let x = 1 in x)"
 
     def test_repairs_local_capture(self):

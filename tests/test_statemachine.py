@@ -37,6 +37,7 @@ from namefix.term import (
     rename,
 )
 
+import reference
 from gen import gen_machine_source, machine_renaming
 
 
@@ -122,7 +123,7 @@ state locked@416
 """
         )
         g = resolve_machine(m)
-        assert g.rho == {
+        assert reference.rho(g) == {
             lbl(412): lbl(413),
             lbl(414): lbl(411),
             lbl(415): lbl(416),
