@@ -86,7 +86,7 @@ def _emit_graphs(
     Path(paths[0]).write_text(to_dot(gs, source, title="source"))
     steps = result.trace.steps
     graphs = [s.graph for s in steps] + [result.graph]
-    capture = fix.find_capture(gs, graphs[0])
+    capture = steps[0].capture if steps else fix.find_capture(gs, graphs[0])
     Path(paths[1]).write_text(
         to_dot(
             graphs[0],

@@ -4,6 +4,16 @@ Compares the name graph of a transformation's source program against the
 graph of its output, and iteratively renames the capturing declarations
 (together with the references that legitimately share their name) until the
 output is capture-free.
+
+Cost of a repair round. Renaming changes spellings only, never a term's
+shape, so `name_fix` builds one `LabelIndex` of the term when it first
+finds capture and reuses it in every later round. Outside the resolver,
+a round then costs a `find_capture` pass over the target graph's edges
+(reading the source graph's index), a `comp_renaming` whose lookups are
+by label (its spelling map, and the source graph's declaration ->
+references map), and a respelling that rebuilds only the compounds above
+the renamed names. A capture-free input costs one resolve and one
+`find_capture`, and builds no index.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from enum import Enum
 from typing import Mapping
 
 from .graph import NameGraph, Resolver
-from .term import Label, Term, rename, spellings
+from .term import Label, LabelIndex, Term
 
 
 class CaptureKind(Enum):
@@ -121,24 +131,32 @@ def gensym(base: str, used: frozenset[str] | set[str]) -> str:
 def find_capture(gs: NameGraph, gt: NameGraph) -> CaptureSet:
     """Edges of the target graph that break reference intent or
     declaration extent relative to the source graph."""
+    if not gt.edges:  # nothing to check: leave gs's index unbuilt
+        return CaptureSet(frozenset())
+    by_id, decls, _ = gs._index
     edges: set[CaptureEdge] = set()
     for v, target in gt.edges:
-        if gs.counts_as_source(v):
-            bound = gs.bindings(v)
+        # gs.counts_as_source(v), inline: this loop runs once per edge.
+        w = by_id.get(v.id)
+        if w is not None and w.provenance is v.provenance:
+            bound = decls.get(v.id)
             if bound:
                 if target not in bound:
                     edges.add(CaptureEdge(v, target, CaptureKind.SOURCE_REBOUND))
             elif v != target:
                 edges.add(CaptureEdge(v, target, CaptureKind.SOURCE_FREE_CAPTURED))
-        elif gs.counts_as_source(target):
-            edges.add(CaptureEdge(v, target, CaptureKind.SYNTHESIZED_CAPTURED))
+        else:
+            w = by_id.get(target.id)
+            if w is not None and w.provenance is target.provenance:
+                edges.add(CaptureEdge(v, target, CaptureKind.SYNTHESIZED_CAPTURED))
     return CaptureSet(frozenset(edges))
 
 
 def comp_renaming(
-    gs: NameGraph, gt: NameGraph, t: Term, capture: CaptureSet
+    gs: NameGraph, gt: NameGraph, spell: Mapping[Label, str], capture: CaptureSet
 ) -> RenamingPair:
-    """Fresh spellings for every captured-into declaration.
+    """Fresh spellings for every captured-into declaration, given the
+    spelling of every label of the target term (`spellings(t)`).
 
     A source declaration is renamed together with its source references; a
     synthesized declaration drags along every synthesized label that shares
@@ -149,22 +167,31 @@ def comp_renaming(
         raise ValueError("comp_renaming requires a nonempty capture set")
     pi_src: dict[Label, str] = {}
     pi_syn: dict[Label, str] = {}
-    spell = spellings(t)
+    by_id, _, refs = gs._index
     used = set(spell.values())  # every spelling of t, plus each fresh one assigned
+    synthesized: dict[str, list[Label]] | None = None  # spelling -> labels, when needed
     for v_d in sorted(capture.captured_declarations, key=lambda l: l.id):
-        fresh = gensym(spell[v_d], used)
         if gs.counts_as_source(v_d):
             if v_d not in pi_src:
+                fresh = gensym(spell[v_d], used)
                 pi_src[v_d] = fresh
                 used.add(fresh)
-                for v_r, bound in gs.edges:
-                    if bound == v_d:
-                        pi_src[v_r] = fresh
+                for v_r in refs.get(v_d.id, ()):
+                    pi_src[v_r] = fresh
         elif v_d not in pi_syn:
-            for v in gt.labels:
-                if not gs.counts_as_source(v) and spell[v] == spell[v_d]:
+            if synthesized is None:
+                synthesized = {}
+                for v in gt.labels:
+                    # not gs.counts_as_source(v), inline: once per label
+                    w = by_id.get(v.id)
+                    if w is None or w.provenance is not v.provenance:
+                        synthesized.setdefault(spell[v], []).append(v)
+            group = synthesized.get(spell[v_d])
+            if group:
+                fresh = gensym(spell[v_d], used)
+                used.add(fresh)
+                for v in group:
                     pi_syn[v] = fresh
-                    used.add(fresh)
     return RenamingPair(pi_src, pi_syn)
 
 
@@ -181,6 +208,7 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
     gt = r.resolve(t)
     budget = len(gt.labels)
     steps: list[FixStep] = []
+    index: LabelIndex | None = None
     current = t
     while True:
         capture = find_capture(gs, gt)
@@ -190,7 +218,9 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
             raise IterationBudgetExceeded(
                 f"capture repair did not converge within {budget} rounds"
             )
-        pair = comp_renaming(gs, gt, current, capture)
-        current = rename(current, pair.combined())
+        if index is None:
+            index = LabelIndex(t)
+        pair = comp_renaming(gs, gt, index.spelling, capture)
+        current = index.rename(pair.combined())
         steps.append(FixStep(capture, pair, current, gt))
         gt = r.resolve(current)

@@ -69,17 +69,23 @@ class NameGraph:
         return frozenset(d for _, d in self.edges)
 
     @cached_property
-    def _index(self) -> tuple[dict[int, Label], dict[Label, frozenset[Label]]]:
-        """id -> label and reference -> its declarations, built on the first
-        query: graphs only kept, like each FixStep's, never build one."""
-        decls: dict[Label, set[Label]] = {}
+    def _index(
+        self,
+    ) -> tuple[dict[int, Label], dict[int, frozenset[Label]], dict[int, list[Label]]]:
+        """Lookups keyed by label id (labels are equal by id): the label, a
+        reference's declarations and a declaration's references. Built on
+        the first query: graphs only kept, like each FixStep's, never build
+        one."""
+        decls: dict[int, set[Label]] = {}
+        refs: dict[int, list[Label]] = {}
         for r, d in self.edges:
-            decls.setdefault(r, set()).add(d)
+            decls.setdefault(r.id, set()).add(d)
+            refs.setdefault(d.id, []).append(r)
         by_id = {v.id: v for v in self.labels}
-        return by_id, {r: frozenset(ds) for r, ds in decls.items()}
+        return by_id, {r: frozenset(ds) for r, ds in decls.items()}, refs
 
     def bindings(self, ref: Label) -> frozenset[Label]:
-        return self._index[1].get(ref, frozenset())
+        return self._index[1].get(ref.id, frozenset())
 
     def find(self, label_id: int) -> Label | None:
         return self._index[0].get(label_id)

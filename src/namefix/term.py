@@ -112,7 +112,16 @@ class Compound(Term):
         return fold(self, hash, lambda c, parts: hash(tuple(parts)))
 
     def __repr__(self) -> str:
-        return "Compound" + repr(self.children)
+        # repr(self.children) after "Compound", as one fold: deep terms
+        # would overflow the recursive tuple repr.
+        def text(part: object) -> str:
+            return part if part.__class__ is str else repr(part)
+
+        def node(c: Compound, parts: list) -> str:
+            inner = ", ".join(map(text, parts))
+            return f"Compound({inner},)" if len(parts) == 1 else f"Compound({inner})"
+
+        return fold(self, repr, node)
 
 
 def compound(*children: Term) -> Compound:
@@ -477,15 +486,96 @@ def labels_of(t: Term) -> frozenset[Label]:
 
 def rename(t: Term, pi: Mapping[Label, str]) -> Term:
     """Respell every name whose label is in dom(pi); labels are untouched.
-    An empty renaming returns t itself."""
+    Unchanged subterms are shared, so a renaming that changes nothing
+    returns t itself. Raises InconsistentLabel on a corrupt term."""
     if not pi:
         return t
+    return LabelIndex(t).rename(pi)
 
-    def respell(n: Name) -> Name:
-        new_text = pi.get(n.label)
-        return n if new_text is None or new_text == n.text else Name(new_text, n.label)
 
-    return fold(t, respell)
+# A compound at one position of an indexed term: [its current node, the
+# spine of its parent, its index there, its depth]. Positions share their
+# prefixes through the parent spines. Plain lists, because building them
+# is most of the cost of an index.
+Spine = list
+
+
+class LabelIndex:
+    """One term's labels, each with its spelling and the positions where it
+    occurs, for respelling the term round after round.
+
+    Renaming never changes a term's shape, so the index built once serves
+    every later respelling: `rename` rebuilds only the compounds above the
+    names it respells, shares every other subterm, and leaves the index
+    describing the new term, whose spellings `spelling` holds. Built by
+    one walk; raises InconsistentLabel on a corrupt term.
+    """
+
+    def __init__(self, t: Term) -> None:
+        # A holder above the root, so that the root is a position too.
+        self._holder: Spine = [Compound((t,)), None, 0, 0]
+        self.spelling: dict[Label, str] = {}
+        # label id -> spine, index, spine, index, ... of its occurrences
+        self._at: dict[int, list] = {}
+        spelling, at = self.spelling, self._at
+        stack = [self._holder]
+        while stack:
+            spine = stack.pop()
+            depth = spine[3] + 1
+            i = -1
+            for child in spine[0].children:
+                i += 1
+                kind = child.__class__
+                if kind is Compound:
+                    stack.append([child, spine, i, depth])
+                elif kind is Name:
+                    if spelling.setdefault(child.label, child.text) != child.text:
+                        note_spelling(spelling, child)  # raises InconsistentLabel
+                    places = at.get(child.label.id)
+                    if places is None:
+                        at[child.label.id] = [spine, i]
+                    else:
+                        places += spine, i
+
+    @property
+    def term(self) -> Term:
+        return self._holder[0].children[0]
+
+    def rename(self, pi: Mapping[Label, str]) -> Term:
+        """The term with every label in dom(pi) respelled, as `rename` gives
+        it; from then on the index describes that term. Labels the term
+        does not have are ignored."""
+        spelling = self.spelling
+        # id(spine) -> (its depth, spine, its new children), for every
+        # spine to rebuild
+        edited: dict[int, tuple[int, Spine, list[Term]]] = {}
+        for label, text in pi.items():
+            old = spelling.get(label)
+            if old is None or old == text:
+                continue
+            spelling[label] = text
+            places = iter(self._at[label.id])
+            for spine, i in zip(places, places):
+                entry = edited.get(id(spine))
+                if entry is None:
+                    entry = edited[id(spine)] = (spine[3], spine, list(spine[0].children))
+                children = entry[2]
+                children[i] = Name(text, children[i].label)
+        if not edited:
+            return self.term
+        # Every compound above a respelled name is rebuilt, deepest first.
+        for _, spine, _ in list(edited.values()):
+            spine = spine[1]
+            while spine is not None and id(spine) not in edited:
+                edited[id(spine)] = (spine[3], spine, list(spine[0].children))
+                spine = spine[1]
+        deepest_first = sorted(edited.values(), key=operator.itemgetter(0), reverse=True)
+        for _, spine, children in deepest_first:
+            node = spine[0] = Compound(tuple(children))
+            parent = spine[1]
+            if parent is not None:
+                edited[id(parent)][2][spine[2]] = node
+        return self.term
 
 
 def label_equiv(t1: Term, t2: Term) -> bool:

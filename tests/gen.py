@@ -261,3 +261,18 @@ def machine_renaming(rng: random.Random, m: Term) -> dict[Label, str]:
             for v in members:
                 pi[v] = new
     return pi
+
+
+def gen_dispatch_clash_machine(rng: random.Random, n: int) -> str:
+    """A machine with n states in which every odd-numbered state is spelled
+    like the dispatch function of the state before it (`s<i-1>-dispatch`),
+    so that its naive compilation captures about n/2 declarations in one
+    repair round. Every state has a `go` transition to the next state and a
+    `stop` transition to a random one."""
+    names = [f"s{i - 1}-dispatch" if i % 2 else f"s{i}" for i in range(n)]
+    lines = []
+    for i, name in enumerate(names):
+        lines.append(f"state {name}")
+        lines.append(f"  go => {names[(i + 1) % n]}")
+        lines.append(f"  stop => {rng.choice(names)}")
+    return "\n".join(lines) + "\n"

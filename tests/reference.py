@@ -57,8 +57,8 @@ from namefix.term import (
     Provenance,
     Term,
     compound,
+    fold,
     iter_names,
-    rename,
     show_name,
     spellings,
     tag,
@@ -142,9 +142,18 @@ def comp_renaming(
     pi_src: dict[Label, str] = {}
     pi_syn: dict[Label, str] = {}
     term_names = names_of(t)
+    walked: dict[Label, str] = {}
+
+    def spelled(v: Label) -> str:
+        # name_at(t, v), walking t at most once per label: machines with
+        # many captures ask for every label once per capture.
+        if v not in walked:
+            walked[v] = name_at(t, v)
+        return walked[v]
+
     for v_d in sorted(capture.captured_declarations, key=lambda l: l.id):
         used = term_names | set(pi_src.values()) | set(pi_syn.values())
-        fresh = gensym(name_at(t, v_d), used)
+        fresh = gensym(spelled(v_d), used)
         if counts_as_source(gs, v_d):
             if v_d not in pi_src:
                 pi_src[v_d] = fresh
@@ -152,11 +161,23 @@ def comp_renaming(
                     if bound == v_d:
                         pi_src[v_r] = fresh
         elif v_d not in pi_syn:
-            target_name = name_at(t, v_d)
+            target_name = spelled(v_d)
             for v in gt.labels:
-                if not counts_as_source(gs, v) and name_at(t, v) == target_name:
+                if not counts_as_source(gs, v) and spelled(v) == target_name:
                     pi_syn[v] = fresh
     return RenamingPair(pi_src, pi_syn)
+
+
+def rename(t: Term, pi: Mapping[Label, str]) -> Term:
+    """A fold over the whole term per call."""
+    if not pi:
+        return t
+
+    def respell(n: Name) -> Name:
+        new_text = pi.get(n.label)
+        return n if new_text is None or new_text == n.text else Name(new_text, n.label)
+
+    return fold(t, respell)
 
 
 def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
@@ -338,6 +359,19 @@ def term_eq(t1: Term, t2: Term) -> bool:
             term_eq(a, b) for a, b in zip(t1.children, t2.children)
         )
     return type(t1) is type(t2) and not isinstance(t1, Compound) and t1 == t2
+
+
+class _Shown(str):
+    """A string that is its own repr."""
+
+    __repr__ = str.__str__
+
+
+def term_repr(t: Term) -> str:
+    """repr, as Compound's dataclass-style `"Compound" + repr(children)` had it."""
+    if isinstance(t, Compound):
+        return "Compound" + repr(tuple(_Shown(term_repr(c)) for c in t.children))
+    return repr(t)
 
 
 def to_sexpr(t: Term) -> str:

@@ -1,6 +1,8 @@
 import pytest
 
-from namefix import simpl
+from namefix import simpl, statemachine
+from namefix.fix import find_capture, name_fix
+from namefix.graph import to_dot
 from namefix.cli import (
     EXIT_ALPHA,
     EXIT_IO,
@@ -219,6 +221,67 @@ def test_emit_graphs_reuses_the_loops_graphs(tmp_path, capsys):
     assert count_resolves(["inline", str(p), "and"]) == (0, 3)
     assert count_resolves(["inline", "--emit-graphs", str(p), "and"]) == (0, 3)
     assert count_resolves(["inline", "--no-fix", "--emit-graphs", str(p), "and"]) == (0, 2)
+
+
+# (command, input extension, fixture, trailing arguments, naive
+# transformation of the parsed fixture given its name graph)
+EMITTING_TRANSFORMS = [
+    ("compile", ".stm", DOOR_RENAMED, [], lambda m, gs: statemachine.compile_machine(m)),
+    (
+        "subst",
+        ".spl",
+        ZERO_SUCC,
+        ["x", "2 * n@900"],
+        lambda p, gs: simpl.subst_prog(p, "x", simpl.parse_simpl_exp("2 * n@900")),
+    ),
+    ("inline", ".spl", OR_AND, ["and"], lambda p, gs: simpl.inline_prog(p, "and", gs)),
+    ("lift", ".spl", LOCAL_FNS, [], lambda p, gs: simpl.lift_prog(p, gs)),
+]
+
+
+@pytest.mark.parametrize("no_fix", [False, True], ids=["fix", "no-fix"])
+@pytest.mark.parametrize(
+    "command, extension, fixture, rest, naive",
+    EMITTING_TRANSFORMS,
+    ids=[case[0] for case in EMITTING_TRANSFORMS],
+)
+def test_emit_graphs_files_are_the_graphs_of_each_stage(
+    tmp_path, capsys, command, extension, fixture, rest, naive, no_fix
+):
+    """Each .dot file is byte for byte the graph, resolved afresh, of the
+    source, of the naive target with its capture edges dashed, and of
+    every repair round's term."""
+    if extension == ".stm":
+        parse, resolve, pretty = statemachine.parse_stm, statemachine.resolve_machine, statemachine.pretty_stm
+    else:
+        parse, resolve, pretty = simpl.parse_simpl, simpl.resolve_simpl, simpl.pretty_simpl
+    # Every name pinned to its label, so that the CLI's parse and the one
+    # below give the same labels.
+    src = pretty(parse(fixture), show_labels=True)
+    path = tmp_path / f"p{extension}"
+    path.write_text(src)
+    flags = ["--emit-graphs"] + (["--no-fix"] if no_fix else [])
+    assert main([command, *flags, str(path), *rest]) == 0
+
+    source = parse(src)
+    gs = resolve(source)
+    target = naive(source, gs)
+    gt = simpl.resolve_simpl(target)
+    capture = [(e.ref, e.decl) for e in find_capture(gs, gt).edges]
+    assert capture  # every case captures, so the target's edges are dashed
+    want = {
+        ".src.dot": to_dot(gs, source, title="source"),
+        ".tgt.dot": to_dot(gt, target, capture=capture, title="target (before repair)"),
+    }
+    if not no_fix:
+        steps = name_fix(gs, target, simpl.SIMPL_RESOLVER).trace.steps
+        assert steps
+        for k, step in enumerate(steps, start=1):
+            want[f".fix{k}.dot"] = to_dot(
+                simpl.resolve_simpl(step.term), step.term, title=f"after repair round {k}"
+            )
+    written = {f.name[len(path.name):]: f.read_text() for f in tmp_path.glob(f"{path.name}.*.dot")}
+    assert written == want
 
 
 class TestGraphAndAlphacheck:

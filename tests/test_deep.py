@@ -7,6 +7,8 @@ still recurse, so these inputs are built in memory or from flat `.stm`
 text.
 """
 
+import pytest
+
 from namefix import simpl
 from namefix.cli import main
 from namefix.fix import find_capture, name_fix
@@ -14,7 +16,7 @@ from namefix.graph import alpha_equiv_relabel, sub_alpha_equiv
 from namefix.lam import LAMBDA_RESOLVER, lam, pretty_lambda, resolve_lambda
 from namefix.simpl import SIMPL_RESOLVER, call, eval_simpl, fdef_name, prog, prog_fdefs
 from namefix.statemachine import compile_machine, parse_stm, resolve_machine
-from namefix.term import Const, Label, Name, Provenance, fold, label_equiv
+from namefix.term import Const, Label, Name, Provenance, compound, fold, label_equiv
 
 STATES = 5_000
 LAMBDAS = 10_000
@@ -126,3 +128,22 @@ def test_equality_and_hash_of_10000_deep_terms():
     assert a != c
     assert not a == c
     assert isinstance(hash(c), int)
+
+
+def test_repr_of_a_10000_deep_term():
+    t = nested_lambdas(LAMBDAS, capture=False)
+    text = repr(t)
+    assert text.startswith("Compound(Const('lam'), Name('x'@10002), Compound(Const('lam'), Name('y'@2), ")
+    assert text.endswith("Name('x'@1)" + ")" * (LAMBDAS + 1))
+    assert text.count("Compound(") == LAMBDAS + 1
+
+
+def test_error_message_formatting_a_10000_deep_term():
+    # An untagged compound cannot be evaluated, and the error shows it.
+    deep = compound(Name("x", Label(1)))
+    for _ in range(LAMBDAS):
+        deep = compound(deep)
+    with pytest.raises(simpl.SimplError) as exc:
+        eval_simpl(prog([], [deep]))
+    message = str(exc.value)
+    assert message == "cannot evaluate " + "Compound(" * (LAMBDAS + 1) + "Name('x'@1)" + ",)" * (LAMBDAS + 1)

@@ -9,6 +9,7 @@ final graph.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,17 +35,25 @@ from namefix.statemachine import compile_machine, parse_stm, resolve_machine
 from namefix.term import (
     Compound,
     Label,
+    LabelIndex,
     Name,
     Provenance,
     descend,
     fold,
     label_equiv,
     mark,
+    rename,
     spellings,
     to_sexpr,
 )
 
-from gen import gen_lambda, gen_machine_source, gen_simpl_source, mutate_lambda
+from gen import (
+    gen_dispatch_clash_machine,
+    gen_lambda,
+    gen_machine_source,
+    gen_simpl_source,
+    mutate_lambda,
+)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -122,6 +131,26 @@ def test_clashing_machines(seed):
     assert result.trace.steps
 
 
+@pytest.mark.parametrize("n", [50, 100])
+def test_many_captures_in_one_round(n):
+    """Half the states are spelled like another state's dispatch function,
+    so one round captures n/2 declarations."""
+    m = parse_stm(gen_dispatch_clash_machine(random.Random(n), n))
+    gs = resolve_machine(m)
+    t = compile_machine(m)
+    got = name_fix(gs, t, SIMPL_RESOLVER)
+    want = reference.name_fix(gs, t, SIMPL_RESOLVER)
+    assert got.term == want.term
+    assert got.trace == want.trace
+    assert got.trace.format() == want.trace.format()
+    assert got.graph == want.graph
+    assert len(got.trace.steps[0].capture.captured_declarations) >= n // 2
+    before = [t] + [step.term for step in got.trace.steps]
+    for prior, step, ref_step in zip(before, got.trace.steps, want.trace.steps):
+        pair = comp_renaming(gs, step.graph, spellings(prior), step.capture)
+        assert pair == ref_step.renaming  # reference.comp_renaming on the same graphs
+
+
 def lbl(i: int, synth: bool) -> Label:
     return Label(i, Provenance.SYNTHESIZED if synth else Provenance.SOURCE)
 
@@ -168,25 +197,25 @@ def test_comp_renaming_on_arbitrary_graphs(data):
     gt = NameGraph(spell, {(r, d) for r, d in data.draw(edges) if d not in gs.references})
     capture = find_capture(gs, gt)
     if capture:
-        assert comp_renaming(gs, gt, t, capture) == reference.comp_renaming(gs, gt, t, capture)
+        assert comp_renaming(gs, gt, spellings(t), capture) == reference.comp_renaming(gs, gt, t, capture)
 
 
 # ---------------------------------------------------------------------------
 # Tree walks against their recursive versions
 
-def same_sharing(got, want, original) -> bool:
-    """got and want reuse the same subterms of original, position by
-    position."""
+def same_sharing(got, got_from, want, want_from) -> bool:
+    """got reuses the subterms of got_from exactly where want reuses those
+    of want_from, position by position."""
 
     def rule(a, env):
-        b, o = env
-        if (a is o) != (b is o):
+        a_from, b, b_from = env
+        if (a is a_from) != (b is b_from):
             return None
-        if a is o or not isinstance(a, Compound):
+        if a is a_from or not isinstance(a, Compound):
             return ()
-        return zip(a.children, zip(b.children, o.children))
+        return zip(a.children, zip(a_from.children, b.children, b_from.children))
 
-    return descend(got, (want, original), rule)
+    return descend(got, (got_from, want, want_from), rule)
 
 
 def assert_same_term(got, want):
@@ -211,7 +240,10 @@ def assert_same_maps(rng, t):
     for f in (respell, lambda n: n, flip):
         got, want = fold(t, f), reference.map_names(t, f)
         assert_same_term(got, want)
-        assert same_sharing(got, want, t)
+        assert same_sharing(got, t, want, t)
+    got, want = rename(t, pi), reference.rename(t, pi)
+    assert_same_term(got, want)
+    assert same_sharing(got, t, want, t)
     assert mark("x", t) == reference.map_names(t, flip)
     copy = reference.map_names(t, lambda n: Name(n.text, n.label))
     assert_same_term(copy, t)
@@ -220,6 +252,30 @@ def assert_same_maps(rng, t):
     assert label_equiv(variant, t) and reference.label_equiv(variant, t)
     assert label_equiv(t, copy)
     assert to_sexpr(t) == reference.to_sexpr(t)
+    assert repr(t) == reference.term_repr(t)
+
+
+def assert_successive_renamings(rng, t, rounds=4):
+    """One LabelIndex respells t round after round, as name_fix uses it,
+    against a whole-term reference.rename per round. Each renaming maps
+    some labels to a new spelling, some to their current one, and one
+    label the term does not have."""
+    index = LabelIndex(t)
+    want = t
+    for _ in range(rounds):
+        spell = spellings(want)
+        texts = sorted(set(spell.values()))
+        pi = {Label(10**9, Provenance.SYNTHESIZED): "absent"}
+        for v, text in spell.items():
+            if rng.random() < 0.3:
+                pi[v] = rng.choice([text, text, "x", "y0", rng.choice(texts)])
+        got_from, want_from = index.term, want
+        got, want = index.rename(pi), reference.rename(want, pi)
+        assert_same_term(got, want)
+        assert same_sharing(got, got_from, want, want_from)
+        assert index.term is got
+        assert index.spelling == spellings(want)
+    assert index.rename(spellings(want)) is got
 
 
 def assert_same_simpl_walks(rng, q):
@@ -267,6 +323,7 @@ def test_simpl_walks_match_their_recursive_versions(seed):
     rng = random.Random(seed)
     for q in simpl_walk_inputs(seed):
         assert_same_simpl_walks(rng, q)
+        assert_successive_renamings(rng, q)
 
 
 @settings(max_examples=25, deadline=None)
@@ -276,6 +333,7 @@ def test_compile_outputs_walk_like_the_recursive_versions(seed):
     m = parse_stm(gen_machine_source(rng))
     t = compile_machine(m)
     assert_same_maps(rng, t)
+    assert_successive_renamings(rng, t)
     assert resolve_simpl(t) == reference.resolve_simpl(t)
     assert simpl.declarations_of(t) == reference.declarations_of(t)
     for labels in (False, True):
@@ -290,6 +348,7 @@ def test_lambda_walks_match_their_recursive_versions(seed):
     t = mutate_lambda(rng, s)
     for q in (s, t):
         assert_same_maps(rng, q)
+        assert_successive_renamings(rng, q)
         assert resolve_lambda(q) == reference.resolve_lambda(q)
         assert lam.declarations_of(q) == reference.lam_declarations_of(q)
         for labels in (False, True):
