@@ -16,7 +16,7 @@ from typing import Callable
 
 from . import fix, lam, simpl, statemachine
 from .graph import NameGraph, Resolver, alpha_equiv_relabel, to_dot
-from .term import ParseError, Term
+from .term import ParseError, Term, spellings
 
 EXIT_PARSE = 1
 EXIT_IO = 2
@@ -79,6 +79,7 @@ def _emit_graphs(
     gs: NameGraph,
     target: Term,
     result: fix.FixResult,
+    capture: fix.CaptureSet,
 ) -> None:
     """Write the source graph and the graphs the repair loop resolved."""
     base = Path(args.input)
@@ -86,7 +87,6 @@ def _emit_graphs(
     Path(paths[0]).write_text(to_dot(gs, source, title="source"))
     steps = result.trace.steps
     graphs = [s.graph for s in steps] + [result.graph]
-    capture = steps[0].capture if steps else fix.find_capture(gs, graphs[0])
     Path(paths[1]).write_text(
         to_dot(
             graphs[0],
@@ -102,13 +102,6 @@ def _emit_graphs(
     print("wrote " + ", ".join(paths), file=sys.stderr)
 
 
-def _print_trace(result: fix.FixResult) -> None:
-    if result.trace.steps:
-        print(result.trace.format(), file=sys.stderr)
-    else:
-        print("no capture; output unchanged", file=sys.stderr)
-
-
 def _run_fixing(
     args: argparse.Namespace, source: Term, gs: NameGraph, target: Term
 ) -> None:
@@ -116,12 +109,21 @@ def _run_fixing(
     if args.no_fix:
         gt = simpl.SIMPL_RESOLVER.resolve(target)
         result = fix.FixResult(target, fix.FixTrace(), gt)
+        capture = fix.find_capture(gs, gt)
     else:
         result = fix.name_fix(gs, target, simpl.SIMPL_RESOLVER)
+        steps = result.trace.steps
+        capture = steps[0].capture if steps else fix.CaptureSet(frozenset())
     if args.trace:
-        _print_trace(result)
+        if result.trace.steps:
+            message = result.trace.format()
+        elif capture:
+            message = f"capture={capture.format()}; repair skipped (--no-fix)"
+        else:
+            message = "no capture; output unchanged"
+        print(message, file=sys.stderr)
     if args.emit_graphs:
-        _emit_graphs(args, source, gs, target, result)
+        _emit_graphs(args, source, gs, target, result, capture)
     print(simpl.pretty_simpl(result.term, show_labels=args.debug_labels), end="")
 
 
@@ -130,6 +132,12 @@ def _substitute(args: argparse.Namespace, p: Term, gs: NameGraph) -> Term:
         repl = simpl.parse_simpl_exp(args.replacement)
     except simpl.ParseError as exc:
         raise CliError(f"replacement: {exc}", EXIT_PARSE) from exc
+    pinned = spellings(repl)
+    if pinned.keys() & gs.labels:  # a pin shares a label only when spelled alike
+        for v, text in spellings(p).items():
+            if pinned.get(v, text) != text:
+                clash = f"label {v!r} is spelled {pinned[v]!r} here but {text!r} in {args.input}"
+                raise CliError(f"replacement: {clash}", EXIT_IO)
     return simpl.subst_prog(p, args.name, repl)
 
 

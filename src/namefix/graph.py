@@ -4,8 +4,8 @@ A name graph pairs the set of labels occurring in a program with the set of
 binding edges from reference labels to the declaration labels that bind
 them. Transformations may duplicate a label, and the duplicated occurrences
 can end up in different scopes, so the edges form a relation rather than a
-function. Language front ends supply a resolver that computes this graph;
-everything downstream is language-independent.
+function. A language front end states its binding forms, from which
+`resolve_lexical` computes this graph; the rest is language-independent.
 """
 
 from __future__ import annotations
@@ -16,11 +16,15 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .term import (
+    Compound,
     Label,
     Name,
+    Pairs,
     Term,
+    descend,
     label_equiv,
     lockstep,
+    note_spelling,
     rename,
     show_name,
     spellings,
@@ -38,7 +42,9 @@ class NameGraph:
         edges: Mapping[Label, Label] | Iterable[Edge],
     ) -> None:
         object.__setattr__(self, "labels", frozenset(labels))
-        pairs = edges.items() if isinstance(edges, Mapping) else edges
+        # Not isinstance(edges, Mapping): that ABC check costs about a tenth
+        # of resolving a small lambda term.
+        pairs = edges.items() if hasattr(edges, "items") else edges
         object.__setattr__(self, "edges", frozenset(pairs))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -104,6 +110,41 @@ def pick_declaration(candidates: Sequence[Label], ref: Label) -> Label:
     """The resolvers' rule for same-spelled duplicate declarations: the one
     carrying the reference's id, else the last one."""
     return next((c for c in candidates if c.id == ref.id), candidates[-1])
+
+
+def resolve_lexical(
+    p: Term, scopes: Callable[[Compound, dict[str, Label]], Pairs], top: Iterable[Name]
+) -> NameGraph:
+    """The name graph of p under a language's binding forms. `scopes(c, env)`
+    pairs each child of the compound c with its environment (spelling ->
+    visible declaration), or with None if it is a declaration. A reference
+    binds by its environment, else to a `top` declaration (visible everywhere)
+    by `pick_declaration`, else to nothing. Raises InconsistentLabel."""
+    top_decls: dict[str, list[Label]] = {}
+    for n in top:
+        top_decls.setdefault(n.text, []).append(n.label)
+    edges: set[Edge] = set()
+    spell: dict[Label, str] = {}
+
+    def rule(t: Term, env: dict[str, Label] | None) -> Pairs:
+        kind = t.__class__
+        if kind is Name:
+            label, text = t.label, t.text
+            if spell.setdefault(label, text) != text:
+                note_spelling(spell, t)  # raises InconsistentLabel
+            if env is not None:
+                decl = env.get(text)
+                if decl is None:
+                    candidates = top_decls.get(text)
+                    if not candidates:
+                        return ()
+                    decl = pick_declaration(candidates, label)
+                edges.add((label, decl))
+            return ()
+        return scopes(t, env) if kind is Compound else ()
+
+    descend(p, {}, rule)
+    return NameGraph(spell, edges)
 
 
 def is_bipartite(g: NameGraph) -> bool:

@@ -6,10 +6,11 @@ suites; there is deliberately no evaluator.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import attrgetter
 
 from . import term
-from .graph import NameGraph, Resolver
+from .graph import NameGraph, Resolver, resolve_lexical
 from .term import (
     Compound,
     Const,
@@ -19,11 +20,8 @@ from .term import (
     Scanner,
     Term,
     compound,
-    descend,
     fold,
-    note_spelling,
     operand,
-    scoped,
     show_name,
     subterms,
     tag,
@@ -105,31 +103,20 @@ def parse_lambda(src: str) -> Term:
     return _Parser(src).parse(_Parser.parse_exp)
 
 
+def scopes(t: Compound, env: dict[str, Label]) -> Pairs:
+    """Binding forms: a lambda's binder is a declaration, visible in its
+    body, where it shadows an outer binder of equal spelling."""
+    k = tag(t)
+    if k == "lam":
+        binder = t.children[1]
+        return ((binder, None), (t.children[2], {**env, binder.text: binder.label}))
+    return zip(t.children[1:] if k else t.children, repeat(env))
+
+
 def resolve_lambda(p: Term) -> NameGraph:
     """Lexical scoping: a reference binds to the innermost enclosing binder
     of equal spelling; unbound names get no edge."""
-    edges: set[tuple[Label, Label]] = set()
-    spell: dict[Label, str] = {}
-
-    # The environment of a binder is None.
-    def scope(t: Term, env: dict[str, Label] | None) -> Pairs:
-        kind = t.__class__
-        if kind is Name:
-            note_spelling(spell, t)
-            decl = None if env is None else env.get(t.text)
-            if decl is not None:
-                edges.add((t.label, decl))
-            return ()
-        if kind is Const:
-            return ()
-        k = tag(t)
-        if k == "lam":
-            binder = t.children[1]
-            return ((binder, None), (t.children[2], {**env, binder.text: binder.label}))
-        return scoped(t.children[1:] if k else t.children, env)
-
-    descend(p, {}, scope)
-    return NameGraph(spell, edges)
+    return resolve_lexical(p, scopes, ())
 
 
 LAMBDA_RESOLVER = Resolver("lambda", resolve_lambda)

@@ -10,12 +10,13 @@ pass against the source program's name graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from operator import attrgetter
 from typing import Mapping, Sequence
 
 from . import term
 from .fix import name_fix
-from .graph import NameGraph, Resolver, pick_declaration
+from .graph import NameGraph, Resolver, resolve_lexical
 from .term import (
     END,
     Compound,
@@ -30,8 +31,6 @@ from .term import (
     descend,
     fold,
     iter_names,
-    note_spelling,
-    scoped,
     share,
     operand,
     show_name,
@@ -297,56 +296,32 @@ def parse_simpl_exp(src: str) -> Term:
 # ---------------------------------------------------------------------------
 # Name resolution
 
+def scopes(e: Compound, env: dict[str, Label]) -> Pairs:
+    """Binding forms, in one namespace. A let binds its body only; a local
+    function's name is visible in its own definition and the let body; a
+    function's parameters are visible in its body. Function names,
+    parameters and let binders are declarations."""
+    t = tag(e)
+    if t == "let":
+        binder = e.children[1]
+        inner = {**env, binder.text: binder.label}
+        return ((binder, None), (e.children[2], env), (e.children[3], inner))
+    if t == "letfun":
+        _, fn, body = e.children
+        n = fn.children[1]
+        inner = {**env, n.text: n.label}
+        return ((fn, inner), (body, inner))
+    if t == "fdef":
+        _, n, params, body = e.children
+        body_env = {**env, **{q.text: q.label for q in params.children[1:]}}
+        return ((n, None), *zip(params.children[1:], repeat(None)), (body, body_env))
+    return zip(e.children[1:] if t else e.children, repeat(env))
+
+
 def resolve_simpl(p: Term) -> NameGraph:
-    """Single-namespace lexical scoping.
-
-    Top-level function names are visible everywhere (mutual recursion);
-    among duplicates of one spelling the last declaration wins, except that
-    a reference carrying the same label as one of the duplicates binds to
-    that one. Let binds its body only; a local function name is visible in
-    its own body and the let body.
-    """
-    top: dict[str, list[Label]] = {}
-    for f in prog_fdefs(p):
-        n = fdef_name(f)
-        top.setdefault(n.text, []).append(n.label)
-    edges: set[tuple[Label, Label]] = set()
-    spell: dict[Label, str] = {}
-
-    # The environment of a declaration is None.
-    def scope(e: Term, env: dict[str, Label] | None) -> Pairs:
-        kind = e.__class__
-        if kind is Name:
-            note_spelling(spell, e)
-            if env is not None:
-                decl = env.get(e.text)
-                if decl is None:
-                    candidates = top.get(e.text)
-                    if not candidates:
-                        return ()
-                    decl = pick_declaration(candidates, e.label)
-                edges.add((e.label, decl))
-            return ()
-        if kind is Const:
-            return ()
-        t = tag(e)
-        if t == "let":
-            binder = e.children[1]
-            inner = {**env, binder.text: binder.label}
-            return ((binder, None), (e.children[2], env), (e.children[3], inner))
-        if t == "letfun":
-            _, fn, body = e.children
-            n = fn.children[1]
-            inner = {**env, n.text: n.label}
-            return ((fn, inner), (body, inner))
-        if t == "fdef":
-            _, n, params, body = e.children
-            body_env = {**env, **{q.text: q.label for q in params.children[1:]}}
-            return ((n, None), *scoped(params.children[1:], None), (body, body_env))
-        return scoped(e.children[1:] if t else e.children, env)
-
-    descend(p, {}, scope)
-    return NameGraph(spell, edges)
+    """Single-namespace lexical scoping (`scopes`). Top-level function
+    names are visible everywhere (mutual recursion)."""
+    return resolve_lexical(p, scopes, map(fdef_name, prog_fdefs(p)))
 
 
 SIMPL_RESOLVER = Resolver("simpl", resolve_simpl)
@@ -356,13 +331,15 @@ def declarations_of(p: Term) -> frozenset[Label]:
     """Labels in declaration position: function names, parameters, and
     let/letfun binders."""
     out: set[Label] = set()
-    for e in subterms(p):
-        t = tag(e)
-        if t == "fdef":
-            out.add(fdef_name(e).label)
-            out.update(param.label for param in fdef_params(e))
-        elif t == "let":
-            out.add(e.children[1].label)
+
+    def rule(e: Term, env: dict[str, Label] | None) -> Pairs:
+        if e.__class__ is Compound:
+            return scopes(e, {})  # only None is read: no binder copies the scope above it
+        if env is None:
+            out.add(e.label)
+        return ()
+
+    descend(p, {}, rule)
     return frozenset(out)
 
 
@@ -533,8 +510,9 @@ def eval_simpl(p: Term, fuel: int = 100_000) -> object:
 
 def subst_exp_many(e: Term, sub: Mapping[str, Term]) -> Term:
     """Simultaneous name-driven substitution. Deliberately capturing:
-    shadowed binders cut off substitution, nothing is renamed. Declared
-    names and the names of called functions are never substituted."""
+    shadowed binders cut off substitution, nothing is renamed. A reference
+    is replaced, unless it names a called function or a local binder above
+    it (`scopes`; top-level functions do not count) declares its spelling."""
     if not sub:
         return e
     # What replaces a name depends on the binders above it, which descend
@@ -542,31 +520,20 @@ def subst_exp_many(e: Term, sub: Mapping[str, Term]) -> Term:
     # same order, as long as the rule below visits every name in order.
     replacements: list[Term] = []
 
-    def scope(x: Term, sub: Mapping[str, Term]) -> Pairs:
+    def rule(x: Term, env: dict[str, Label] | None) -> Pairs:
         kind = x.__class__
         if kind is Name:
-            replacements.append(sub.get(x.text, x))
+            replacements.append(x if env is None or x.text in env else sub.get(x.text, x))
             return ()
         if kind is Const:
             return ()
-        t = tag(x)
-        if t == "let":
-            _, binder, init, body = x.children
-            inner = {y: r for y, r in sub.items() if y != binder.text}
-            return ((binder, {}), (init, sub), (body, inner))
-        if t == "letfun":
-            _, fn, body = x.children
-            inner = {y: r for y, r in sub.items() if y != fn.children[1].text}
-            return ((fn, inner), (body, inner))
-        if t == "fdef":
-            _, name, params, body = x.children
-            shadowed = {q.text for q in params.children[1:]}
-            return ((name, {}), (params, {}), (body, {y: r for y, r in sub.items() if y not in shadowed}))
-        if t == "call":
-            return ((x.children[1], {}), *scoped(x.children[2:], sub))
-        return scoped(x.children[1:] if t else x.children, sub)
+        if len(env) > len(sub):  # only spellings in sub matter: keep the scope that small
+            env = {y: d for y, d in env.items() if y in sub}
+        if tag(x) == "call":
+            return ((x.children[1], None), *zip(x.children[2:], repeat(env)))
+        return scopes(x, env)
 
-    descend(e, sub, scope)
+    descend(e, {}, rule)
     substituted = iter(replacements)
     return fold(e, lambda _: next(substituted))
 

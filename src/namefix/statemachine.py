@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import term
 from .fix import name_fix
-from .graph import NameGraph, Resolver, pick_declaration
+from .graph import NameGraph, Resolver, resolve_lexical
 from .simpl import (
     SIMPL_RESOLVER,
     call,
@@ -31,10 +31,10 @@ from .term import (
     LabelAllocator,
     Name,
     NameFactory,
+    Pairs,
     PinError,
     Term,
     compound,
-    note_spelling,
     show_name,
 )
 
@@ -151,25 +151,20 @@ def pretty_stm(m: Term, show_labels: bool = False) -> str:
 # ---------------------------------------------------------------------------
 # Name resolution
 
+def scopes(m: Compound, env: dict[str, Label]) -> Pairs:
+    """Binding forms of a machine, all at its root: a state's name is a
+    declaration, and its transition targets are references."""
+    pairs: list = []
+    for s in m.children[1:]:
+        pairs.append((s.children[1], None))
+        pairs += [(t.children[2], env) for t in s.children[2:]]
+    return pairs
+
+
 def resolve_machine(m: Term) -> NameGraph:
-    """Flat namespace of state names. A transition target binds to the state
-    of equal spelling; among duplicates the last one wins, unless the
-    reference carries the label of one of them."""
-    decls: dict[str, list[Label]] = {}
-    for s in machine_states(m):
-        n = state_name(s)
-        decls.setdefault(n.text, []).append(n.label)
-    edges: set[tuple[Label, Label]] = set()
-    spell: dict[Label, str] = {}
-    for s in machine_states(m):
-        note_spelling(spell, state_name(s))
-        for t in state_transitions(s):
-            target = trans_target(t)
-            note_spelling(spell, target)
-            candidates = decls.get(target.text)
-            if candidates:
-                edges.add((target.label, pick_declaration(candidates, target.label)))
-    return NameGraph(spell, edges)
+    """Flat namespace of state names: a transition target binds to a state
+    of equal spelling (`scopes`)."""
+    return resolve_lexical(m, scopes, map(state_name, machine_states(m)))
 
 
 STM_RESOLVER = Resolver("statemachine", resolve_machine)

@@ -9,11 +9,11 @@ they copy names and allocate fresh ones for names they invent.
 from __future__ import annotations
 
 import re
+import sys
 import threading
 from dataclasses import dataclass
 from enum import Enum
 import operator
-from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 
@@ -36,7 +36,7 @@ class InconsistentLabel(TermError):
 
 class PinError(TermError):
     """Source text pins one label id on two name occurrences, or pins an id
-    with more digits than `int` reads."""
+    so long that the ids after it could not be printed."""
 
 
 class ParseError(Exception):
@@ -190,6 +190,15 @@ def fresh_source_label() -> Label:
 
 
 _PIN = re.compile(r"@('?)(\d+)")
+# The most digits an int prints with (0: no limit, as before Python 3.10.7).
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _pin_id(digits: str) -> int | None:
+    """The id a pin spells, or None when the ids after it could not be
+    printed: it has as many digits as an int prints with, or more."""
+    limit = _MAX_DIGITS()
+    return int(digits) if not limit or len(digits) < limit else None
 
 
 class NameFactory:
@@ -201,13 +210,9 @@ class NameFactory:
     """
 
     def __init__(self, src: str) -> None:
-        top = 0
-        for m in _PIN.finditer(src):
-            try:
-                top = max(top, int(m.group(2)))
-            except ValueError:  # too many digits: make() rejects it as a name
-                pass
-        _SESSION.reserve(top)
+        # A pin too long is left out; make() rejects it as a name.
+        pins = [_pin_id(m.group(2)) for m in _PIN.finditer(src)]
+        _SESSION.reserve(max((pin for pin in pins if pin is not None), default=0))
         self._used: set[int] = set()
 
     def make(self, text: str) -> Name:
@@ -215,10 +220,9 @@ class NameFactory:
         m = _PIN.search(text)
         if m is None:
             return Name(text, fresh_source_label())
-        try:
-            pin = int(m.group(2))
-        except ValueError:
-            raise PinError(f"pinned label id too long ({len(m.group(2))} digits)") from None
+        pin = _pin_id(m.group(2))
+        if pin is None:
+            raise PinError(f"pinned label id too long ({len(m.group(2))} digits)")
         if pin in self._used:
             raise PinError(f"pinned label id {pin} used twice")
         self._used.add(pin)
@@ -351,11 +355,6 @@ class LabelAllocator:
 # `subterms`: they keep their own stack, so depth is bounded by memory only.
 
 Pairs = Iterable[tuple[Term, E]]
-
-
-def scoped(children: Iterable[Term], env: E) -> Pairs[E]:
-    """Each of `children` paired with the same environment."""
-    return zip(children, repeat(env))
 
 
 def descend(t: Term, env: E, rule: Callable[[Term, E], Pairs[E] | None]) -> bool:

@@ -5,7 +5,9 @@ call, which is the plain reading of the paper's definitions. The library
 answers the same queries from one spelling map per term and one index per
 graph; the differential suite in test_oracle.py requires both to agree.
 It also keeps the lambda lifting that derived its scoping by itself, as
-the oracle for the library's version, which reads it off the name graph.
+the oracle for the library's version, which reads it off the name graph,
+and the state-machine resolver as two loops over the states, as the oracle
+for the library's, which runs the shared `graph.resolve_lexical`.
 
 The tree walks below are plain recursive functions, one per walk, as the
 library had them before it ran every walk through the explicit-stack
@@ -46,6 +48,7 @@ from namefix.simpl import (
     prog_fdefs,
     prog_main,
 )
+from namefix.statemachine import machine_states, state_name, state_transitions, trans_target
 from namefix.term import (
     Compound,
     Const,
@@ -59,6 +62,7 @@ from namefix.term import (
     compound,
     fold,
     iter_names,
+    note_spelling,
     show_name,
     spellings,
     tag,
@@ -324,6 +328,27 @@ def lift_prog(p: Term, graph: NameGraph) -> Term:
     ]
     new_main = [go(e) for e in prog_main(p)]
     return prog(new_fdefs + lifted, new_main)
+
+
+# ---------------------------------------------------------------------------
+# The state-machine resolver with its own loops
+
+def resolve_machine(m: Term) -> NameGraph:
+    decls: dict[str, list[Label]] = {}
+    for s in machine_states(m):
+        n = state_name(s)
+        decls.setdefault(n.text, []).append(n.label)
+    edges: set[tuple[Label, Label]] = set()
+    spell: dict[Label, str] = {}
+    for s in machine_states(m):
+        note_spelling(spell, state_name(s))
+        for t in state_transitions(s):
+            target = trans_target(t)
+            note_spelling(spell, target)
+            candidates = decls.get(target.text)
+            if candidates:
+                edges.add((target.label, pick_declaration(candidates, target.label)))
+    return NameGraph(spell, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -354,3 +354,43 @@ class TestErrors:
         assert main(["lift", str(p)]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err == f"namefix: {p}: integer literal too long (4400 digits) (line 1, column 16)\n"
+
+
+class TestNoFixTrace:
+    """--trace under --no-fix reports what the naive output captures."""
+
+    def test_prints_the_naive_capture_set(self, tmp_path, capsys):
+        # Every name pinned, so that the CLI's parse and the one below
+        # give the same labels.
+        src = statemachine.pretty_stm(statemachine.parse_stm(DOOR_RENAMED), show_labels=True)
+        path = tmp_path / "door.stm"
+        path.write_text(src)
+        assert main(["compile", "--no-fix", "--trace", str(path)]) == 0
+        m = statemachine.parse_stm(src)
+        target = statemachine.compile_machine(m)
+        capture = find_capture(statemachine.resolve_machine(m), simpl.resolve_simpl(target))
+        assert capture
+        err = capsys.readouterr().err
+        assert err == f"capture={capture.format()}; repair skipped (--no-fix)\n"
+
+    def test_no_capture(self, door, capsys):
+        assert main(["compile", "--no-fix", "--trace", str(door)]) == 0
+        assert capsys.readouterr().err == "no capture; output unchanged\n"
+
+
+class TestSubstPins:
+    PROGRAM = "fun f@1(x@2) = x@3 + y@4;\nf@5(y@6)\n"
+
+    def test_pin_spelled_differently_is_a_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "p.spl"
+        p.write_text(self.PROGRAM)
+        assert main(["subst", str(p), "y", "n@1 + 1"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == f"namefix: replacement: label @1 is spelled 'n' here but 'f' in {p}\n"
+
+    def test_pin_spelled_alike_shares_the_label(self, tmp_path, capsys):
+        p = tmp_path / "p.spl"
+        p.write_text(self.PROGRAM)
+        assert main(["subst", "--no-fix", "--debug-labels", str(p), "y", "f@1 + 1"]) == 0
+        out = capsys.readouterr().out
+        assert out == "fun f@1(x@2) = x@3 + (f@1 + 1);\nf@5(f@1 + 1)\n"

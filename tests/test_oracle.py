@@ -8,6 +8,7 @@ final graph.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +32,19 @@ from namefix.simpl import (
     resolve_simpl,
     subst_prog,
 )
-from namefix.statemachine import compile_machine, parse_stm, resolve_machine
+from namefix.statemachine import (
+    compile_machine,
+    machine_states,
+    parse_stm,
+    pretty_stm,
+    resolve_machine,
+    state_name,
+    state_transitions,
+    trans_target,
+)
 from namefix.term import (
     Compound,
+    InconsistentLabel,
     Label,
     LabelIndex,
     Name,
@@ -48,6 +59,7 @@ from namefix.term import (
 )
 
 from gen import (
+    ADVERSARIAL_STATE_NAMES,
     gen_dispatch_clash_machine,
     gen_lambda,
     gen_machine_source,
@@ -149,6 +161,53 @@ def test_many_captures_in_one_round(n):
     for prior, step, ref_step in zip(before, got.trace.steps, want.trace.steps):
         pair = comp_renaming(gs, step.graph, spellings(prior), step.capture)
         assert pair == ref_step.renaming  # reference.comp_renaming on the same graphs
+
+
+def machine_resolver_inputs(seed):
+    """A generated machine with one more state, spelled adversarially or
+    like another state; the same machine with every label pinned, a third
+    of them as synthesized; and the machine with a transition target
+    carrying the label of a state spelled like it."""
+    rng = random.Random(seed)
+    src = gen_machine_source(rng)
+    names = re.findall(r"^state (\S+)$", src, re.M)
+    extra = rng.choice(ADVERSARIAL_STATE_NAMES + names)
+    m = parse_stm(src + f"state {extra}\n  go => {rng.choice(names + [extra])}\n")
+    yield m
+
+    def tick(pin):
+        return f"@'{pin.group(1)}" if rng.random() < 0.3 else pin.group()
+
+    yield parse_stm(re.sub(r"@(\d+)", tick, pretty_stm(m, show_labels=True)))
+    states = [state_name(s) for s in machine_states(m)]
+    targets = [trans_target(t) for s in machine_states(m) for t in state_transitions(s)]
+    target = rng.choice(targets)
+    alike = [n for n in states if n.text == target.text]
+    if alike:
+        decl = rng.choice(alike)
+        yield fold(m, lambda n: Name(n.text, decl.label) if n is target else n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_machine_resolver_matches_its_loops(seed):
+    for m in machine_resolver_inputs(seed):
+        assert resolve_machine(m) == reference.resolve_machine(m)
+
+
+@pytest.mark.parametrize("n", [10, 50, 100])
+def test_machine_resolver_on_many_clash_machines(n):
+    m = parse_stm(gen_dispatch_clash_machine(random.Random(n), n))
+    assert resolve_machine(m) == reference.resolve_machine(m)
+
+
+def test_machine_resolvers_reject_a_label_spelled_two_ways():
+    m = parse_stm("state a\n  go => b\nstate b\n  go => a\n")
+    a, b = (state_name(s) for s in machine_states(m))
+    corrupt = fold(m, lambda n: Name(n.text, a.label) if n is b else n)
+    for resolve in (resolve_machine, reference.resolve_machine):
+        with pytest.raises(InconsistentLabel, match=r"^label @\d+ occurs as both 'a' and 'b'$"):
+            resolve(corrupt)
 
 
 def lbl(i: int, synth: bool) -> Label:

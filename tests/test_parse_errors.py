@@ -1,11 +1,13 @@
 """Parse errors of the three front ends: exact messages and locations, input
 too large for the parsers, and fuzzing (only a ParseError may escape)."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from namefix import lam, simpl, statemachine, term
+from namefix import cli, lam, simpl, statemachine, term
 
 PARSERS = {
     "spl": (simpl.parse_simpl, simpl.ParseError),
@@ -132,3 +134,43 @@ def test_fuzz_arbitrary_text(parser, src):
 def test_fuzz_token_text(parser, data):
     src = "".join(data.draw(st.lists(st.sampled_from(TOKENS[parser]), max_size=30)))
     _parses_or_raises_parse_error(parser, src)
+
+
+# Ids at least this long could not be printed, nor could the fresh ids the
+# session counter hands out after them.
+PIN_LIMIT = sys.get_int_max_str_digits()
+
+# parser, source with a pin of `digits` digits, printer, location of the pin
+PINNED = [
+    ("spl", "fun f(x@{}) = let fun g(y) = y + x in g(1);\nf(2)", simpl.pretty_simpl, {"line": 1, "col": 7}),
+    ("lam", "\\x@{}. x y", lam.pretty_lambda, {"pos": 1}),
+    ("stm", "state a\n  go => a@{}\n", statemachine.pretty_stm, {"line": 2}),
+]
+
+
+@pytest.fixture
+def session(monkeypatch):
+    """A session counter of this test's own: a long pin moves the counter
+    for every later parse in the process."""
+    monkeypatch.setattr(term, "_SESSION", term._Counter(term._SESSION.next_id()))
+
+
+@pytest.mark.parametrize("parser, src, pretty, location", PINNED, ids=[row[0] for row in PINNED])
+def test_pin_too_long_to_print_after(session, parser, src, pretty, location):
+    parse, error = PARSERS[parser]
+    with pytest.raises(error) as err:
+        parse(src.format("9" * PIN_LIMIT))
+    assert str(err.value).startswith(f"pinned label id too long ({PIN_LIMIT} digits) (")
+    assert {k: getattr(err.value, k) for k in location} == location
+    shorter = "9" * (PIN_LIMIT - 1)
+    assert f"@{shorter}" in pretty(parse(src.format(shorter)), show_labels=True)
+
+
+def test_pin_too_long_to_print_after_is_exit_1(session, tmp_path, capsys):
+    p = tmp_path / "p.spl"
+    p.write_text(PINNED[0][1].format("9" * PIN_LIMIT))
+    assert cli.main(["lift", "--debug-labels", str(p)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == f"namefix: {p}: pinned label id too long ({PIN_LIMIT} digits) (line 1, column 7)\n"
+    p.write_text(PINNED[0][1].format("9" * (PIN_LIMIT - 1)))
+    assert cli.main(["lift", "--debug-labels", str(p)]) == 0
