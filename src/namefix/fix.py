@@ -60,7 +60,7 @@ class CaptureSet:
     def format(self) -> str:
         parts = [
             f"{e.ref!r} -> {e.decl!r} ({e.kind.value})"
-            for e in sorted(self.edges, key=lambda e: (e.ref.id, e.decl.id))
+            for e in sorted(self.edges, key=lambda e: (e.ref, e.decl))
         ]
         return "{" + ", ".join(parts) + "}"
 
@@ -94,8 +94,8 @@ class FixTrace:
     def format(self) -> str:
         lines = []
         for i, step in enumerate(self.steps, start=1):
-            src = {f"{v!r}": s for v, s in sorted(step.renaming.pi_src.items(), key=lambda kv: kv[0].id)}
-            syn = {f"{v!r}": s for v, s in sorted(step.renaming.pi_syn.items(), key=lambda kv: kv[0].id)}
+            src = {f"{v!r}": s for v, s in sorted(step.renaming.pi_src.items())}
+            syn = {f"{v!r}": s for v, s in sorted(step.renaming.pi_syn.items())}
             lines.append(
                 f"iteration {i}: capture={step.capture.format()} "
                 f"pi_src={src} pi_syn={syn}"
@@ -137,16 +137,16 @@ def find_capture(gs: NameGraph, gt: NameGraph) -> CaptureSet:
     edges: set[CaptureEdge] = set()
     for v, target in gt.edges:
         # gs.counts_as_source(v), inline: this loop runs once per edge.
-        w = by_id.get(v.id)
+        w = by_id.get(v)
         if w is not None and w.provenance is v.provenance:
-            bound = decls.get(v.id)
+            bound = decls.get(v)
             if bound:
                 if target not in bound:
                     edges.add(CaptureEdge(v, target, CaptureKind.SOURCE_REBOUND))
             elif v != target:
                 edges.add(CaptureEdge(v, target, CaptureKind.SOURCE_FREE_CAPTURED))
         else:
-            w = by_id.get(target.id)
+            w = by_id.get(target)
             if w is not None and w.provenance is target.provenance:
                 edges.add(CaptureEdge(v, target, CaptureKind.SYNTHESIZED_CAPTURED))
     return CaptureSet(frozenset(edges))
@@ -170,20 +170,20 @@ def comp_renaming(
     by_id, _, refs = gs._index
     used = set(spell.values())  # every spelling of t, plus each fresh one assigned
     synthesized: dict[str, list[Label]] | None = None  # spelling -> labels, when needed
-    for v_d in sorted(capture.captured_declarations, key=lambda l: l.id):
+    for v_d in sorted(capture.captured_declarations):
         if gs.counts_as_source(v_d):
             if v_d not in pi_src:
                 fresh = gensym(spell[v_d], used)
                 pi_src[v_d] = fresh
                 used.add(fresh)
-                for v_r in refs.get(v_d.id, ()):
+                for v_r in refs.get(v_d, ()):
                     pi_src[v_r] = fresh
         elif v_d not in pi_syn:
             if synthesized is None:
                 synthesized = {}
                 for v in gt.labels:
                     # not gs.counts_as_source(v), inline: once per label
-                    w = by_id.get(v.id)
+                    w = by_id.get(v)
                     if w is None or w.provenance is not v.provenance:
                         synthesized.setdefault(spell[v], []).append(v)
             group = synthesized.get(spell[v_d])

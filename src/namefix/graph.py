@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .term import (
     Compound,
@@ -62,7 +62,7 @@ class NameGraph:
 
     def __repr__(self) -> str:
         edges = ", ".join(
-            f"{r!r}->{d!r}" for r, d in sorted(self.edges, key=lambda e: (e[0].id, e[1].id))
+            f"{r!r}->{d!r}" for r, d in sorted(self.edges)
         )
         return f"NameGraph(|V|={len(self.labels)}, {{{edges}}})"
 
@@ -77,21 +77,21 @@ class NameGraph:
     @cached_property
     def _index(
         self,
-    ) -> tuple[dict[int, Label], dict[int, frozenset[Label]], dict[int, list[Label]]]:
-        """Lookups keyed by label id (labels are equal by id): the label, a
-        reference's declarations and a declaration's references. Built on
-        the first query: graphs only kept, like each FixStep's, never build
-        one."""
-        decls: dict[int, set[Label]] = {}
-        refs: dict[int, list[Label]] = {}
+    ) -> tuple[dict[Label, Label], dict[Label, frozenset[Label]], dict[Label, list[Label]]]:
+        """Lookups keyed by label, so by id: the graph's label of that id (with
+        its provenance), a reference's declarations and a declaration's
+        references. Built on the first query: graphs only kept, like each
+        FixStep's, never build one."""
+        decls: dict[Label, set[Label]] = {}
+        refs: dict[Label, list[Label]] = {}
         for r, d in self.edges:
-            decls.setdefault(r.id, set()).add(d)
-            refs.setdefault(d.id, []).append(r)
-        by_id = {v.id: v for v in self.labels}
+            decls.setdefault(r, set()).add(d)
+            refs.setdefault(d, []).append(r)
+        by_id = {v: v for v in self.labels}
         return by_id, {r: frozenset(ds) for r, ds in decls.items()}, refs
 
     def bindings(self, ref: Label) -> frozenset[Label]:
-        return self._index[1].get(ref.id, frozenset())
+        return self._index[1].get(ref, frozenset())
 
     def find(self, label_id: int) -> Label | None:
         return self._index[0].get(label_id)
@@ -102,14 +102,8 @@ class NameGraph:
         Membership is by id, but a provenance flip (a marked name) makes a
         label count as synthesized even when its id is known to this graph.
         """
-        w = self.find(v.id)
+        w = self.find(v)
         return w is not None and w.provenance is v.provenance
-
-
-def pick_declaration(candidates: Sequence[Label], ref: Label) -> Label:
-    """The resolvers' rule for same-spelled duplicate declarations: the one
-    carrying the reference's id, else the last one."""
-    return next((c for c in candidates if c.id == ref.id), candidates[-1])
 
 
 def resolve_lexical(
@@ -119,10 +113,15 @@ def resolve_lexical(
     pairs each child of the compound c with its environment (spelling ->
     visible declaration), or with None if it is a declaration. A reference
     binds by its environment, else to a `top` declaration (visible everywhere)
-    by `pick_declaration`, else to nothing. Raises InconsistentLabel."""
-    top_decls: dict[str, list[Label]] = {}
+    of its spelling, else to nothing. Of several such, it binds to the first
+    that carries its label, else to the last. Raises InconsistentLabel."""
+    # Per spelling, the last top declaration and the first of each label:
+    # that rule as two lookups per reference.
+    last: dict[str, Label] = {}
+    first: dict[str, dict[Label, Label]] = {}
     for n in top:
-        top_decls.setdefault(n.text, []).append(n.label)
+        last[n.text] = n.label
+        first.setdefault(n.text, {}).setdefault(n.label, n.label)
     edges: set[Edge] = set()
     spell: dict[Label, str] = {}
 
@@ -135,10 +134,10 @@ def resolve_lexical(
             if env is not None:
                 decl = env.get(text)
                 if decl is None:
-                    candidates = top_decls.get(text)
-                    if not candidates:
+                    decl = last.get(text)
+                    if decl is None:
                         return ()
-                    decl = pick_declaration(candidates, label)
+                    decl = first[text].get(label, decl)
                 edges.add((label, decl))
             return ()
         return scopes(t, env) if kind is Compound else ()
@@ -162,11 +161,11 @@ def validate_graph(p: Term, g: NameGraph) -> list[Violation]:
     """Check g against p: exact label set and name agreement on every edge."""
     violations: list[Violation] = []
     spell = spellings(p)
-    for missing in sorted(spell.keys() - g.labels, key=lambda l: l.id):
+    for missing in sorted(spell.keys() - g.labels):
         violations.append(
             Violation("MissingLabel", f"label {missing!r} of program not in graph")
         )
-    for extra in sorted(g.labels - spell.keys(), key=lambda l: l.id):
+    for extra in sorted(g.labels - spell.keys()):
         violations.append(
             Violation("ExtraLabel", f"graph label {extra!r} not in program")
         )
@@ -210,19 +209,18 @@ def alpha_equiv_relabel(p1: Term, p2: Term, r: Resolver) -> bool:
     Useful when the two programs were produced by independent parses, so
     their labels cannot be compared directly.
     """
-    mapping: dict[int, int] = {}
-    reverse: dict[int, int] = {}
+    mapping: dict[Label, Label] = {}
+    reverse: dict[Label, Label] = {}
 
     def bijective(a: Name, b: Name) -> bool:
-        fwd = mapping.setdefault(a.label.id, b.label.id)
-        bwd = reverse.setdefault(b.label.id, a.label.id)
-        return fwd == b.label.id and bwd == a.label.id
+        fwd = mapping.setdefault(a.label, b.label)
+        bwd = reverse.setdefault(b.label, a.label)
+        return fwd == b.label and bwd == a.label
 
     if not lockstep(p1, p2, bijective):
         return False
-    edges1 = {(r1.id, d1.id) for r1, d1 in r.resolve(p1).edges}
-    edges2 = {(r2.id, d2.id) for r2, d2 in r.resolve(p2).edges}
-    return {(mapping[a], mapping[b]) for a, b in edges1} == edges2
+    edges1 = r.resolve(p1).edges
+    return {(mapping[a], mapping[b]) for a, b in edges1} == r.resolve(p2).edges
 
 
 def sub_alpha_equiv(p1: Term, p2: Term, g: NameGraph) -> bool:
@@ -242,11 +240,11 @@ def sub_alpha_equiv(p1: Term, p2: Term, g: NameGraph) -> bool:
             if (spell1[ref] == spell1[decl]) != (spell2[ref] == spell2[decl]):
                 return False
     outside = [v for v in common if v not in g.labels]
-    partition1: dict[str, set[int]] = {}
-    partition2: dict[str, set[int]] = {}
+    partition1: dict[str, set[Label]] = {}
+    partition2: dict[str, set[Label]] = {}
     for v in outside:
-        partition1.setdefault(spell1[v], set()).add(v.id)
-        partition2.setdefault(spell2[v], set()).add(v.id)
+        partition1.setdefault(spell1[v], set()).add(v)
+        partition2.setdefault(spell2[v], set()).add(v)
     return sorted(map(sorted, partition1.values())) == sorted(
         map(sorted, partition2.values())
     )
@@ -280,7 +278,7 @@ def check_resolver_assumptions(
     for bad in validate_graph(p, g1):
         report.violations.append(f"base graph invalid: {bad.kind}: {bad.message}")
     spell_p = spellings(p)
-    labels = sorted(spell_p, key=lambda l: l.id)
+    labels = sorted(spell_p)
     base_names = sorted(set(spell_p.values()))
     pool = base_names + [f"v{k}" for k in range(max(2, len(base_names)))]
 
@@ -351,14 +349,14 @@ def to_dot(
         lines.append(f'  label="{title}";')
     lines.append("  node [fontname=monospace];")
     spell = spellings(p)
-    for v in sorted(g.labels, key=lambda l: l.id):
+    for v in sorted(g.labels):
         text = show_name(Name(spell.get(v, "?"), v))
         shape = "box" if v in decls else "ellipse"
         style = ', style=filled, fillcolor="gray80"' if v.synthesized else ""
         lines.append(f'  n{v.id} [label="{text}", shape={shape}{style}];')
-    capture_pairs = {(ref.id, decl.id) for ref, decl in capture}
-    for ref, decl in sorted(g.edges, key=lambda e: (e[0].id, e[1].id)):
-        style = " [style=dashed]" if (ref.id, decl.id) in capture_pairs else ""
+    capture_pairs = set(capture)
+    for ref, decl in sorted(g.edges):
+        style = " [style=dashed]" if (ref, decl) in capture_pairs else ""
         lines.append(f"  n{ref.id} -> n{decl.id}{style};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -555,13 +555,13 @@ def _relabel_copy(body: Term, graph: NameGraph, alloc: LabelAllocator) -> Term:
     """Copy a function body for one call site: declarations inside the copy
     and the references bound to them get one fresh label per original."""
     fresh: dict[Label, Label] = {
-        d: alloc.fresh() for d in sorted(declarations_of(body), key=lambda l: l.id)
+        d: alloc.fresh() for d in sorted(declarations_of(body))
     }
 
     def relabel(n: Name) -> Name:
         new = fresh.get(n.label)
         if new is None:
-            for bound in sorted(graph.bindings(n.label), key=lambda l: l.id):
+            for bound in sorted(graph.bindings(n.label)):
                 if bound in fresh:
                     new = fresh[bound]
                     break
@@ -585,7 +585,7 @@ def inline_prog(p: Term, fname: str, graph: NameGraph) -> Term:
         raise UnknownFunction(fname)
     target_label = fdef_name(target).label
     params = fdef_params(target)
-    alloc = LabelAllocator.after(p)
+    alloc = LabelAllocator.after(graph.labels)
 
     # Post-order, so a call's arguments are expanded before the call is.
     def expand(e: Compound, parts: list[Term]) -> Term:
@@ -648,7 +648,7 @@ def lift_prog(p: Term, graph: NameGraph) -> Term:
 
     spell = spellings(p)
     extra_args: dict[Label, list[Name]] = {
-        f: [Name(spell[d], d) for d in sorted(needed, key=lambda l: l.id)]
+        f: [Name(spell[d], d) for d in sorted(needed)]
         for f, needed in need.items()
     }
 
@@ -666,7 +666,7 @@ def lift_prog(p: Term, graph: NameGraph) -> Term:
         elif t == "call":
             fn_name = e.children[1]
             assert isinstance(fn_name, Name)
-            for bound in sorted(graph.bindings(fn_name.label), key=lambda l: l.id):
+            for bound in sorted(graph.bindings(fn_name.label)):
                 if bound in extra_args:
                     return Compound((*parts, *extra_args[bound]))
         elif t == "prog":

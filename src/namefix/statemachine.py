@@ -35,6 +35,7 @@ from .term import (
     PinError,
     Term,
     compound,
+    labels_of,
     show_name,
 )
 
@@ -183,7 +184,7 @@ def compile_machine(m: Term) -> Compound:
     invented names carry fresh labels; transition targets and state names
     keep their source labels.
     """
-    alloc = LabelAllocator.after(m)
+    alloc = LabelAllocator.after(labels_of(m))
     states = machine_states(m)
 
     def syn(text: str) -> Name:

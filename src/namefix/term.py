@@ -49,31 +49,42 @@ class ParseError(Exception):
         raise NotImplementedError
 
 
-@dataclass(frozen=True, eq=False)
-class Label:
-    """Unique identifier of a name occurrence group.
+class Label(int):
+    """Unique identifier of a name occurrence group: the label is its id.
 
-    Equality and hashing are by id only; provenance is carried alongside so
-    that names introduced by a transformation can be told apart from names
-    copied out of a source program.
+    Equality, hashing and order are the int's, so they run in C and ignore
+    provenance. Provenance, which tells names introduced by a transformation
+    apart from names copied out of a source program, is given by the class:
+    `Label` is source, and `Label(id, Provenance.SYNTHESIZED)` makes an
+    instance of a private subclass. Two consequences: `Label(3) == 3`, and
+    `Label(0)` is falsy, so code never tests a label for truth (write
+    `is None`).
     """
 
-    id: int
-    provenance: Provenance = Provenance.SOURCE
+    __slots__ = ()
+    provenance = Provenance.SOURCE
+    synthesized = False
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Label) and self.id == other.id
+    def __new__(cls, id: int, provenance: Provenance = Provenance.SOURCE) -> "Label":
+        return int.__new__(_Synthesized if provenance is Provenance.SYNTHESIZED else Label, id)
 
-    def __hash__(self) -> int:
-        return hash(self.id)
+    # The id as a plain int.
+    id = property(int.__int__)
 
-    @property
-    def synthesized(self) -> bool:
-        return self.provenance is Provenance.SYNTHESIZED
+    def __getnewargs__(self) -> tuple[int, Provenance]:
+        return int(self), self.provenance
 
     def __repr__(self) -> str:
-        tick = "'" if self.synthesized else ""
-        return f"@{tick}{self.id}"
+        return f"@{int.__repr__(self)}"
+
+
+class _Synthesized(Label):
+    __slots__ = ()
+    provenance = Provenance.SYNTHESIZED
+    synthesized = True
+
+    def __repr__(self) -> str:
+        return f"@'{int.__repr__(self)}"
 
 
 class Term:
@@ -332,17 +343,21 @@ class Scanner:
 class LabelAllocator:
     """Deterministic synthesized-label source for a single transformation.
 
-    Ids start right after the largest id of the input term, so two runs on
-    label-identical inputs allocate identical labels.
+    Ids start right after the largest id of the input's labels, so two runs
+    on label-identical inputs allocate identical labels.
     """
 
     def __init__(self, start: int) -> None:
         self._next = start
 
     @classmethod
-    def after(cls, t: Term) -> "LabelAllocator":
-        ids = [lbl.id for lbl in labels_of(t)]
-        return cls(max(ids, default=0) + 1)
+    def after(cls, labels: Iterable[Label] | Term) -> "LabelAllocator":
+        """Ids after the largest of `labels`, or of a term's labels. A
+        resolver's graph holds exactly its term's labels: pass
+        `graph.labels` where there is one, to skip a walk of the term."""
+        if isinstance(labels, Term):
+            labels = labels_of(labels)
+        return cls(max(labels, default=0) + 1)
 
     def fresh(self) -> Label:
         label = Label(self._next, Provenance.SYNTHESIZED)
@@ -514,8 +529,8 @@ class LabelIndex:
         # A holder above the root, so that the root is a position too.
         self._holder: Spine = [Compound((t,)), None, 0, 0]
         self.spelling: dict[Label, str] = {}
-        # label id -> spine, index, spine, index, ... of its occurrences
-        self._at: dict[int, list] = {}
+        # label -> spine, index, spine, index, ... of its occurrences
+        self._at: dict[Label, list] = {}
         spelling, at = self.spelling, self._at
         stack = [self._holder]
         while stack:
@@ -530,9 +545,9 @@ class LabelIndex:
                 elif kind is Name:
                     if spelling.setdefault(child.label, child.text) != child.text:
                         note_spelling(spelling, child)  # raises InconsistentLabel
-                    places = at.get(child.label.id)
+                    places = at.get(child.label)
                     if places is None:
-                        at[child.label.id] = [spine, i]
+                        at[child.label] = [spine, i]
                     else:
                         places += spine, i
 
@@ -553,7 +568,7 @@ class LabelIndex:
             if old is None or old == text:
                 continue
             spelling[label] = text
-            places = iter(self._at[label.id])
+            places = iter(self._at[label])
             for spine, i in zip(places, places):
                 entry = edited.get(id(spine))
                 if entry is None:

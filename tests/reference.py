@@ -29,10 +29,10 @@ from namefix.fix import (
     RenamingPair,
     gensym,
 )
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from namefix import term
-from namefix.graph import NameGraph, Resolver, pick_declaration
+from namefix.graph import NameGraph, Resolver
 from namefix.simpl import (
     CALL,
     FDEFS,
@@ -328,6 +328,15 @@ def lift_prog(p: Term, graph: NameGraph) -> Term:
     ]
     new_main = [go(e) for e in prog_main(p)]
     return prog(new_fdefs + lifted, new_main)
+
+
+# ---------------------------------------------------------------------------
+# The resolvers' pick among same-spelled top-level declarations, as a scan
+
+def pick_declaration(candidates: Sequence[Label], ref: Label) -> Label:
+    """The resolvers' rule for same-spelled duplicate declarations: the one
+    carrying the reference's id, else the last one."""
+    return next((c for c in candidates if c.id == ref.id), candidates[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,26 @@ class TestNameFixTraces:
         result = name_fix(resolve_lambda(s), s, LAMBDA_RESOLVER)
         assert result.term is s
 
+    @pytest.mark.parametrize(
+        "source, target, want",
+        [
+            # a source declaration labelled 0 captures a synthesized reference
+            (r"\x@1. (\x@0. x@2) x@3", r"\x@1. (\x@0. x@2 x@'4) x@3", r"\x1. (\x0. x0 x) x1"),
+            # a synthesized declaration labelled 0 captures a source name
+            (r"x@1 x@2", r"\x@'0. x@1 (\x@2. x@'3)", r"\x0. x (\x1. x0)"),
+            # a free source name labelled 0 is captured
+            (r"x@0 x@1", r"\x@'2. x@0 x@1", r"\x0. x x"),
+        ],
+    )
+    def test_capture_at_label_zero(self, source, target, want):
+        gs = resolve_lambda(parse_lambda(source))
+        t = parse_lambda(target)
+        result = name_fix(gs, t, LAMBDA_RESOLVER)
+        assert pretty_lambda(result.term) == want
+        assert any(0 in (e.ref, e.decl) for e in result.trace.steps[0].capture.edges)
+        expected = reference.name_fix(gs, t, LAMBDA_RESOLVER)
+        assert (result.term, result.trace, result.graph) == (expected.term, expected.trace, expected.graph)
+
     def test_trace_formats(self):
         gs = NameGraph({lbl(71), lbl(72)}, {})
         t = parse_lambda(r"\x@'73. x@71 (\x@72. x@'74)")

@@ -51,6 +51,7 @@ from namefix.term import (
     Provenance,
     descend,
     fold,
+    iter_names,
     label_equiv,
     mark,
     rename,
@@ -208,6 +209,65 @@ def test_machine_resolvers_reject_a_label_spelled_two_ways():
     for resolve in (resolve_machine, reference.resolve_machine):
         with pytest.raises(InconsistentLabel, match=r"^label @\d+ occurs as both 'a' and 'b'$"):
             resolve(corrupt)
+
+
+def with_top_level_duplicates(rng, p, tops, refs):
+    """p with references that carry the label of an earlier top-level
+    declaration spelled like them, then that term with two same-spelled
+    top-level declarations sharing a label id but not its provenance. In
+    both, every id is lowered by the least one, so one label is 0."""
+    alike = {}
+    for n in tops:
+        alike.setdefault(n.text, []).append(n)
+    duplicated = [ns for ns in alike.values() if len(ns) > 1]
+    relabel = {}  # id(name node) -> its new label
+    for r in refs:
+        group = alike.get(r.text, ())
+        if len(group) > 1 and rng.random() < 0.7:
+            relabel[id(r)] = rng.choice(group[:-1]).label
+    least = min(n.label.id for n in iter_names(p))
+
+    def shifted():
+        def name(n):
+            v = relabel.get(id(n), n.label)
+            return Name(n.text, Label(v.id - least, v.provenance))
+
+        return fold(p, name)
+
+    yield shifted()
+    if duplicated:
+        group = rng.choice(duplicated)
+        i, j = sorted(rng.sample(range(len(group)), 2))
+        first = group[i].label
+        flipped = Provenance.SOURCE if first.synthesized else Provenance.SYNTHESIZED
+        relabel[id(group[j])] = Label(first.id, flipped)
+        yield shifted()
+
+
+def typed(g):
+    """g's labels and edges with each label's provenance: graph equality
+    compares labels by id only."""
+    return (
+        sorted((v.id, v.synthesized) for v in g.labels),
+        sorted((r.id, r.synthesized, d.id, d.synthesized) for r, d in g.edges),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_top_level_pick_matches_the_scan(seed):
+    rng = random.Random(seed)
+    p = parse_simpl(gen_simpl_source(rng, n_fdefs=rng.randrange(3, 12)))
+    tops = [fdef_name(f) for f in prog_fdefs(p)]
+    declared = simpl.declarations_of(p)
+    refs = [n for n in iter_names(p) if n.label not in declared]
+    for q in with_top_level_duplicates(rng, p, tops, refs):
+        assert typed(resolve_simpl(q)) == typed(reference.resolve_simpl(q))
+    m = parse_stm(gen_machine_source(rng) + gen_machine_source(rng))
+    states = [state_name(s) for s in machine_states(m)]
+    targets = [trans_target(t) for s in machine_states(m) for t in state_transitions(s)]
+    for q in with_top_level_duplicates(rng, m, states, targets):
+        assert typed(resolve_machine(q)) == typed(reference.resolve_machine(q))
 
 
 def lbl(i: int, synth: bool) -> Label:

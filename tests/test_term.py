@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from namefix.term import (
     Const,
     InconsistentLabel,
     Label,
+    LabelIndex,
     LabelNotFound,
     Name,
     Provenance,
@@ -82,6 +85,64 @@ class TestLabel:
     def test_fresh_labels_distinct_at_scale(self):
         ids = {reference.fresh_label().id for _ in range(10_000)}
         assert len(ids) == 10_000
+
+
+ids = st.integers(0, 2**70)  # 0 included, and ids wider than a machine word
+provenances = st.sampled_from(list(Provenance))
+any_labels = st.builds(Label, ids, provenances)
+
+
+class TestLabelIsItsId:
+    @given(ids, provenances, provenances)
+    def test_equality_and_hash_by_id_across_provenance(self, i, p, q):
+        a, b = Label(i, p), Label(i, q)
+        assert a == b and hash(a) == hash(b) == hash(i)
+        assert a == i and i == a
+        assert a != Label(i + 1, p)
+        assert a.id == i and type(a.id) is int
+        assert {a: "x"}[b] == "x" and {i: "x"}[a] == "x"
+
+    @given(ids, provenances)
+    def test_text_unchanged(self, i, p):
+        a = Label(i, p)
+        tick = "'" if p is Provenance.SYNTHESIZED else ""
+        assert repr(a) == str(a) == f"{a}" == f"{a!r}" == "{}".format(a) == f"@{tick}{i}"
+        assert repr(Name("x", a)) == f"Name('x'@{tick}{i})"
+        assert a.provenance is p
+        assert a.synthesized is (p is Provenance.SYNTHESIZED)
+
+    @given(ids, provenances)
+    def test_copies_keep_class_and_provenance(self, i, p):
+        a = Label(i, p)
+        pickled = [pickle.loads(pickle.dumps(a, k)) for k in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for b in [copy.copy(a), copy.deepcopy(a), *pickled]:
+            assert type(b) is type(a) and b == a and b.provenance is p
+        named = pickle.loads(pickle.dumps(Name("x", a)))
+        assert named == Name("x", a) and named.label.provenance is p
+
+    @given(st.lists(any_labels, max_size=20))
+    def test_sorted_is_the_sort_by_id(self, labels):
+        by_id = sorted(labels, key=lambda l: l.id)
+        got = sorted(labels)
+        assert [(l.id, l.provenance) for l in got] == [(l.id, l.provenance) for l in by_id]
+
+    def test_label_zero_is_falsy_and_still_a_label(self):
+        zero = Label(0, Provenance.SYNTHESIZED)
+        assert not zero
+        assert zero is not None and zero.synthesized
+        assert labels_of(compound(Name("x", zero))) == {0}
+
+    @pytest.mark.parametrize("synth", [False, True])
+    def test_rename_and_label_index_respell_label_zero(self, synth):
+        t = compound(Name("x", lbl(0, synth)), compound(Name("x", lbl(0, synth)), Name("x", lbl(1))))
+        want = reference.rename(t, {lbl(0): "y"})
+        assert want == compound(Name("y", lbl(0)), compound(Name("y", lbl(0)), Name("x", lbl(1))))
+        assert rename(t, {lbl(0): "y"}) == want
+        index = LabelIndex(t)
+        assert index.spelling == {lbl(0): "x", lbl(1): "x"}
+        assert index.rename({lbl(0): "y"}) == want
+        assert index.spelling[lbl(0)] == "y"
+        assert index.rename({lbl(0): "z", lbl(1): "y"}) == reference.rename(want, {lbl(0): "z", lbl(1): "y"})
 
 
 # (term, queried label, its spelling or None when absent, or the error)
