@@ -151,6 +151,10 @@ NAME_AT_CASES = [
     (Name("x", lbl(1)), lbl(2), None),
     (compound(Name("a", lbl(1)), Name("b", lbl(1))), lbl(1), InconsistentLabel),
 ]
+# Case ids spelled out: a Label is an int, which pytest would otherwise name by value.
+NAME_AT_IDS = [
+    f"t{i}-v{i}-{getattr(want, '__name__', want)}" for i, (_, _, want) in enumerate(NAME_AT_CASES)
+]
 
 
 class TestNameAt:
@@ -168,7 +172,7 @@ class TestNameAt:
 
 
 class TestSpellings:
-    @pytest.mark.parametrize("t, v, expected", NAME_AT_CASES)
+    @pytest.mark.parametrize("t, v, expected", NAME_AT_CASES, ids=NAME_AT_IDS)
     def test_name_at_cases(self, t, v, expected):
         if expected is InconsistentLabel:
             with pytest.raises(InconsistentLabel):
