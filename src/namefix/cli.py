@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Subcommands cover the bundled transformations (state-machine compilation,
-substitution, inlining, lambda lifting) and two diagnostics (name-graph
-export, alpha-equivalence check). Input language is chosen by file
-extension: .stm, .spl, .lam.
+substitution, inlining, lambda lifting) and three diagnostics (name-graph
+export, alpha-equivalence check, resolver check). Input language is chosen
+by file extension: .stm, .spl, .lam.
+
+Exit codes: 0 success, 1 parse error, 2 I/O or usage error, 3 a check
+failed (programs not alpha-equivalent, or the resolver violates its
+contract on the input), 4 repair did not converge or internal error.
 """
 
 from __future__ import annotations
@@ -15,13 +19,24 @@ from pathlib import Path
 from typing import Callable
 
 from . import fix, lam, simpl, statemachine
-from .graph import NameGraph, Resolver, alpha_equiv_relabel, to_dot
+from .graph import (
+    NameGraph,
+    Resolver,
+    alpha_equiv_relabel,
+    check_resolver_assumptions,
+    is_bipartite,
+    to_dot,
+)
 from .term import ParseError, Term, spellings
 
 EXIT_PARSE = 1
 EXIT_IO = 2
-EXIT_ALPHA = 3
+EXIT_CHECK = 3
 EXIT_INTERNAL = 4
+
+# `namefix check`: respellings tried per input, and the seed choosing them.
+CHECK_TRIALS = 25
+CHECK_SEED = 0
 
 
 @dataclass
@@ -183,7 +198,24 @@ def cmd_alphacheck(args: argparse.Namespace) -> None:
         print("alpha-equivalent")
     else:
         print("NOT alpha-equivalent")
-        raise CliError("programs differ", EXIT_ALPHA)
+        raise CliError("programs differ", EXIT_CHECK)
+
+
+def cmd_check(args: argparse.Namespace) -> None:
+    """The preconditions repair rests on, on one input: its name graph is
+    bipartite, and the resolver keeps its contract on respellings of it."""
+    language, p = _load(Path(args.input))
+    g = language.resolver.resolve(p)
+    violations = []
+    if not is_bipartite(g):
+        both = ", ".join(map(repr, sorted(g.references & g.declarations)))
+        violations.append(f"graph not bipartite: {both} both reference and declaration")
+    report = check_resolver_assumptions(language.resolver, p, CHECK_TRIALS, CHECK_SEED)
+    violations += report.violations
+    if violations:
+        print("\n".join(violations))
+        raise CliError(f"{len(violations)} violation(s)", EXIT_CHECK)
+    print("ok")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,6 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first")
     p.add_argument("second")
     p.set_defaults(func=cmd_alphacheck)
+
+    p = sub.add_parser(
+        "check", help="check a program's name graph and its resolver's contract"
+    )
+    p.add_argument("input", help="input program")
+    p.set_defaults(func=cmd_check)
 
     return parser
 

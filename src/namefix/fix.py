@@ -7,22 +7,30 @@ output is capture-free.
 
 Cost of a repair round. Renaming changes spellings only, never a term's
 shape, so `name_fix` builds one `LabelIndex` of the term when it first
-finds capture and reuses it in every later round. Outside the resolver,
-a round then costs a `find_capture` pass over the target graph's edges
-(reading the source graph's index), a `comp_renaming` whose lookups are
-by label (its spelling map, and the source graph's declaration ->
-references map), and a respelling that rebuilds only the compounds above
-the renamed names. A capture-free input costs one resolve and one
-`find_capture`, and builds no index.
+finds capture and reuses it in every later round. Next to it, for a
+resolver stated by binding forms, it builds the term's `BindingFrames`.
+The first round's graph comes from a full resolve; every later round's
+from the previous one, re-binding only the references spelled like a
+label the round respelled (their old or new spelling), since no other
+reference can see a different declaration of its spelling. Capture is
+classified edge by edge, so the capture set carries over too: the edges
+re-binding drops leave it, and the edges it adds are classified. A round
+then costs a `comp_renaming` whose lookups are by label (its spelling
+map, and the source graph's declaration -> references map), a respelling
+that rebuilds only the compounds above the renamed names, a re-binding
+that looks each frame up at most once per changed spelling, and a set
+difference and union on the graph's edges. A capture-free input costs one
+resolve and one `find_capture`, and builds neither index nor frames. A
+resolver without binding forms is resolved in full every round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .graph import NameGraph, Resolver
+from .graph import BindingFrames, Edge, NameGraph, Resolver
 from .term import Label, LabelIndex, Term
 
 
@@ -133,23 +141,29 @@ def find_capture(gs: NameGraph, gt: NameGraph) -> CaptureSet:
     declaration extent relative to the source graph."""
     if not gt.edges:  # nothing to check: leave gs's index unbuilt
         return CaptureSet(frozenset())
+    return CaptureSet(frozenset(_captures(gs, gt.edges)))
+
+
+def _captures(gs: NameGraph, edges: Iterable[Edge]) -> set[CaptureEdge]:
+    """The capture edges among `edges`: each edge is classified on its own,
+    against the source graph alone."""
     by_id, decls, _ = gs._index
-    edges: set[CaptureEdge] = set()
-    for v, target in gt.edges:
+    out: set[CaptureEdge] = set()
+    for v, target in edges:
         # gs.counts_as_source(v), inline: this loop runs once per edge.
         w = by_id.get(v)
         if w is not None and w.provenance is v.provenance:
             bound = decls.get(v)
             if bound:
                 if target not in bound:
-                    edges.add(CaptureEdge(v, target, CaptureKind.SOURCE_REBOUND))
+                    out.add(CaptureEdge(v, target, CaptureKind.SOURCE_REBOUND))
             elif v != target:
-                edges.add(CaptureEdge(v, target, CaptureKind.SOURCE_FREE_CAPTURED))
+                out.add(CaptureEdge(v, target, CaptureKind.SOURCE_FREE_CAPTURED))
         else:
             w = by_id.get(target)
             if w is not None and w.provenance is target.provenance:
-                edges.add(CaptureEdge(v, target, CaptureKind.SYNTHESIZED_CAPTURED))
-    return CaptureSet(frozenset(edges))
+                out.add(CaptureEdge(v, target, CaptureKind.SYNTHESIZED_CAPTURED))
+    return out
 
 
 def comp_renaming(
@@ -207,20 +221,38 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
     """
     gt = r.resolve(t)
     budget = len(gt.labels)
+    capture = find_capture(gs, gt)
     steps: list[FixStep] = []
     index: LabelIndex | None = None
+    frames: BindingFrames | None = None
     current = t
-    while True:
-        capture = find_capture(gs, gt)
-        if not capture:
-            return FixResult(current, FixTrace(tuple(steps)), gt)
+    while capture:
         if len(steps) >= budget:
             raise IterationBudgetExceeded(
                 f"capture repair did not converge within {budget} rounds"
             )
         if index is None:
             index = LabelIndex(t)
-        pair = comp_renaming(gs, gt, index.spelling, capture)
-        current = index.rename(pair.combined())
+            if r.scopes is not None:
+                frames = BindingFrames(t, r.scopes, r.top(t), gt)
+        spelling = index.spelling
+        pair = comp_renaming(gs, gt, spelling, capture)
+        pi = pair.combined()
+        changed: set[str] = set()  # the old and new spelling of each respelled label
+        for v, text in pi.items():
+            old = spelling.get(v)
+            if old is not None and old != text:
+                changed.update((old, text))
+        current = index.rename(pi)
         steps.append(FixStep(capture, pair, current, gt))
-        gt = r.resolve(current)
+        if frames is None:
+            gt = r.resolve(current)
+            capture = find_capture(gs, gt)
+        else:
+            # Edges of references the respelling cannot reach carry over,
+            # and so does their classification.
+            drop, add = frames.rebind(spelling, changed)
+            gt = NameGraph(gt.labels, gt.edges - drop | add)
+            kept = [e for e in capture.edges if (e.ref, e.decl) not in drop]
+            capture = CaptureSet(frozenset(_captures(gs, add).union(kept)))
+    return FixResult(current, FixTrace(tuple(steps)), gt)

@@ -4,8 +4,9 @@ A name graph pairs the set of labels occurring in a program with the set of
 binding edges from reference labels to the declaration labels that bind
 them. Transformations may duplicate a label, and the duplicated occurrences
 can end up in different scopes, so the edges form a relation rather than a
-function. A language front end states its binding forms, from which
-`resolve_lexical` computes this graph; the rest is language-independent.
+function. A language front end states its binding forms (`Scopes`), from
+which `resolve_lexical` computes this graph and `BindingFrames` re-binds
+it after a respelling; the rest is language-independent.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .term import (
+    E,
     Compound,
     Label,
     Name,
@@ -106,14 +108,34 @@ class NameGraph:
         return w is not None and w.provenance is v.provenance
 
 
-def resolve_lexical(
-    p: Term, scopes: Callable[[Compound, dict[str, Label]], Pairs], top: Iterable[Name]
-) -> NameGraph:
-    """The name graph of p under a language's binding forms. `scopes(c, env)`
-    pairs each child of the compound c with its environment (spelling ->
-    visible declaration), or with None if it is a declaration. A reference
-    binds by its environment, else to a `top` declaration (visible everywhere)
-    of its spelling, else to nothing. Of several such, it binds to the first
+# What a language states about its binding forms. `scopes(c, env, bind)`
+# pairs each child of the compound c with the scope it sees, or with None if
+# it is a declaration. A child sees either `env`, the scope of c, or
+# `bind(env, names)`: the scope `env` with the declarations `names` (Name
+# nodes) on top, a later one shadowing an earlier one of the same spelling.
+# The scope itself is opaque to the rule; each caller picks what it is.
+#
+# The rule decides by the shape of c alone, never by a spelling, so a
+# respelling leaves every reference in the same scope, under the same
+# binders: `BindingFrames.rebind` relies on that.
+Bind = Callable[[E, Sequence[Name]], E]
+Scopes = Callable[[Compound, E, Bind], Pairs]
+
+
+def _bind_dict(env: dict[str, Label], names: Sequence[Name]) -> dict[str, Label]:
+    """The `bind` of `resolve_lexical`: a copy of the scope (spelling ->
+    visible declaration) with `names` on top."""
+    inner = env.copy()
+    for n in names:
+        inner[n.text] = n.label
+    return inner
+
+
+def resolve_lexical(p: Term, scopes: Scopes, top: Iterable[Name]) -> NameGraph:
+    """The name graph of p under a language's binding forms (`Scopes`, whose
+    scopes here map each spelling to its visible declaration). A reference
+    binds by its scope, else to a `top` declaration (visible everywhere) of
+    its spelling, else to nothing. Of several such, it binds to the first
     that carries its label, else to the last. Raises InconsistentLabel."""
     # Per spelling, the last top declaration and the first of each label:
     # that rule as two lookups per reference.
@@ -140,10 +162,132 @@ def resolve_lexical(
                     decl = first[text].get(label, decl)
                 edges.add((label, decl))
             return ()
-        return scopes(t, env) if kind is Compound else ()
+        return scopes(t, env, _bind_dict) if kind is Compound else ()
 
     descend(p, {}, rule)
     return NameGraph(spell, edges)
+
+
+_UNSEEN = object()
+_NOTHING: frozenset[Label] = frozenset()
+
+
+class BindingFrames:
+    """The scopes of one term, kept to re-bind its references after a
+    respelling without resolving the whole term again.
+
+    A frame is one `bind` of the term's `Scopes`: its parent frame and its
+    binders in order, duplicates included (frame 0 is the outermost
+    scope). Kept with them: the frames where each reference label occurs,
+    the top declarations in order, and each reference's current
+    declarations, starting from `g`, the graph of t under these binding
+    forms and `top`. Built by one walk; nothing here recurses.
+    """
+
+    def __init__(self, t: Term, scopes: Scopes, top: Iterable[Name], g: NameGraph) -> None:
+        parent = self._parent = [-1]
+        binders: list[Sequence[Name]] = [()]
+        self._binders = binders
+        # reference label -> the frames of its occurrences
+        occurs: dict[Label, list[int]] = {}
+        self._occurs = occurs
+        # spelling -> the reference labels spelled so, as of the last rebind
+        refs: dict[str, list[Label]] = {}
+        self._refs = refs
+
+        def bind(env: int, names: Sequence[Name]) -> int:
+            if not names:
+                return env
+            parent.append(env)
+            binders.append(names)  # read for their labels only
+            return len(binders) - 1
+
+        def rule(x: Term, env: int | None) -> Pairs:
+            kind = x.__class__
+            if kind is Name:
+                if env is not None:
+                    frames = occurs.get(x.label)
+                    if frames is None:
+                        occurs[x.label] = [env]
+                        refs.setdefault(x.text, []).append(x.label)
+                    else:
+                        frames.append(env)
+                return ()
+            return scopes(x, env, bind) if kind is Compound else ()
+
+        descend(t, 0, rule)
+        tops = list(top)
+        self._top = [n.label for n in tops]
+        # spelling -> positions in _top of the declarations spelled so
+        self._tops: dict[str, list[int]] = {}
+        # label id -> the first top declaration carrying it
+        self._first: dict[Label, Label] = {}
+        for i, n in enumerate(tops):
+            self._tops.setdefault(n.text, []).append(i)
+            self._first.setdefault(n.label, n.label)
+        bound: dict[Label, set[Label]] = {}
+        for r, d in g.edges:
+            bound.setdefault(r, set()).add(d)
+        self._bound = bound
+
+    def rebind(
+        self, spelling: Mapping[Label, str], changed: Collection[str]
+    ) -> tuple[set[Edge], set[Edge]]:
+        """The edges to drop from the graph and to add to it after a
+        respelling of the term, given every label's spelling now and the
+        spellings `changed`: each respelled label's old and new one. Only
+        references spelled in `changed` can bind differently, so only they
+        are looked up, each frame at most once per spelling. From then on
+        the frames describe the respelled term."""
+        # Each respelled label moved between two spellings of `changed`.
+        refs, tops, top = self._refs, self._tops, self._top
+        for v in [v for s in changed for v in refs.pop(s, ())]:
+            refs.setdefault(spelling[v], []).append(v)
+        if top:
+            for i in [i for s in changed for i in tops.pop(s, ())]:
+                tops.setdefault(spelling[top[i]], []).append(i)
+        parent, binders, occurs, bound = self._parent, self._binders, self._occurs, self._bound
+        drop: set[Edge] = set()
+        add: set[Edge] = set()
+        for s in changed:
+            group = refs.get(s)
+            if not group:
+                continue
+            at = tops.get(s)
+            last = top[max(at)] if at else None
+            seen: dict[int, Label | None] = {}  # frame -> what s means there
+            for v in group:
+                decls: set[Label] = set()
+                for f in occurs[v]:
+                    decl = seen.get(f, _UNSEEN)
+                    if decl is _UNSEEN:
+                        path = []
+                        while True:
+                            path.append(f)
+                            decl = None
+                            for b in reversed(binders[f]):
+                                if spelling[b.label] == s:
+                                    decl = b.label
+                                    break
+                            f = parent[f]
+                            if decl is not None or f < 0:
+                                break
+                            decl = seen.get(f, _UNSEEN)
+                            if decl is not _UNSEEN:
+                                break
+                        for f in path:
+                            seen[f] = decl
+                    if decl is None:
+                        if last is None:
+                            continue
+                        decl = self._first.get(v, last)
+                    decls.add(decl)
+                old = bound.get(v, _NOTHING)
+                if decls != old:
+                    drop.update([(v, d) for d in old if d not in decls])
+                    add.update([(v, d) for d in decls if d not in old])
+                    bound[v] = decls
+        return drop, add
 
 
 def is_bipartite(g: NameGraph) -> bool:
@@ -190,10 +334,17 @@ def validate_graph(p: Term, g: NameGraph) -> list[Violation]:
 
 @dataclass(frozen=True)
 class Resolver:
-    """A language's name analysis: term -> name graph, pure and deterministic."""
+    """A language's name analysis: term -> name graph, pure and deterministic.
+
+    A resolver stated by binding forms carries them: `resolve(p)` is then
+    `resolve_lexical(p, scopes, top(p))`, and repair re-binds through
+    `BindingFrames` instead of resolving every round. Without them, repair
+    resolves every round."""
 
     language: str
     resolve: Callable[[Term], NameGraph]
+    scopes: Scopes | None = None
+    top: Callable[[Term], Iterable[Name]] | None = None
 
 
 def alpha_equiv(p1: Term, p2: Term, r: Resolver) -> bool:

@@ -10,8 +10,9 @@ from itertools import repeat
 from operator import attrgetter
 
 from . import term
-from .graph import NameGraph, Resolver, resolve_lexical
+from .graph import Bind, NameGraph, Resolver, resolve_lexical
 from .term import (
+    E,
     Compound,
     Const,
     Label,
@@ -103,13 +104,14 @@ def parse_lambda(src: str) -> Term:
     return _Parser(src).parse(_Parser.parse_exp)
 
 
-def scopes(t: Compound, env: dict[str, Label]) -> Pairs:
-    """Binding forms: a lambda's binder is a declaration, visible in its
-    body, where it shadows an outer binder of equal spelling."""
+def scopes(t: Compound, env: E, bind: Bind) -> Pairs:
+    """Binding forms (`graph.Scopes`): a lambda's binder is a declaration,
+    visible in its body, where it shadows an outer binder of equal
+    spelling."""
     k = tag(t)
     if k == "lam":
         binder = t.children[1]
-        return ((binder, None), (t.children[2], {**env, binder.text: binder.label}))
+        return ((binder, None), (t.children[2], bind(env, (binder,))))
     return zip(t.children[1:] if k else t.children, repeat(env))
 
 
@@ -119,7 +121,7 @@ def resolve_lambda(p: Term) -> NameGraph:
     return resolve_lexical(p, scopes, ())
 
 
-LAMBDA_RESOLVER = Resolver("lambda", resolve_lambda)
+LAMBDA_RESOLVER = Resolver("lambda", resolve_lambda, scopes, lambda p: ())
 
 
 def declarations_of(p: Term) -> frozenset[Label]:

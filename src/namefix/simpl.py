@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import term
 from .fix import name_fix
-from .graph import NameGraph, Resolver, resolve_lexical
+from .graph import Bind, NameGraph, Resolver, resolve_lexical
 from .term import (
     END,
+    E,
     Compound,
     Const,
     Label,
@@ -296,35 +297,38 @@ def parse_simpl_exp(src: str) -> Term:
 # ---------------------------------------------------------------------------
 # Name resolution
 
-def scopes(e: Compound, env: dict[str, Label]) -> Pairs:
-    """Binding forms, in one namespace. A let binds its body only; a local
-    function's name is visible in its own definition and the let body; a
-    function's parameters are visible in its body. Function names,
-    parameters and let binders are declarations."""
+def scopes(e: Compound, env: E, bind: Bind) -> Pairs:
+    """Binding forms (`graph.Scopes`), in one namespace. A let binds its
+    body only; a local function's name is visible in its own definition and
+    the let body; a function's parameters are visible in its body. Function
+    names, parameters and let binders are declarations."""
     t = tag(e)
     if t == "let":
         binder = e.children[1]
-        inner = {**env, binder.text: binder.label}
-        return ((binder, None), (e.children[2], env), (e.children[3], inner))
+        return ((binder, None), (e.children[2], env), (e.children[3], bind(env, (binder,))))
     if t == "letfun":
         _, fn, body = e.children
-        n = fn.children[1]
-        inner = {**env, n.text: n.label}
+        inner = bind(env, (fn.children[1],))
         return ((fn, inner), (body, inner))
     if t == "fdef":
         _, n, params, body = e.children
-        body_env = {**env, **{q.text: q.label for q in params.children[1:]}}
-        return ((n, None), *zip(params.children[1:], repeat(None)), (body, body_env))
+        names = params.children[1:]
+        return ((n, None), *zip(names, repeat(None)), (body, bind(env, names)))
     return zip(e.children[1:] if t else e.children, repeat(env))
 
 
+def top_declarations(p: Term) -> Iterator[Name]:
+    """The names of p's top-level functions, visible everywhere (mutual
+    recursion)."""
+    return map(fdef_name, prog_fdefs(p))
+
+
 def resolve_simpl(p: Term) -> NameGraph:
-    """Single-namespace lexical scoping (`scopes`). Top-level function
-    names are visible everywhere (mutual recursion)."""
-    return resolve_lexical(p, scopes, map(fdef_name, prog_fdefs(p)))
+    """Single-namespace lexical scoping (`scopes`, `top_declarations`)."""
+    return resolve_lexical(p, scopes, top_declarations(p))
 
 
-SIMPL_RESOLVER = Resolver("simpl", resolve_simpl)
+SIMPL_RESOLVER = Resolver("simpl", resolve_simpl, scopes, top_declarations)
 
 
 def declarations_of(p: Term) -> frozenset[Label]:
@@ -332,15 +336,20 @@ def declarations_of(p: Term) -> frozenset[Label]:
     let/letfun binders."""
     out: set[Label] = set()
 
-    def rule(e: Term, env: dict[str, Label] | None) -> Pairs:
+    def rule(e: Term, env: tuple | None) -> Pairs:
         if e.__class__ is Compound:
-            return scopes(e, {})  # only None is read: no binder copies the scope above it
+            return scopes(e, env, _no_scope)
         if env is None:
             out.add(e.label)
         return ()
 
-    descend(p, {}, rule)
+    descend(p, (), rule)
     return frozenset(out)
+
+
+def _no_scope(env: tuple, names: Sequence[Name]) -> tuple:
+    """A `bind` for a walk that tells declarations from the rest only."""
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -520,20 +529,24 @@ def subst_exp_many(e: Term, sub: Mapping[str, Term]) -> Term:
     # same order, as long as the rule below visits every name in order.
     replacements: list[Term] = []
 
-    def rule(x: Term, env: dict[str, Label] | None) -> Pairs:
+    def hide(env: frozenset[str], names: Sequence[Name]) -> frozenset[str]:
+        """The spellings of sub that `names` declare, on top of `env`'s:
+        the only ones a scope needs here."""
+        hidden = [n.text for n in names if n.text in sub]
+        return env.union(hidden) if hidden else env
+
+    def rule(x: Term, env: frozenset[str] | None) -> Pairs:
         kind = x.__class__
         if kind is Name:
             replacements.append(x if env is None or x.text in env else sub.get(x.text, x))
             return ()
         if kind is Const:
             return ()
-        if len(env) > len(sub):  # only spellings in sub matter: keep the scope that small
-            env = {y: d for y, d in env.items() if y in sub}
         if tag(x) == "call":
             return ((x.children[1], None), *zip(x.children[2:], repeat(env)))
-        return scopes(x, env)
+        return scopes(x, env, hide)
 
-    descend(e, {}, rule)
+    descend(e, frozenset(), rule)
     substituted = iter(replacements)
     return fold(e, lambda _: next(substituted))
 

@@ -10,11 +10,11 @@ clashing state names.
 from __future__ import annotations
 
 import re
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import term
 from .fix import name_fix
-from .graph import NameGraph, Resolver, resolve_lexical
+from .graph import Bind, NameGraph, Resolver, resolve_lexical
 from .simpl import (
     SIMPL_RESOLVER,
     call,
@@ -25,9 +25,9 @@ from .simpl import (
     prog,
 )
 from .term import (
+    E,
     Compound,
     Const,
-    Label,
     LabelAllocator,
     Name,
     NameFactory,
@@ -152,9 +152,10 @@ def pretty_stm(m: Term, show_labels: bool = False) -> str:
 # ---------------------------------------------------------------------------
 # Name resolution
 
-def scopes(m: Compound, env: dict[str, Label]) -> Pairs:
-    """Binding forms of a machine, all at its root: a state's name is a
-    declaration, and its transition targets are references."""
+def scopes(m: Compound, env: E, bind: Bind) -> Pairs:
+    """Binding forms of a machine (`graph.Scopes`), all at its root: a
+    state's name is a declaration, and its transition targets are
+    references. No scope nests, so `bind` goes unused."""
     pairs: list = []
     for s in m.children[1:]:
         pairs.append((s.children[1], None))
@@ -162,13 +163,18 @@ def scopes(m: Compound, env: dict[str, Label]) -> Pairs:
     return pairs
 
 
+def state_names(m: Term) -> Iterator[Name]:
+    """The declared state names of m, visible everywhere."""
+    return map(state_name, machine_states(m))
+
+
 def resolve_machine(m: Term) -> NameGraph:
     """Flat namespace of state names: a transition target binds to a state
-    of equal spelling (`scopes`)."""
-    return resolve_lexical(m, scopes, map(state_name, machine_states(m)))
+    of equal spelling (`scopes`, `state_names`)."""
+    return resolve_lexical(m, scopes, state_names(m))
 
 
-STM_RESOLVER = Resolver("statemachine", resolve_machine)
+STM_RESOLVER = Resolver("statemachine", resolve_machine, scopes, state_names)
 
 
 # ---------------------------------------------------------------------------

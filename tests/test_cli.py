@@ -1,10 +1,11 @@
 import pytest
 
-from namefix import simpl, statemachine
+from namefix import cli, lam, simpl, statemachine
 from namefix.fix import find_capture, name_fix
-from namefix.graph import to_dot
+from namefix.graph import NameGraph, Resolver, to_dot
+from namefix.term import spellings
 from namefix.cli import (
-    EXIT_ALPHA,
+    EXIT_CHECK,
     EXIT_IO,
     EXIT_PARSE,
     main,
@@ -218,8 +219,10 @@ def count_resolves(argv):
 def test_emit_graphs_reuses_the_loops_graphs(tmp_path, capsys):
     p = tmp_path / "p.spl"
     p.write_text(OR_AND)
-    assert count_resolves(["inline", str(p), "and"]) == (0, 3)
-    assert count_resolves(["inline", "--emit-graphs", str(p), "and"]) == (0, 3)
+    # The source and the naive target: the repair round re-binds the
+    # target's references instead of resolving it again.
+    assert count_resolves(["inline", str(p), "and"]) == (0, 2)
+    assert count_resolves(["inline", "--emit-graphs", str(p), "and"]) == (0, 2)
     assert count_resolves(["inline", "--no-fix", "--emit-graphs", str(p), "and"]) == (0, 2)
 
 
@@ -310,7 +313,7 @@ class TestGraphAndAlphacheck:
         b = tmp_path / "b.lam"
         a.write_text(r"\x. x")
         b.write_text(r"\y. z")
-        assert main(["alphacheck", str(a), str(b)]) == EXIT_ALPHA
+        assert main(["alphacheck", str(a), str(b)]) == EXIT_CHECK
         assert "NOT alpha-equivalent" in capsys.readouterr().out
 
     def test_alphacheck_mixed_languages(self, tmp_path, capsys):
@@ -319,6 +322,54 @@ class TestGraphAndAlphacheck:
         a.write_text(r"\x. x")
         b.write_text("fun f() = 0; f()")
         assert main(["alphacheck", str(a), str(b)]) == EXIT_IO
+
+
+CHECK_INPUTS = [(".stm", DOOR), (".spl", OR_AND), (".lam", r"\x. (\x. x + y) x")]
+
+
+@pytest.mark.parametrize("extension, text", CHECK_INPUTS, ids=[e for e, _ in CHECK_INPUTS])
+def test_check_passes_the_bundled_resolvers(tmp_path, capsys, extension, text):
+    path = tmp_path / f"p{extension}"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+
+
+def broken_lambda_resolvers():
+    def unstable(t):
+        # drops references whose spelling another declaration shares
+        g = lam.resolve_lambda(t)
+        spell = spellings(t)
+        return NameGraph(
+            g.labels,
+            {(r, d) for r, d in g.edges if sum(spell[v] == spell[r] for v in g.declarations) <= 1},
+        )
+
+    def self_bound(t):
+        g = lam.resolve_lambda(t)
+        return NameGraph(g.labels, g.edges | {(d, d) for d in g.declarations})
+
+    return {"unstable": unstable, "self-bound": self_bound}
+
+
+@pytest.mark.parametrize("broken", ["unstable", "self-bound"])
+def test_check_reports_a_broken_resolver(tmp_path, capsys, monkeypatch, broken):
+    resolve = broken_lambda_resolvers()[broken]
+    language = cli._LANGUAGES[".lam"]
+    monkeypatch.setitem(
+        cli._LANGUAGES, ".lam", cli._Language(language.parse, Resolver("broken", resolve), language.pretty)
+    )
+    path = tmp_path / "p.lam"
+    path.write_text(r"\x. (\x. x) x")
+    assert main(["check", str(path)]) == EXIT_CHECK
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines and "ok" not in lines
+    if broken == "self-bound":
+        assert lines[0].startswith("graph not bipartite: @")
+    else:
+        assert all(line.startswith("trial ") for line in lines)
+    assert err == f"namefix: {len(lines)} violation(s)\n"
 
 
 class TestErrors:

@@ -2,9 +2,9 @@
 bounded by memory and not by the Python stack.
 
 A 5,000-state machine compiles to a `main` whose if-chain is one level deep
-per state; 10,000 nested lambdas are 10,000 levels deep. Only the parsers
-still recurse, so these inputs are built in memory or from flat `.stm`
-text.
+per state; 10,000 nested lambdas are 10,000 levels deep; a repair re-binds
+5,000 references below 20,000 binders. Only the parsers still recurse, so
+these inputs are built in memory or from flat `.stm` text.
 """
 
 import pytest
@@ -13,7 +13,7 @@ from namefix import simpl
 from namefix.cli import main
 from namefix.fix import find_capture, name_fix
 from namefix.graph import alpha_equiv_relabel, sub_alpha_equiv
-from namefix.lam import LAMBDA_RESOLVER, lam, pretty_lambda, resolve_lambda
+from namefix.lam import LAMBDA_RESOLVER, app, lam, pretty_lambda, resolve_lambda
 from namefix.simpl import SIMPL_RESOLVER, call, eval_simpl, fdef_name, prog, prog_fdefs
 from namefix.statemachine import compile_machine, parse_stm, resolve_machine
 from namefix.term import Const, Label, Name, Provenance, compound, fold, label_equiv
@@ -147,3 +147,41 @@ def test_error_message_formatting_a_10000_deep_term():
         eval_simpl(prog([], [deep]))
     message = str(exc.value)
     assert message == "cannot evaluate " + "Compound(" * (LAMBDAS + 1) + "Name('x'@1)" + ",)" * (LAMBDAS + 1)
+
+
+REFERENCES = 5_000
+SHADOWING = 20_000
+
+
+def shadowed_references(n: int, m: int, capture: bool):
+    """\\x. \\y. ... \\y. [\\x'.] x (\\y. x (\\y. ... x)) with m binders y
+    above n + 1 references x, each one frame deeper than the last; the
+    optional binder is synthesized and spelled like the outer x, so it
+    captures every reference.
+
+    Repair respells the synthesized binder, and every reference re-binds
+    to the outer x, more than m frames up. A lookup per reference that
+    walked its frames up would take n * m steps (10^8 here, some 25 times
+    the run time of the test); shared frames are looked up once."""
+    body = Name("x", Label(1))
+    for k in range(n):
+        body = app(Name("x", Label(k + 2)), lam(Name("y", Label(n + k + 2)), body))
+    if capture:
+        body = lam(Name("x", Label(2 * n + m + 3, Provenance.SYNTHESIZED)), body)
+    for i in range(m):
+        body = lam(Name("y", Label(2 * n + i + 2)), body)
+    return lam(Name("x", Label(2 * n + m + 2)), body)
+
+
+def test_one_round_rebinds_5000_references_far_from_their_binder():
+    source = shadowed_references(REFERENCES, SHADOWING, capture=False)
+    naive = shadowed_references(REFERENCES, SHADOWING, capture=True)
+    gs = resolve_lambda(source)
+    assert len(gs.edges) == REFERENCES + 1
+
+    result = name_fix(gs, naive, LAMBDA_RESOLVER)
+    (step,) = result.trace.steps
+    assert len(step.capture) == REFERENCES + 1
+    assert result.graph == resolve_lambda(result.term)
+    assert result.graph.edges == gs.edges
+    assert pretty_lambda(result.term).startswith("\\x. " + "\\y. " * SHADOWING + "\\x0. x (\\y. x")

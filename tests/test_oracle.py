@@ -4,7 +4,10 @@ against their recursive versions there.
 
 Equal results means the same repaired term, the same trace (captures,
 renamings, intermediate terms and graphs, round by round) and the same
-final graph.
+final graph. The graphs and capture sets the loop carries from round to
+round by re-binding are also checked against a full resolve of each
+round's term, and against the loop of a resolver without binding forms,
+which resolves every round.
 """
 
 import random
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 import reference
 from namefix import lam, simpl
 from namefix.fix import comp_renaming, find_capture, name_fix
-from namefix.graph import NameGraph, alpha_equiv_relabel
+from namefix.graph import BindingFrames, NameGraph, Resolver, alpha_equiv_relabel, resolve_lexical
 from namefix.lam import LAMBDA_RESOLVER, pretty_lambda, resolve_lambda
 from namefix.simpl import (
     SIMPL_RESOLVER,
@@ -33,6 +36,7 @@ from namefix.simpl import (
     subst_prog,
 )
 from namefix.statemachine import (
+    STM_RESOLVER,
     compile_machine,
     machine_states,
     parse_stm,
@@ -77,7 +81,105 @@ def assert_same_repair(gs, t, resolver):
     assert got.term == want.term
     assert got.trace == want.trace
     assert got.graph == want.graph
+    assert_rounds_resolve_alike(gs, t, resolver, got)
     return got
+
+
+def assert_rounds_resolve_alike(gs, t, resolver, got):
+    """Each round's carried graph is the resolved graph of the term it
+    describes and its capture set is find_capture's on that graph; and a
+    resolver without binding forms, which resolves every round, repairs
+    alike."""
+    before = [t] + [step.term for step in got.trace.steps]
+    for prior, step in zip(before, got.trace.steps):
+        g = resolver.resolve(prior)
+        assert step.graph == g
+        assert step.capture == find_capture(gs, g)
+    assert got.graph == resolver.resolve(got.term)
+    plain = name_fix(gs, t, Resolver(resolver.language, resolver.resolve))
+    assert (plain.term, plain.trace, plain.graph) == (got.term, got.trace, got.graph)
+
+
+def pinned_simpl(src, relabel=None):
+    """A .spl program with every label pinned; `relabel` maps pinned ids to
+    the label their names take instead, which pins alone cannot repeat."""
+    relabel = relabel or {}
+    return fold(parse_simpl(src), lambda n: Name(n.text, relabel.get(n.label.id, n.label)))
+
+
+def x(i, synth=False):
+    """The name x at label i, synthesized or from the source."""
+    return Name("x", Label(i, Provenance.SYNTHESIZED if synth else Provenance.SOURCE))
+
+
+# (source, target, resolver, the rounds repair takes)
+REBINDING_CASES = {
+    # Round 1 renames the later of two parameters spelled x, so the
+    # synthesized x in the body falls back to the earlier one: captured
+    # again, renamed in round 2.
+    "duplicate-binders": (
+        pinned_simpl("fun f@5(x@1, x@2) = x@3;\nf@6(1, 2)\n"),
+        pinned_simpl("fun f@5(x@1, x@2) = x@3 + x@'4;\nf@6(1, 2)\n"),
+        SIMPL_RESOLVER,
+        2,
+    ),
+    # Label 3 occurs under two binders; renaming the second frees that
+    # occurrence and keeps the other's edge.
+    "one-label-two-scopes": (
+        lam.app(lam.lam(x(1), x(3)), lam.lam(x(2), x(4))),
+        lam.app(lam.lam(x(1), x(3)), lam.lam(x(2), x(3))),
+        LAMBDA_RESOLVER,
+        1,
+    ),
+    "label-0-declaration": (
+        lam.lam(x(1), lam.app(lam.lam(x(0), x(2)), x(3))),
+        lam.lam(x(1), lam.app(lam.lam(x(0), lam.app(x(2), x(4, True))), x(3))),
+        LAMBDA_RESOLVER,
+        2,
+    ),
+    "label-0-reference": (
+        lam.app(x(0), x(1)),
+        lam.lam(x(2, True), lam.app(x(0), x(1))),
+        LAMBDA_RESOLVER,
+        1,
+    ),
+    # Round 1 renames the last top-level f, so the synthesized f falls back
+    # to the one before it (the last rule), while the reference carrying
+    # @1's label stays with @1 (the first rule); round 2 renames @1.
+    "renamed-top-level-function": (
+        pinned_simpl("fun f@1() = 1;\nfun f@2() = 2;\nf@3() + f@7()\n", {7: Label(1)}),
+        pinned_simpl(
+            "fun f@'5() = 3;\nfun f@1() = 1;\nfun f@2() = 2;\nf@3() + f@7() + f@'4()\n",
+            {7: Label(1)},
+        ),
+        SIMPL_RESOLVER,
+        2,
+    ),
+}
+
+
+def test_resolvers_carry_their_binding_forms():
+    """Each bundled resolver's `resolve` is its module function (the
+    benchmark tracer finds resolvers by it) and is `resolve_lexical` of the
+    binding forms it carries, which repair re-binds through."""
+    rng = random.Random(0)
+    p = parse_simpl(gen_simpl_source(rng, n_fdefs=5))
+    m = parse_stm(gen_machine_source(rng))
+    s = gen_lambda(rng)
+    for resolver, resolve, q in (
+        (SIMPL_RESOLVER, resolve_simpl, p),
+        (STM_RESOLVER, resolve_machine, m),
+        (LAMBDA_RESOLVER, resolve_lambda, s),
+    ):
+        assert resolver.resolve is resolve
+        assert typed(resolve_lexical(q, resolver.scopes, resolver.top(q))) == typed(resolve(q))
+
+
+@pytest.mark.parametrize("case", list(REBINDING_CASES))
+def test_rebinding_hand_cases(case):
+    source, target, resolver, rounds = REBINDING_CASES[case]
+    got = assert_same_repair(resolver.resolve(source), target, resolver)
+    assert len(got.trace) == rounds
 
 
 @settings(max_examples=300, deadline=None)
@@ -158,6 +260,7 @@ def test_many_captures_in_one_round(n):
     assert got.trace.format() == want.trace.format()
     assert got.graph == want.graph
     assert len(got.trace.steps[0].capture.captured_declarations) >= n // 2
+    assert_rounds_resolve_alike(gs, t, SIMPL_RESOLVER, got)
     before = [t] + [step.term for step in got.trace.steps]
     for prior, step, ref_step in zip(before, got.trace.steps, want.trace.steps):
         pair = comp_renaming(gs, step.graph, spellings(prior), step.capture)
@@ -268,6 +371,56 @@ def test_top_level_pick_matches_the_scan(seed):
     targets = [trans_target(t) for s in machine_states(m) for t in state_transitions(s)]
     for q in with_top_level_duplicates(rng, m, states, targets):
         assert typed(resolve_machine(q)) == typed(reference.resolve_machine(q))
+
+
+def respellings(rng, t, rounds):
+    """Successive random respellings of t's labels, each to a spelling t
+    already has, a spelling given earlier, or a fresh one."""
+    spell = spellings(t)
+    pool = sorted(set(spell.values()))
+    labels = sorted(spell)
+    for k in range(rounds if labels else 0):
+        pool.append(f"v{k}")
+        yield {v: rng.choice(pool) for v in rng.sample(labels, rng.randrange(1, min(4, len(labels)) + 1))}
+
+
+def assert_rebinds_like_resolve(resolver, t, pis):
+    """After each respelling of `pis`, the graph BindingFrames carries is
+    the resolved graph of the respelled term, provenance included."""
+    index = LabelIndex(t)
+    g = resolver.resolve(t)
+    frames = BindingFrames(t, resolver.scopes, resolver.top(t), g)
+    for pi in pis:
+        changed = set()
+        for v, text in pi.items():
+            if index.spelling[v] != text:
+                changed.update((index.spelling[v], text))
+        term = index.rename(pi)
+        drop, add = frames.rebind(index.spelling, changed)
+        assert not drop & add
+        g = NameGraph(g.labels, g.edges - drop | add)
+        assert typed(g) == typed(resolver.resolve(term))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_rebinding_matches_resolve_after_respellings(seed):
+    """All three languages; .spl and .stm with top-level declarations that
+    share a spelling, and references carrying an earlier one's label."""
+    rng = random.Random(seed)
+    s = gen_lambda(rng)
+    assert_rebinds_like_resolve(LAMBDA_RESOLVER, s, respellings(rng, s, 4))
+    t = mutate_lambda(rng, s)
+    assert_rebinds_like_resolve(LAMBDA_RESOLVER, t, respellings(rng, t, 4))
+    p = parse_simpl(gen_simpl_source(rng, n_fdefs=rng.randrange(3, 12)))
+    tops = [fdef_name(f) for f in prog_fdefs(p)]
+    declared = simpl.declarations_of(p)
+    refs = [n for n in iter_names(p) if n.label not in declared]
+    for q in [p, *with_top_level_duplicates(rng, p, tops, refs)]:
+        assert_rebinds_like_resolve(SIMPL_RESOLVER, q, respellings(rng, q, 4))
+    m = parse_stm(gen_machine_source(rng) + gen_machine_source(rng))
+    assert_rebinds_like_resolve(STM_RESOLVER, m, respellings(rng, m, 4))
+    assert_rebinds_like_resolve(SIMPL_RESOLVER, compile_machine(m), respellings(rng, compile_machine(m), 4))
 
 
 def lbl(i: int, synth: bool) -> Label:
