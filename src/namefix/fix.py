@@ -7,21 +7,22 @@ output is capture-free.
 
 Cost of a repair round. Renaming changes spellings only, never a term's
 shape, so `name_fix` builds one `LabelIndex` of the term when it first
-finds capture and reuses it in every later round. Next to it, for a
-resolver stated by binding forms, it builds the term's `BindingFrames`.
-The first round's graph comes from a full resolve; every later round's
-from the previous one, re-binding only the references spelled like a
-label the round respelled (their old or new spelling), since no other
-reference can see a different declaration of its spelling. Capture is
-classified edge by edge, so the capture set carries over too: the edges
-re-binding drops leave it, and the edges it adds are classified. A round
-then costs a `comp_renaming` whose lookups are by label (its spelling
-map, and the source graph's declaration -> references map), a respelling
-that rebuilds only the compounds above the renamed names, a re-binding
-that looks each frame up at most once per changed spelling, and a set
-difference and union on the graph's edges. A capture-free input costs one
-resolve and one `find_capture`, and builds neither index nor frames. A
-resolver without binding forms is resolved in full every round.
+finds capture and reuses it in every later round. For a resolver stated
+by binding forms, its first resolve of the term is `BindingFrames`: one
+walk that builds the term's frames and its graph. Every later round's
+graph comes from the previous one, re-binding through those frames only
+the references spelled like a label the round respelled (their old or
+new spelling), since no other reference can see a different declaration
+of its spelling. Capture is classified edge by edge, so the capture set
+carries over too: the edges re-binding drops leave it, and the edges it
+adds are classified. A round then costs a `comp_renaming` whose lookups
+are by label (its spelling map, and the source graph's declaration ->
+references map), a respelling that rebuilds only the compounds above the
+renamed names, a re-binding that looks each frame up at most once per
+changed spelling, and a set difference and union on the graph's edges.
+A capture-free input costs one resolve and one `find_capture`, and
+builds no index. A resolver without binding forms is resolved in full
+every round.
 """
 
 from __future__ import annotations
@@ -219,12 +220,16 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
     once, so running past the budget means a resolver assumption does not
     hold.
     """
-    gt = r.resolve(t)
+    frames: BindingFrames | None = None
+    if r.scopes is None:
+        gt = r.resolve(t)
+    else:
+        frames = BindingFrames(t, r.scopes, r.top(t))
+        gt = frames.graph
     budget = len(gt.labels)
     capture = find_capture(gs, gt)
     steps: list[FixStep] = []
     index: LabelIndex | None = None
-    frames: BindingFrames | None = None
     current = t
     while capture:
         if len(steps) >= budget:
@@ -233,8 +238,6 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
             )
         if index is None:
             index = LabelIndex(t)
-            if r.scopes is not None:
-                frames = BindingFrames(t, r.scopes, r.top(t), gt)
         spelling = index.spelling
         pair = comp_renaming(gs, gt, spelling, capture)
         pi = pair.combined()

@@ -4,9 +4,12 @@ A name graph pairs the set of labels occurring in a program with the set of
 binding edges from reference labels to the declaration labels that bind
 them. Transformations may duplicate a label, and the duplicated occurrences
 can end up in different scopes, so the edges form a relation rather than a
-function. A language front end states its binding forms (`Scopes`), from
-which `resolve_lexical` computes this graph and `BindingFrames` re-binds
-it after a respelling; the rest is language-independent.
+function. A language front end states its binding forms (`Scopes`).
+`BindingFrames` runs them in one walk that keeps each scope as a frame
+(its parent and its own binders) and looks each reference up its frame
+chain, memoised per frame and spelling: that walk computes this graph
+(`resolve_lexical`), and the same lookup re-binds it after a respelling.
+The rest is language-independent.
 """
 
 from __future__ import annotations
@@ -112,8 +115,9 @@ class NameGraph:
 # pairs each child of the compound c with the scope it sees, or with None if
 # it is a declaration. A child sees either `env`, the scope of c, or
 # `bind(env, names)`: the scope `env` with the declarations `names` (Name
-# nodes) on top, a later one shadowing an earlier one of the same spelling.
-# The scope itself is opaque to the rule; each caller picks what it is.
+# nodes, each also a child paired with None) on top, a later one shadowing
+# an earlier one of the same spelling. The scope is opaque to the rule:
+# `BindingFrames` makes it a frame.
 #
 # The rule decides by the shape of c alone, never by a spelling, so a
 # respelling leaves every reference in the same scope, under the same
@@ -122,50 +126,11 @@ Bind = Callable[[E, Sequence[Name]], E]
 Scopes = Callable[[Compound, E, Bind], Pairs]
 
 
-def _bind_dict(env: dict[str, Label], names: Sequence[Name]) -> dict[str, Label]:
-    """The `bind` of `resolve_lexical`: a copy of the scope (spelling ->
-    visible declaration) with `names` on top."""
-    inner = env.copy()
-    for n in names:
-        inner[n.text] = n.label
-    return inner
-
-
 def resolve_lexical(p: Term, scopes: Scopes, top: Iterable[Name]) -> NameGraph:
-    """The name graph of p under a language's binding forms (`Scopes`, whose
-    scopes here map each spelling to its visible declaration). A reference
-    binds by its scope, else to a `top` declaration (visible everywhere) of
-    its spelling, else to nothing. Of several such, it binds to the first
-    that carries its label, else to the last. Raises InconsistentLabel."""
-    # Per spelling, the last top declaration and the first of each label:
-    # that rule as two lookups per reference.
-    last: dict[str, Label] = {}
-    first: dict[str, dict[Label, Label]] = {}
-    for n in top:
-        last[n.text] = n.label
-        first.setdefault(n.text, {}).setdefault(n.label, n.label)
-    edges: set[Edge] = set()
-    spell: dict[Label, str] = {}
-
-    def rule(t: Term, env: dict[str, Label] | None) -> Pairs:
-        kind = t.__class__
-        if kind is Name:
-            label, text = t.label, t.text
-            if spell.setdefault(label, text) != text:
-                note_spelling(spell, t)  # raises InconsistentLabel
-            if env is not None:
-                decl = env.get(text)
-                if decl is None:
-                    decl = last.get(text)
-                    if decl is None:
-                        return ()
-                    decl = first[text].get(label, decl)
-                edges.add((label, decl))
-            return ()
-        return scopes(t, env, _bind_dict) if kind is Compound else ()
-
-    descend(p, {}, rule)
-    return NameGraph(spell, edges)
+    """The name graph of p under a language's binding forms (`Scopes`) and
+    its `top` declarations, as `BindingFrames` resolves it. Raises
+    InconsistentLabel."""
+    return BindingFrames(p, scopes, top).graph
 
 
 _UNSEEN = object()
@@ -173,62 +138,116 @@ _NOTHING: frozenset[Label] = frozenset()
 
 
 class BindingFrames:
-    """The scopes of one term, kept to re-bind its references after a
-    respelling without resolving the whole term again.
+    """The scopes of one term and the name graph they give it, kept to
+    re-bind its references after a respelling without resolving the whole
+    term again.
 
     A frame is one `bind` of the term's `Scopes`: its parent frame and its
-    binders in order, duplicates included (frame 0 is the outermost
-    scope). Kept with them: the frames where each reference label occurs,
-    the top declarations in order, and each reference's current
-    declarations, starting from `g`, the graph of t under these binding
-    forms and `top`. Built by one walk; nothing here recurses.
+    binders in order, duplicates included. Frame 0 is the outermost scope
+    and binds nothing. A reference binds to the innermost binder of its
+    spelling up its frame's chain, else to a `top` declaration (visible
+    everywhere) of its spelling, else to nothing. Of several such top
+    declarations, it binds to the first that carries its label, else to the
+    last. Kept with the frames: each reference occurrence with its frame
+    and declaration, and `graph`, the name graph of t. Built by one walk,
+    which raises InconsistentLabel; nothing here recurses.
     """
 
-    def __init__(self, t: Term, scopes: Scopes, top: Iterable[Name], g: NameGraph) -> None:
-        parent = self._parent = [-1]
-        binders: list[Sequence[Name]] = [()]
-        self._binders = binders
-        # reference label -> the frames of its occurrences
-        occurs: dict[Label, list[int]] = {}
-        self._occurs = occurs
-        # spelling -> the reference labels spelled so, as of the last rebind
-        refs: dict[str, list[Label]] = {}
-        self._refs = refs
+    __slots__ = (
+        "graph", "_frames", "_top", "_tops", "_first",
+        "_occurrences", "_occurs", "_bound", "_refs",
+    )
+
+    def __init__(self, t: Term, scopes: Scopes, top: Iterable[Name]) -> None:
+        # frame -> (its parent frame, its binders)
+        frames: list[tuple[int, Sequence[Name]]] = [(-1, ())]
+        self._frames = frames
+        # The top declarations in order, the positions there of those of
+        # each spelling, and by label id the first one carrying it.
+        declared: list[Label] = []
+        at: dict[str, list[int]] = {}
+        first: dict[Label, Label] = {}
+        for n in top:
+            at.setdefault(n.text, []).append(len(declared))
+            first.setdefault(n.label, n.label)
+            declared.append(n.label)
+        self._top, self._tops, self._first = declared, at, first
+        spell: dict[Label, str] = {}
+        # (label, frame, declaration or None) of each reference occurrence
+        occurrences: list[tuple[Label, int, Label | None]] = []
+        self._occurrences = occurrences
+        edges: set[Edge] = set()
+        # Built by the first rebind, from the occurrences: reference label
+        # -> the frames of its occurrences, and -> its declarations;
+        # spelling -> the reference labels spelled so, as of the last rebind.
+        self._refs: dict[str, list[Label]] | None = None
+        # spelling -> what it means at frame 0, at each frame binding it
+        # and at each frame _lookup passed, for every spelling that a binder
+        # met so far has; no other is bound in any scope
+        memos: dict[str, dict[int, Label | None]] = {}
 
         def bind(env: int, names: Sequence[Name]) -> int:
             if not names:
                 return env
-            parent.append(env)
-            binders.append(names)  # read for their labels only
-            return len(binders) - 1
+            f = len(frames)
+            for n in names:  # a later one shadows an earlier one
+                memo = memos.get(n.text)
+                if memo is None:
+                    memos[n.text] = {0: None, f: n.label}
+                else:
+                    memo[f] = n.label
+            frames.append((env, names))
+            return f
 
         def rule(x: Term, env: int | None) -> Pairs:
             kind = x.__class__
             if kind is Name:
+                label, text = x.label, x.text
+                if spell.setdefault(label, text) != text:
+                    note_spelling(spell, x)  # raises InconsistentLabel
                 if env is not None:
-                    frames = occurs.get(x.label)
-                    if frames is None:
-                        occurs[x.label] = [env]
-                        refs.setdefault(x.text, []).append(x.label)
-                    else:
-                        frames.append(env)
+                    memo = memos.get(text)
+                    decl = None if memo is None else memo.get(env, _UNSEEN)
+                    if decl is _UNSEEN:
+                        decl = self._lookup(env, text, spell, memo)
+                    if decl is None:
+                        positions = at.get(text)
+                        if positions:
+                            decl = first.get(label, declared[positions[-1]])
+                    occurrences.append((label, env, decl))
+                    if decl is not None:
+                        edges.add((label, decl))
                 return ()
             return scopes(x, env, bind) if kind is Compound else ()
 
         descend(t, 0, rule)
-        tops = list(top)
-        self._top = [n.label for n in tops]
-        # spelling -> positions in _top of the declarations spelled so
-        self._tops: dict[str, list[int]] = {}
-        # label id -> the first top declaration carrying it
-        self._first: dict[Label, Label] = {}
-        for i, n in enumerate(tops):
-            self._tops.setdefault(n.text, []).append(i)
-            self._first.setdefault(n.label, n.label)
-        bound: dict[Label, set[Label]] = {}
-        for r, d in g.edges:
-            bound.setdefault(r, set()).add(d)
-        self._bound = bound
+        self.graph = NameGraph(spell, edges)
+
+    def _lookup(
+        self, f: int, s: str, spelling: Mapping[Label, str], memo: dict[int, Label | None]
+    ) -> Label | None:
+        """The innermost binder spelled s up the chain of frame f, or None.
+        `memo` holds what s means at frames looked up before, frame 0 (which
+        binds nothing) among them: the answer is noted there for every frame
+        passed, and read from it where the chain meets such a frame, so each
+        frame is looked up once per spelling. A binder the walk has not met
+        yet, and so is missing from `spelling`, is spelled as its Name node
+        says."""
+        frames = self._frames
+        path = []
+        decl = _UNSEEN
+        while decl is _UNSEEN:
+            path.append(f)
+            f, binders = frames[f]
+            for b in reversed(binders):  # a later one shadows an earlier one
+                if spelling.get(b.label, b.text) == s:
+                    decl = b.label
+                    break
+            else:
+                decl = memo.get(f, _UNSEEN)
+        for f in path:
+            memo[f] = decl
+        return decl
 
     def rebind(
         self, spelling: Mapping[Label, str], changed: Collection[str]
@@ -237,16 +256,34 @@ class BindingFrames:
         respelling of the term, given every label's spelling now and the
         spellings `changed`: each respelled label's old and new one. Only
         references spelled in `changed` can bind differently, so only they
-        are looked up, each frame at most once per spelling. From then on
-        the frames describe the respelled term."""
-        # Each respelled label moved between two spellings of `changed`.
+        are looked up. From then on the frames describe the respelled term;
+        `graph` is left as it was."""
         refs, tops, top = self._refs, self._tops, self._top
-        for v in [v for s in changed for v in refs.pop(s, ())]:
-            refs.setdefault(spelling[v], []).append(v)
-        if top:
-            for i in [i for s in changed for i in tops.pop(s, ())]:
-                tops.setdefault(spelling[top[i]], []).append(i)
-        parent, binders, occurs, bound = self._parent, self._binders, self._occurs, self._bound
+        # Each respelled label moved between two spellings of `changed`.
+        if refs is None:
+            # reference label -> the frames of its occurrences, and -> its
+            # declarations; spelling -> the reference labels spelled so
+            occurs: dict[Label, list[int]] = {}
+            bound: dict[Label, set[Label]] = {}
+            refs = {}
+            for v, f, d in self._occurrences:
+                where = occurs.get(v)
+                if where is None:
+                    occurs[v] = [f]
+                    refs.setdefault(spelling[v], []).append(v)
+                else:
+                    where.append(f)
+                if d is not None:
+                    bound.setdefault(v, set()).add(d)
+            self._occurs, self._bound, self._refs = occurs, bound, refs
+            self._occurrences = []
+        else:
+            occurs, bound = self._occurs, self._bound
+            for v in [v for s in changed for v in refs.pop(s, ())]:
+                refs.setdefault(spelling[v], []).append(v)
+        for i in [i for s in changed for i in tops.pop(s, ())]:
+            tops.setdefault(spelling[top[i]], []).append(i)
+        first, lookup = self._first, self._lookup
         drop: set[Edge] = set()
         add: set[Edge] = set()
         for s in changed:
@@ -255,32 +292,17 @@ class BindingFrames:
                 continue
             at = tops.get(s)
             last = top[max(at)] if at else None
-            seen: dict[int, Label | None] = {}  # frame -> what s means there
+            memo: dict[int, Label | None] = {0: None}
             for v in group:
                 decls: set[Label] = set()
                 for f in occurs[v]:
-                    decl = seen.get(f, _UNSEEN)
+                    decl = memo.get(f, _UNSEEN)
                     if decl is _UNSEEN:
-                        path = []
-                        while True:
-                            path.append(f)
-                            decl = None
-                            for b in reversed(binders[f]):
-                                if spelling[b.label] == s:
-                                    decl = b.label
-                                    break
-                            f = parent[f]
-                            if decl is not None or f < 0:
-                                break
-                            decl = seen.get(f, _UNSEEN)
-                            if decl is not _UNSEEN:
-                                break
-                        for f in path:
-                            seen[f] = decl
+                        decl = lookup(f, s, spelling, memo)
                     if decl is None:
                         if last is None:
                             continue
-                        decl = self._first.get(v, last)
+                        decl = first.get(v, last)
                     decls.add(decl)
                 old = bound.get(v, _NOTHING)
                 if decls != old:
@@ -337,9 +359,10 @@ class Resolver:
     """A language's name analysis: term -> name graph, pure and deterministic.
 
     A resolver stated by binding forms carries them: `resolve(p)` is then
-    `resolve_lexical(p, scopes, top(p))`, and repair re-binds through
-    `BindingFrames` instead of resolving every round. Without them, repair
-    resolves every round."""
+    `resolve_lexical(p, scopes, top(p))`, the graph of
+    `BindingFrames(p, scopes, top(p))`. Repair builds those frames as its
+    resolve of the target and re-binds through them instead of resolving
+    every round. Without binding forms, repair resolves every round."""
 
     language: str
     resolve: Callable[[Term], NameGraph]

@@ -15,7 +15,6 @@ from .term import (
     E,
     Compound,
     Const,
-    Label,
     Name,
     Pairs,
     Scanner,
@@ -24,7 +23,6 @@ from .term import (
     fold,
     operand,
     show_name,
-    subterms,
     tag,
     token_pattern,
 )
@@ -122,11 +120,6 @@ def resolve_lambda(p: Term) -> NameGraph:
 
 
 LAMBDA_RESOLVER = Resolver("lambda", resolve_lambda, scopes, lambda p: ())
-
-
-def declarations_of(p: Term) -> frozenset[Label]:
-    """Binder labels of every lambda node."""
-    return frozenset(t.children[1].label for t in subterms(p) if tag(t) == "lam")
 
 
 def pretty_lambda(p: Term, show_labels: bool = False) -> str:

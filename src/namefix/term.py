@@ -595,29 +595,3 @@ class LabelIndex:
 def label_equiv(t1: Term, t2: Term) -> bool:
     """Equal up to name spellings: same structure, constants, and labels."""
     return lockstep(t1, t2, lambda a, b: a.label == b.label)
-
-
-def mark(s: str, t: Term) -> Term:
-    """Flip every name spelled s to synthesized provenance (ids preserved).
-
-    Marked names are treated like transformation-invented names downstream,
-    which lets a transformation opt out of capture repair for them.
-    """
-
-    def flip(n: Name) -> Name:
-        if n.text == s and not n.label.synthesized:
-            return Name(n.text, Label(n.label.id, Provenance.SYNTHESIZED))
-        return n
-
-    return fold(t, flip)
-
-
-def to_sexpr(t: Term) -> str:
-    """Debug rendering: names as name@id, synthesized ids ticked."""
-
-    def text(part: object) -> str:
-        if isinstance(part, Const):
-            return repr(part.value) if isinstance(part.value, str) else str(part.value)
-        return part
-
-    return text(fold(t, show_name, lambda c, parts: "(" + " ".join(map(text, parts)) + ")"))

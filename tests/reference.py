@@ -408,15 +408,6 @@ def term_repr(t: Term) -> str:
     return repr(t)
 
 
-def to_sexpr(t: Term) -> str:
-    if isinstance(t, Const):
-        return repr(t.value) if isinstance(t.value, str) else str(t.value)
-    if isinstance(t, Name):
-        return show_name(t)
-    assert isinstance(t, Compound)
-    return "(" + " ".join(to_sexpr(c) for c in t.children) + ")"
-
-
 def alpha_equiv_relabel(p1: Term, p2: Term, r: Resolver) -> bool:
     mapping: dict[int, int] = {}
     reverse: dict[int, int] = {}
@@ -783,3 +774,18 @@ def lookup(g: NameGraph, ref: Label) -> Label | None:
     if len(ds) > 1:
         raise ValueError(f"reference {ref!r} has multiple bindings")
     return next(iter(ds))
+
+
+def mark(s: str, t: Term) -> Term:
+    """Flip every name spelled s to synthesized provenance (ids preserved).
+
+    Marked names are treated like transformation-invented names downstream,
+    which lets a transformation opt out of capture repair for them.
+    """
+
+    def flip(n: Name) -> Name:
+        if n.text == s and not n.label.synthesized:
+            return Name(n.text, Label(n.label.id, Provenance.SYNTHESIZED))
+        return n
+
+    return term.fold(t, flip)

@@ -24,7 +24,6 @@ from namefix.lam import (
     parse_lambda,
     resolve_lambda,
 )
-from namefix.lam import declarations_of as lam_declarations
 from namefix.simpl import (
     SIMPL_RESOLVER,
     EvalError,
@@ -214,7 +213,7 @@ def _fixing_cases(rng):
     for _ in range(700):
         s = gen_lambda(rng)
         t = mutate_lambda(rng, s)
-        cases.append((resolve_lambda(s), t, lam_declarations(t), LAMBDA_RESOLVER))
+        cases.append((resolve_lambda(s), t, reference.lam_declarations_of(t), LAMBDA_RESOLVER))
     for _ in range(200):
         p = parse_simpl(gen_simpl_source(rng))
         repl = parse_simpl_exp(

@@ -2,7 +2,7 @@ import pytest
 
 from namefix import cli, lam, simpl, statemachine
 from namefix.fix import find_capture, name_fix
-from namefix.graph import NameGraph, Resolver, to_dot
+from namefix.graph import BindingFrames, NameGraph, Resolver, to_dot
 from namefix.term import spellings
 from namefix.cli import (
     EXIT_CHECK,
@@ -200,20 +200,21 @@ class TestRepairFlags:
 
 
 def count_resolves(argv):
-    """main(argv)'s exit code and how often it ran the .spl resolver."""
-    resolver = simpl.SIMPL_RESOLVER
-    resolve = resolver.resolve
+    """main(argv)'s exit code and how many whole-term resolves it ran: each
+    builds the term's BindingFrames, whether through a resolver or as
+    name_fix's target resolve."""
+    init = BindingFrames.__init__
     calls = []
 
-    def counting(t):
+    def counting(self, t, *rest):
         calls.append(t)
-        return resolve(t)
+        init(self, t, *rest)
 
-    object.__setattr__(resolver, "resolve", counting)  # Resolver is frozen
+    BindingFrames.__init__ = counting
     try:
         return main(argv), len(calls)
     finally:
-        object.__setattr__(resolver, "resolve", resolve)
+        BindingFrames.__init__ = init
 
 
 def test_emit_graphs_reuses_the_loops_graphs(tmp_path, capsys):

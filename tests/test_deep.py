@@ -2,9 +2,10 @@
 bounded by memory and not by the Python stack.
 
 A 5,000-state machine compiles to a `main` whose if-chain is one level deep
-per state; 10,000 nested lambdas are 10,000 levels deep; a repair re-binds
-5,000 references below 20,000 binders. Only the parsers still recurse, so
-these inputs are built in memory or from flat `.stm` text.
+per state; 10,000 nested lambdas are 10,000 levels deep, with one binder
+name or 10,000 distinct ones; a repair re-binds 5,000 references below
+20,000 binders. Only the parsers still recurse, so these inputs are built
+in memory or from flat `.stm` text.
 """
 
 import pytest
@@ -80,18 +81,20 @@ def test_clean_5000_state_machine_comes_back_as_the_naive_object():
     assert name_fix(resolve_machine(m), naive, SIMPL_RESOLVER).term is naive
 
 
-def nested_lambdas(n: int, capture: bool, ref: str = "x"):
+def nested_lambdas(n: int, capture: bool, ref: str = "x", distinct: bool = False):
     """\\x. \\y. ... \\y. [\\x'.] x with n binders y, labels fixed by
     position; the optional inner binder is synthesized and spelled like the
     outer x. The innermost reference is spelled `ref`.
 
-    The y binders shadow each other: resolvers copy their scope at every
-    binder, so n distinct names would cost time quadratic in n."""
+    The y binders shadow each other; with distinct=True they are spelled
+    y0 ... y<n-1> instead. Either way the resolver keeps one frame per
+    binder and looks each spelling up a frame chain once, so neither costs
+    time quadratic in n."""
     body = Name(ref, Label(1))
     if capture:
         body = lam(Name("x", Label(n + 3, Provenance.SYNTHESIZED)), body)
     for i in reversed(range(n)):
-        body = lam(Name("y", Label(i + 2)), body)
+        body = lam(Name(f"y{i}" if distinct else "y", Label(i + 2)), body)
     return lam(Name("x", Label(n + 2)), body)
 
 
@@ -116,6 +119,25 @@ def test_10000_nested_lambdas_resolve_repair_and_print():
 
     text = pretty_lambda(repaired)
     assert text == "\\x. " + "\\y. " * LAMBDAS + "\\x0. x"
+
+
+def test_10000_nested_lambdas_with_distinct_binders():
+    source = nested_lambdas(LAMBDAS, capture=False, distinct=True)
+    naive = nested_lambdas(LAMBDAS, capture=True, distinct=True)
+    gs = resolve_lambda(source)
+    assert len(gs.edges) == 1
+    assert len(gs.labels) == LAMBDAS + 2
+
+    result = name_fix(gs, naive, LAMBDA_RESOLVER)
+    repaired = result.term
+    assert len(result.trace) == 1
+    assert result.graph == resolve_lambda(repaired)
+    assert result.graph.edges == gs.edges
+    assert not find_capture(gs, result.graph)
+    assert label_equiv(repaired, naive)
+    assert sub_alpha_equiv(naive, repaired, gs)
+    binders = "".join(f"\\y{i}. " for i in range(LAMBDAS))
+    assert pretty_lambda(repaired) == "\\x. " + binders + "\\x0. x"
 
 
 def test_equality_and_hash_of_10000_deep_terms():

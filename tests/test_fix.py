@@ -13,14 +13,14 @@ from namefix.fix import (
 from namefix.graph import NameGraph, Resolver
 from namefix.lam import (
     LAMBDA_RESOLVER,
-    declarations_of,
     parse_lambda,
     pretty_lambda,
     resolve_lambda,
 )
-from namefix.term import Label, Name, Provenance, compound, labels_of, mark, name_at, spellings
+from namefix.term import Label, Name, Provenance, compound, labels_of, name_at, spellings
 
 import reference
+from reference import mark
 from gen import gen_lambda, mutate_lambda
 
 
@@ -231,5 +231,5 @@ class TestBudget:
             gs = resolve_lambda(s)
             t = mutate_lambda(rng, s)
             result = name_fix(gs, t, LAMBDA_RESOLVER)
-            assert len(result.trace) <= max(1, len(declarations_of(t)))
+            assert len(result.trace) <= max(1, len(reference.lam_declarations_of(t)))
             assert not find_capture(gs, LAMBDA_RESOLVER.resolve(result.term))

