@@ -5,24 +5,23 @@ graph of its output, and iteratively renames the capturing declarations
 (together with the references that legitimately share their name) until the
 output is capture-free.
 
-Cost of a repair round. Renaming changes spellings only, never a term's
-shape, so `name_fix` builds one `LabelIndex` of the term when it first
-finds capture and reuses it in every later round. For a resolver stated
-by binding forms, its first resolve of the term is `BindingFrames`: one
-walk that builds the term's frames and its graph. Every later round's
-graph comes from the previous one, re-binding through those frames only
-the references spelled like a label the round respelled (their old or
-new spelling), since no other reference can see a different declaration
-of its spelling. Capture is classified edge by edge, so the capture set
-carries over too: the edges re-binding drops leave it, and the edges it
-adds are classified. A round then costs a `comp_renaming` whose lookups
-are by label (its spelling map, and the source graph's declaration ->
-references map), a respelling that rebuilds only the compounds above the
-renamed names, a re-binding that looks each frame up at most once per
-changed spelling, and a set difference and union on the graph's edges.
-A capture-free input costs one resolve and one `find_capture`, and
-builds no index. A resolver without binding forms is resolved in full
-every round.
+Cost of a repair round. For a resolver stated by binding forms, the
+target's resolve is `BindingFrames`: one walk that gives its frames, its
+graph and its spelling map. Renaming never changes a term's shape, so at
+the first capture a second walk builds a `LabelIndex` of the label
+positions, and every round respells the resolve's spelling map through
+it. Each round yields an edge delta, from `BindingFrames.rebind`, which
+re-binds only the references spelled like a respelled label (their old
+or new spelling): no other reference can see a different declaration of
+its spelling. One rule applies the delta: dropped edges leave the graph
+and the capture set, and added edges join the graph and are classified,
+since capture is classified edge by edge. A round then costs a
+`comp_renaming` whose lookups are by label, a respelling that rebuilds
+only the compounds above the renamed names, a re-binding that looks each
+frame up at most once per changed spelling, and set operations on the
+edges. A capture-free input costs one resolve and one `find_capture`. A
+resolver without binding forms is resolved in full every round, its
+delta the difference of two graphs, its spelling map `spellings(t)`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from enum import Enum
 from typing import Iterable, Mapping
 
 from .graph import BindingFrames, Edge, NameGraph, Resolver
-from .term import Label, LabelIndex, Term
+from .term import Label, LabelIndex, Term, spellings
 
 
 class CaptureKind(Enum):
@@ -171,7 +170,7 @@ def comp_renaming(
     gs: NameGraph, gt: NameGraph, spell: Mapping[Label, str], capture: CaptureSet
 ) -> RenamingPair:
     """Fresh spellings for every captured-into declaration, given the
-    spelling of every label of the target term (`spellings(t)`).
+    spelling of every label of the target term (as its resolve gives it).
 
     A source declaration is renamed together with its source references; a
     synthesized declaration drags along every synthesized label that shares
@@ -212,6 +211,8 @@ def comp_renaming(
 
 def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
     """Repair loop: resolve, detect capture, rename, repeat until clean.
+    Every round respells the spelling map of the target's resolve, and
+    applies its edge delta to the graph and the capture set.
 
     Capture-free input comes back as the very same term object. The
     iteration budget is the label count of the input, read off its first
@@ -237,7 +238,7 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
                 f"capture repair did not converge within {budget} rounds"
             )
         if index is None:
-            index = LabelIndex(t)
+            index = LabelIndex(t, spellings(t) if frames is None else frames.spelling)
         spelling = index.spelling
         pair = comp_renaming(gs, gt, spelling, capture)
         pi = pair.combined()
@@ -249,13 +250,12 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
         current = index.rename(pi)
         steps.append(FixStep(capture, pair, current, gt))
         if frames is None:
-            gt = r.resolve(current)
-            capture = find_capture(gs, gt)
+            edges = r.resolve(current).edges
+            drop, add = gt.edges - edges, edges - gt.edges
         else:
-            # Edges of references the respelling cannot reach carry over,
-            # and so does their classification.
             drop, add = frames.rebind(spelling, changed)
-            gt = NameGraph(gt.labels, gt.edges - drop | add)
-            kept = [e for e in capture.edges if (e.ref, e.decl) not in drop]
-            capture = CaptureSet(frozenset(_captures(gs, add).union(kept)))
+        # Edges the round leaves alone keep their classification.
+        gt = NameGraph(gt.labels, gt.edges - drop | add)
+        kept = [e for e in capture.edges if (e.ref, e.decl) not in drop]
+        capture = CaptureSet(frozenset(_captures(gs, add).union(kept)))
     return FixResult(current, FixTrace(tuple(steps)), gt)

@@ -38,8 +38,12 @@ from .term import (
 Edge = tuple[Label, Label]
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class NameGraph:
     """Label set plus binding edges (reference label, declaration label)."""
+
+    labels: frozenset[Label]
+    edges: frozenset[Edge]
 
     def __init__(
         self,
@@ -51,19 +55,6 @@ class NameGraph:
         # of resolving a small lambda term.
         pairs = edges.items() if hasattr(edges, "items") else edges
         object.__setattr__(self, "edges", frozenset(pairs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("NameGraph is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, NameGraph)
-            and self.labels == other.labels
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.labels, self.edges))
 
     def __repr__(self) -> str:
         edges = ", ".join(
@@ -149,12 +140,14 @@ class BindingFrames:
     everywhere) of its spelling, else to nothing. Of several such top
     declarations, it binds to the first that carries its label, else to the
     last. Kept with the frames: each reference occurrence with its frame
-    and declaration, and `graph`, the name graph of t. Built by one walk,
-    which raises InconsistentLabel; nothing here recurses.
+    and declaration, `graph`, the name graph of t, and `spelling`, every
+    label of t mapped to its spelling, which repair respells in place
+    (`LabelIndex`). Built by one walk, which raises InconsistentLabel;
+    nothing here recurses.
     """
 
     __slots__ = (
-        "graph", "_frames", "_top", "_tops", "_first",
+        "graph", "spelling", "_frames", "_top", "_tops", "_first",
         "_occurrences", "_occurs", "_bound", "_refs",
     )
 
@@ -173,6 +166,7 @@ class BindingFrames:
             declared.append(n.label)
         self._top, self._tops, self._first = declared, at, first
         spell: dict[Label, str] = {}
+        self.spelling = spell
         # (label, frame, declaration or None) of each reference occurrence
         occurrences: list[tuple[Label, int, Label | None]] = []
         self._occurrences = occurrences

@@ -584,33 +584,32 @@ def _relabel_copy(body: Term, graph: NameGraph, alloc: LabelAllocator) -> Term:
 
 
 def inline_prog(p: Term, fname: str, graph: NameGraph) -> Term:
-    """Naive inlining: expand every call bound to the named top-level
-    function, given the name graph of p. Nothing is renamed.
-
-    Each call site is expanded exactly once; calls inside inserted copies
-    (recursion) are left alone.
+    """Naive inlining: expand every call to a top-level function spelled
+    fname with the function `graph` (the name graph of p) binds its head
+    to. Nothing is renamed. Each call site is expanded exactly once; calls
+    inside inserted copies (recursion) are left alone.
     """
-    target: Term | None = None
-    for f in prog_fdefs(p):
-        if fdef_name(f).text == fname:
-            target = f  # last declaration wins, matching resolution
-    if target is None:
+    # By label, last to first: of two sharing a label the first stays, as the resolver binds.
+    targets = {
+        fdef_name(f).label: f for f in reversed(prog_fdefs(p)) if fdef_name(f).text == fname
+    }
+    if not targets:
         raise UnknownFunction(fname)
-    target_label = fdef_name(target).label
-    params = fdef_params(target)
+    # reference label -> the function the graph binds it to
+    callee = {r: targets[d] for r, d in graph.edges if d in targets}
     alloc = LabelAllocator.after(graph.labels)
 
     # Post-order, so a call's arguments are expanded before the call is.
     def expand(e: Compound, parts: list[Term]) -> Term:
-        if tag(e) == "call" and target_label in graph.bindings(e.children[1].label):
-            args = parts[2:]
-            if len(args) != len(params):
-                raise ArityMismatch(
-                    f"{fname} expects {len(params)} args, got {len(args)}"
-                )
-            body = _relabel_copy(fdef_body(target), graph, alloc)
-            return subst_exp_many(body, {q.text: a for q, a in zip(params, args)})
-        return share(e, parts)
+        target = callee.get(e.children[1].label) if tag(e) == "call" else None
+        if target is None:
+            return share(e, parts)
+        params = fdef_params(target)
+        args = parts[2:]
+        if len(args) != len(params):
+            raise ArityMismatch(f"{fname} expects {len(params)} args, got {len(args)}")
+        body = _relabel_copy(fdef_body(target), graph, alloc)
+        return subst_exp_many(body, {q.text: a for q, a in zip(params, args)})
 
     return fold(p, node=expand)
 

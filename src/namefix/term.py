@@ -351,12 +351,10 @@ class LabelAllocator:
         self._next = start
 
     @classmethod
-    def after(cls, labels: Iterable[Label] | Term) -> "LabelAllocator":
-        """Ids after the largest of `labels`, or of a term's labels. A
-        resolver's graph holds exactly its term's labels: pass
-        `graph.labels` where there is one, to skip a walk of the term."""
-        if isinstance(labels, Term):
-            labels = labels_of(labels)
+    def after(cls, labels: Iterable[Label]) -> "LabelAllocator":
+        """Ids after the largest of `labels`. A resolver's graph holds
+        exactly its term's labels: pass `graph.labels` where there is one,
+        to skip a walk of the term."""
         return cls(max(labels, default=0) + 1)
 
     def fresh(self) -> Label:
@@ -504,7 +502,7 @@ def rename(t: Term, pi: Mapping[Label, str]) -> Term:
     returns t itself. Raises InconsistentLabel on a corrupt term."""
     if not pi:
         return t
-    return LabelIndex(t).rename(pi)
+    return LabelIndex(t, spellings(t)).rename(pi)
 
 
 # A compound at one position of an indexed term: [its current node, the
@@ -515,23 +513,23 @@ Spine = list
 
 
 class LabelIndex:
-    """One term's labels, each with its spelling and the positions where it
-    occurs, for respelling the term round after round.
+    """The positions where each label of one term occurs, for respelling
+    the term round after round, with `spelling`, every label's spelling as
+    `spellings(t)` or the resolve of t (`BindingFrames.spelling`) gives it.
 
     Renaming never changes a term's shape, so the index built once serves
     every later respelling: `rename` rebuilds only the compounds above the
-    names it respells, shares every other subterm, and leaves the index
-    describing the new term, whose spellings `spelling` holds. Built by
-    one walk; raises InconsistentLabel on a corrupt term.
+    names it respells, shares every other subterm, and respells `spelling`
+    in place, so the index describes the new term. Built by one walk.
     """
 
-    def __init__(self, t: Term) -> None:
+    def __init__(self, t: Term, spelling: dict[Label, str]) -> None:
         # A holder above the root, so that the root is a position too.
         self._holder: Spine = [Compound((t,)), None, 0, 0]
-        self.spelling: dict[Label, str] = {}
+        self.spelling = spelling
         # label -> spine, index, spine, index, ... of its occurrences
         self._at: dict[Label, list] = {}
-        spelling, at = self.spelling, self._at
+        at = self._at
         stack = [self._holder]
         while stack:
             spine = stack.pop()
@@ -543,8 +541,6 @@ class LabelIndex:
                 if kind is Compound:
                     stack.append([child, spine, i, depth])
                 elif kind is Name:
-                    if spelling.setdefault(child.label, child.text) != child.text:
-                        note_spelling(spelling, child)  # raises InconsistentLabel
                     places = at.get(child.label)
                     if places is None:
                         at[child.label] = [spine, i]

@@ -52,7 +52,7 @@ def mutate_lambda(rng: random.Random, s: Term) -> Term:
     """A naive 'transformation' output: copies of s's subterms mixed with
     synthesized binders and references whose names clash with s's names.
     Copied names keep their labels; invented ones are synthesized."""
-    syn = LabelAllocator.after(s)
+    syn = LabelAllocator.after(labels_of(s))
     subterms: list[Term] = []
 
     def collect(t: Term) -> None:

@@ -649,15 +649,12 @@ def _relabel_copy(body: Term, graph: NameGraph, alloc: LabelAllocator) -> Term:
 
 
 def inline_prog(p: Term, fname: str, graph: NameGraph) -> Term:
-    target: Term | None = None
-    for f in prog_fdefs(p):
-        if fdef_name(f).text == fname:
-            target = f
-    if target is None:
+    """simpl.inline_prog: each call is expanded with the first top-level
+    function spelled fname whose label the call's head is bound to."""
+    targets = [f for f in prog_fdefs(p) if fdef_name(f).text == fname]
+    if not targets:
         raise UnknownFunction(fname)
-    target_label = fdef_name(target).label
-    params = fdef_params(target)
-    alloc = LabelAllocator.after(p)
+    alloc = LabelAllocator.after(term.labels_of(p))
 
     def go(e: Term) -> Term:
         if not isinstance(e, Compound):
@@ -666,15 +663,18 @@ def inline_prog(p: Term, fname: str, graph: NameGraph) -> Term:
             fn_name = e.children[1]
             assert isinstance(fn_name, Name)
             args = [go(a) for a in e.children[2:]]
-            if target_label in graph.bindings(fn_name.label):
-                if len(args) != len(params):
-                    raise ArityMismatch(
-                        f"{fname} expects {len(params)} args, got {len(args)}"
+            bound = graph.bindings(fn_name.label)
+            for target in targets:
+                if fdef_name(target).label in bound:
+                    params = fdef_params(target)
+                    if len(args) != len(params):
+                        raise ArityMismatch(
+                            f"{fname} expects {len(params)} args, got {len(args)}"
+                        )
+                    body = _relabel_copy(fdef_body(target), graph, alloc)
+                    return subst_exp_many(
+                        body, {q.text: a for q, a in zip(params, args)}
                     )
-                body = _relabel_copy(fdef_body(target), graph, alloc)
-                return subst_exp_many(
-                    body, {q.text: a for q, a in zip(params, args)}
-                )
             return Compound((e.children[0], fn_name) + tuple(args))
         return Compound(tuple(go(c) for c in e.children))
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from namefix import cli, lam, simpl, statemachine
@@ -96,7 +98,7 @@ class TestCompile:
         assert main(["compile", "--emit-graphs", str(door_renamed)]) == 0
         base = str(door_renamed)
         for suffix in (".src.dot", ".tgt.dot", ".fix1.dot"):
-            text = open(base + suffix).read()
+            text = Path(base + suffix).read_text()
             assert text.startswith("digraph")
 
     def test_debug_labels(self, door, capsys):
@@ -196,7 +198,7 @@ class TestRepairFlags:
         code, p = self.run(tmp_path, command, src, rest, "--emit-graphs")
         assert code == 0
         for suffix in (".src.dot", ".tgt.dot", ".fix1.dot"):
-            assert open(str(p) + suffix).read().startswith("digraph")
+            assert Path(str(p) + suffix).read_text().startswith("digraph")
 
 
 def count_resolves(argv):

@@ -6,18 +6,36 @@ per state; 10,000 nested lambdas are 10,000 levels deep, with one binder
 name or 10,000 distinct ones; a repair re-binds 5,000 references below
 20,000 binders. Only the parsers still recurse, so these inputs are built
 in memory or from flat `.stm` text.
+
+The frame walk is also checked against the recursive reference resolvers
+of `reference.py` on terms 300 levels deep, shallow enough for those, and
+so is its re-binding after respellings.
 """
+
+import itertools
+import random
 
 import pytest
 
+import reference
 from namefix import simpl
 from namefix.cli import main
 from namefix.fix import find_capture, name_fix
-from namefix.graph import alpha_equiv_relabel, sub_alpha_equiv
+from namefix.graph import BindingFrames, NameGraph, alpha_equiv_relabel, sub_alpha_equiv
 from namefix.lam import LAMBDA_RESOLVER, app, lam, pretty_lambda, resolve_lambda
-from namefix.simpl import SIMPL_RESOLVER, call, eval_simpl, fdef_name, prog, prog_fdefs
+from namefix.simpl import (
+    SIMPL_RESOLVER,
+    call,
+    eval_simpl,
+    fdef_name,
+    parse_simpl,
+    prog,
+    prog_fdefs,
+    resolve_simpl,
+)
 from namefix.statemachine import compile_machine, parse_stm, resolve_machine
-from namefix.term import Const, Label, Name, Provenance, compound, fold, label_equiv
+from namefix.term import Const, Label, LabelIndex, Name, Provenance, compound, fold, label_equiv
+from test_oracle import respellings, typed
 
 STATES = 5_000
 LAMBDAS = 10_000
@@ -207,3 +225,65 @@ def test_one_round_rebinds_5000_references_far_from_their_binder():
     assert result.graph == resolve_lambda(result.term)
     assert result.graph.edges == gs.edges
     assert pretty_lambda(result.term).startswith("\\x. " + "\\y. " * SHADOWING + "\\x0. x (\\y. x")
+
+
+DEPTH = 300
+
+
+def deep_lambda(n: int, kinds: int):
+    """n nested lambdas, the binder at level i spelled y<i % kinds>: with
+    kinds < n a binder shadows the outer ones of its spelling, with
+    kinds = n all are distinct. Each level applies a reference spelled
+    y<5i % 11> to the next level: it names an outer binder, one that an
+    inner binder shadows, or nothing."""
+    ids = itertools.count(1)
+    body = Name("y0", Label(next(ids)))
+    for i in reversed(range(n)):
+        ref = Name(f"y{5 * i % 11}", Label(next(ids)))
+        body = lam(Name(f"y{i % kinds}", Label(next(ids))), app(ref, body))
+    return body
+
+
+def deep_let_chain(n: int):
+    """A .spl program whose main is n nested lets, the binder at level i
+    spelled v<i % 7> and its initializer referring to v<5i % 11>: an outer
+    binder, a shadowed one, the top-level function v4 or nothing."""
+    chain = "".join(f"let v{i % 7} = v{5 * i % 11} + {i} in " for i in range(n))
+    return parse_simpl(f"fun v4(a) = a;\n{chain}v4(v3)")
+
+
+def assert_rebinds_like_reference(resolver, resolve, t, pis):
+    """After each respelling of `pis`, the graph re-bound through t's
+    BindingFrames is the reference resolver's graph of the respelled term."""
+    frames = BindingFrames(t, resolver.scopes, resolver.top(t))
+    index = LabelIndex(t, frames.spelling)
+    g = frames.graph
+    for pi in pis:
+        spelling = index.spelling
+        changed = set()
+        for v, text in pi.items():
+            if spelling[v] != text:
+                changed.update((spelling[v], text))
+        term = index.rename(pi)
+        drop, add = frames.rebind(spelling, changed)
+        g = NameGraph(g.labels, g.edges - drop | add)
+        assert typed(g) == typed(resolve(term))
+
+
+@pytest.mark.parametrize("kinds", [7, DEPTH])
+def test_300_nested_lambdas_resolve_and_rebind_as_the_reference_does(kinds):
+    t = deep_lambda(DEPTH, kinds)
+    g = resolve_lambda(t)
+    assert len(g.edges) > DEPTH // 2
+    assert typed(g) == typed(reference.resolve_lambda(t))
+    pis = respellings(random.Random(kinds), t, 4)
+    assert_rebinds_like_reference(LAMBDA_RESOLVER, reference.resolve_lambda, t, pis)
+
+
+def test_300_nested_lets_resolve_and_rebind_as_the_reference_does():
+    p = deep_let_chain(DEPTH)
+    g = resolve_simpl(p)
+    assert len(g.edges) > DEPTH // 2
+    assert typed(g) == typed(reference.resolve_simpl(p))
+    pis = respellings(random.Random(0), p, 4)
+    assert_rebinds_like_reference(SIMPL_RESOLVER, reference.resolve_simpl, p, pis)

@@ -52,7 +52,9 @@ def respellings(p, rng, texts_for):
 def assert_hygienic(p, q):
     """inline of every top-level function and lambda_lift agree on p and q
     up to alpha-equivalence. A function whose spelling in q is shared with
-    another top-level function cannot be named there, and is skipped."""
+    another top-level function is skipped: `inline(q, spelling)` expands
+    the calls of every function so spelled, each call with the function
+    its head is bound to, and a spelling cannot name one of them alone."""
     spell_p, spell_q = spellings(p), spellings(q)
     functions = [fdef_name(f).label for f in prog_fdefs(p)]
     named = [spell_q[f] for f in functions]

@@ -385,7 +385,7 @@ def respellings(rng, t, rounds):
 def assert_rebinds_like_resolve(resolver, t, pis):
     """After each respelling of `pis`, the graph BindingFrames carries is
     the resolved graph of the respelled term, provenance included."""
-    index = LabelIndex(t)
+    index = LabelIndex(t, spellings(t))
     frames = BindingFrames(t, resolver.scopes, resolver.top(t))
     g = frames.graph
     assert typed(g) == typed(resolver.resolve(t))
@@ -530,7 +530,7 @@ def assert_successive_renamings(rng, t, rounds=4):
     against a whole-term reference.rename per round. Each renaming maps
     some labels to a new spelling, some to their current one, and one
     label the term does not have."""
-    index = LabelIndex(t)
+    index = LabelIndex(t, spellings(t))
     want = t
     for _ in range(rounds):
         spell = spellings(want)

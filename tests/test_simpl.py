@@ -33,7 +33,7 @@ from namefix.simpl import (
     subst_exp_many,
     tag,
 )
-from namefix.term import Compound, Label, Name, Provenance, iter_names, labels_of
+from namefix.term import Compound, Label, Name, Provenance, fold, iter_names, labels_of
 
 import reference
 from gen import gen_simpl_source
@@ -284,6 +284,20 @@ class TestInline:
         p = parse_simpl("fun f(x) = f(x + 1); f(0)")
         out = inline(p, "f")
         assert pretty_simpl(prog_main(out)[0]) == "f(0 + 1)"
+
+    def test_each_call_expands_the_function_it_is_bound_to(self):
+        # Two top-level f: the call pinned @7 carries the earlier f's label,
+        # so the resolver binds it to that f (the first rule), while @8
+        # falls back to the later one (the last rule).
+        src = "fun f@1(a@2) = a@3 + 1;\nfun f@4(b@5) = b@6 * 2;\nf@7(10) + f@8(20)\n"
+        p = fold(parse_simpl(src), lambda n: Name(n.text, Label(1)) if n.label == 7 else n)
+        gs = resolve_simpl(p)
+        assert gs.bindings(Label(1)) == {Label(1)}
+        assert gs.bindings(Label(8)) == {Label(4)}
+        out = inline(p, "f")
+        assert pretty_simpl(prog_main(out)[0]) == "10 + 1 + 20 * 2"
+        assert prog_fdefs(out) == prog_fdefs(p)
+        assert reference.inline_prog(p, "f", gs) == inline_prog(p, "f", gs)
 
 
 class TestLambdaLift:
