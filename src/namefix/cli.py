@@ -147,12 +147,19 @@ def _substitute(args: argparse.Namespace, p: Term, gs: NameGraph) -> Term:
         repl = simpl.parse_simpl_exp(args.replacement)
     except simpl.ParseError as exc:
         raise CliError(f"replacement: {exc}", EXIT_PARSE) from exc
+    # A pin shares a label of the program only with its spelling and its
+    # provenance there: a term gives each label id one of each.
     pinned = spellings(repl)
-    if pinned.keys() & gs.labels:  # a pin shares a label only when spelled alike
-        for v, text in spellings(p).items():
-            if pinned.get(v, text) != text:
-                clash = f"label {v!r} is spelled {pinned[v]!r} here but {text!r} in {args.input}"
-                raise CliError(f"replacement: {clash}", EXIT_IO)
+    shared = [(v, w) for v in pinned if (w := gs.find(v)) is not None]
+    spell = spellings(p) if shared else {}
+    for v, w in shared:
+        if v.provenance is not w.provenance:
+            clash = f"{v.provenance.value} here but {w.provenance.value}"
+        elif pinned[v] != spell[v]:
+            clash = f"spelled {pinned[v]!r} here but {spell[v]!r}"
+        else:
+            continue
+        raise CliError(f"replacement: label {v!r} is {clash} in {args.input}", EXIT_IO)
     return simpl.subst_prog(p, args.name, repl)
 
 

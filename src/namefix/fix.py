@@ -10,18 +10,19 @@ target's resolve is `BindingFrames`: one walk that gives its frames, its
 graph and its spelling map. Renaming never changes a term's shape, so at
 the first capture a second walk builds a `LabelIndex` of the label
 positions, and every round respells the resolve's spelling map through
-it. Each round yields an edge delta, from `BindingFrames.rebind`, which
-re-binds only the references spelled like a respelled label (their old
-or new spelling): no other reference can see a different declaration of
-its spelling. One rule applies the delta: dropped edges leave the graph
-and the capture set, and added edges join the graph and are classified,
-since capture is classified edge by edge. A round then costs a
-`comp_renaming` whose lookups are by label, a respelling that rebuilds
-only the compounds above the renamed names, a re-binding that looks each
-frame up at most once per changed spelling, and set operations on the
-edges. A capture-free input costs one resolve and one `find_capture`. A
-resolver without binding forms is resolved in full every round, its
-delta the difference of two graphs, its spelling map `spellings(t)`.
+it. The index notes each label it respelled with its old spelling, and
+`BindingFrames.rebind` re-binds only the references spelled like one of
+those labels, before or after: no other reference can see a different
+declaration of its spelling. The edge delta this yields is applied by
+one rule: dropped edges leave the graph and the capture set, and added
+edges join the graph and are classified, since the source graph
+classifies capture edge by edge. A round then costs a `comp_renaming`
+whose lookups are by label, a respelling that rebuilds only the
+compounds above the renamed names, a re-binding that looks each frame up
+at most once per changed spelling, and set operations on the edges. A
+capture-free input costs one resolve and one `find_capture`. A resolver
+without binding forms is resolved in full every round, its delta the
+difference of two graphs, its spelling map `spellings(t)`.
 """
 
 from __future__ import annotations
@@ -147,22 +148,17 @@ def find_capture(gs: NameGraph, gt: NameGraph) -> CaptureSet:
 def _captures(gs: NameGraph, edges: Iterable[Edge]) -> set[CaptureEdge]:
     """The capture edges among `edges`: each edge is classified on its own,
     against the source graph alone."""
-    by_id, decls, _ = gs._index
     out: set[CaptureEdge] = set()
     for v, target in edges:
-        # gs.counts_as_source(v), inline: this loop runs once per edge.
-        w = by_id.get(v)
-        if w is not None and w.provenance is v.provenance:
-            bound = decls.get(v)
+        if gs.counts_as_source(v):
+            bound = gs.bindings(v)
             if bound:
                 if target not in bound:
                     out.add(CaptureEdge(v, target, CaptureKind.SOURCE_REBOUND))
             elif v != target:
                 out.add(CaptureEdge(v, target, CaptureKind.SOURCE_FREE_CAPTURED))
-        else:
-            w = by_id.get(target)
-            if w is not None and w.provenance is target.provenance:
-                out.add(CaptureEdge(v, target, CaptureKind.SYNTHESIZED_CAPTURED))
+        elif gs.counts_as_source(target):
+            out.add(CaptureEdge(v, target, CaptureKind.SYNTHESIZED_CAPTURED))
     return out
 
 
@@ -181,7 +177,6 @@ def comp_renaming(
         raise ValueError("comp_renaming requires a nonempty capture set")
     pi_src: dict[Label, str] = {}
     pi_syn: dict[Label, str] = {}
-    by_id, _, refs = gs._index
     used = set(spell.values())  # every spelling of t, plus each fresh one assigned
     synthesized: dict[str, list[Label]] | None = None  # spelling -> labels, when needed
     for v_d in sorted(capture.captured_declarations):
@@ -190,15 +185,13 @@ def comp_renaming(
                 fresh = gensym(spell[v_d], used)
                 pi_src[v_d] = fresh
                 used.add(fresh)
-                for v_r in refs.get(v_d, ()):
+                for v_r in gs.references_to(v_d):
                     pi_src[v_r] = fresh
         elif v_d not in pi_syn:
             if synthesized is None:
                 synthesized = {}
                 for v in gt.labels:
-                    # not gs.counts_as_source(v), inline: once per label
-                    w = by_id.get(v)
-                    if w is None or w.provenance is not v.provenance:
+                    if not gs.counts_as_source(v):
                         synthesized.setdefault(spell[v], []).append(v)
             group = synthesized.get(spell[v_d])
             if group:
@@ -239,21 +232,14 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
             )
         if index is None:
             index = LabelIndex(t, spellings(t) if frames is None else frames.spelling)
-        spelling = index.spelling
-        pair = comp_renaming(gs, gt, spelling, capture)
-        pi = pair.combined()
-        changed: set[str] = set()  # the old and new spelling of each respelled label
-        for v, text in pi.items():
-            old = spelling.get(v)
-            if old is not None and old != text:
-                changed.update((old, text))
-        current = index.rename(pi)
+        pair = comp_renaming(gs, gt, index.spelling, capture)
+        current = index.rename(pair.combined())
         steps.append(FixStep(capture, pair, current, gt))
         if frames is None:
             edges = r.resolve(current).edges
             drop, add = gt.edges - edges, edges - gt.edges
         else:
-            drop, add = frames.rebind(spelling, changed)
+            drop, add = frames.rebind(index.spelling, index.respelled)
         # Edges the round leaves alone keep their classification.
         gt = NameGraph(gt.labels, gt.edges - drop | add)
         kept = [e for e in capture.edges if (e.ref, e.decl) not in drop]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .term import (
     E,
@@ -87,7 +87,11 @@ class NameGraph:
         return by_id, {r: frozenset(ds) for r, ds in decls.items()}, refs
 
     def bindings(self, ref: Label) -> frozenset[Label]:
-        return self._index[1].get(ref, frozenset())
+        return self._index[1].get(ref, _NOTHING)
+
+    def references_to(self, decl: Label) -> Sequence[Label]:
+        """The references bound to decl: the inverse of `bindings`."""
+        return self._index[2].get(decl, ())
 
     def find(self, label_id: int) -> Label | None:
         return self._index[0].get(label_id)
@@ -98,7 +102,7 @@ class NameGraph:
         Membership is by id, but a provenance flip (a marked name) makes a
         label count as synthesized even when its id is known to this graph.
         """
-        w = self.find(v)
+        w = self._index[0].get(v)
         return w is not None and w.provenance is v.provenance
 
 
@@ -139,11 +143,11 @@ class BindingFrames:
     spelling up its frame's chain, else to a `top` declaration (visible
     everywhere) of its spelling, else to nothing. Of several such top
     declarations, it binds to the first that carries its label, else to the
-    last. Kept with the frames: each reference occurrence with its frame
-    and declaration, `graph`, the name graph of t, and `spelling`, every
-    label of t mapped to its spelling, which repair respells in place
-    (`LabelIndex`). Built by one walk, which raises InconsistentLabel;
-    nothing here recurses.
+    last. Kept with the frames: each reference occurrence with its frame,
+    `graph`, the name graph of t, which holds each reference's
+    declarations, and `spelling`, every label of t mapped to its spelling,
+    which repair respells in place (`LabelIndex`). Built by one walk, which
+    raises InconsistentLabel; nothing here recurses.
     """
 
     __slots__ = (
@@ -167,13 +171,14 @@ class BindingFrames:
         self._top, self._tops, self._first = declared, at, first
         spell: dict[Label, str] = {}
         self.spelling = spell
-        # (label, frame, declaration or None) of each reference occurrence
-        occurrences: list[tuple[Label, int, Label | None]] = []
+        # (label, frame) of each reference occurrence
+        occurrences: list[tuple[Label, int]] = []
         self._occurrences = occurrences
         edges: set[Edge] = set()
-        # Built by the first rebind, from the occurrences: reference label
-        # -> the frames of its occurrences, and -> its declarations;
-        # spelling -> the reference labels spelled so, as of the last rebind.
+        # Built by the first rebind, from the occurrences and the graph's
+        # edges: reference label -> the frames of its occurrences, and -> its
+        # declarations; spelling -> the reference labels spelled so, as of
+        # the last rebind.
         self._refs: dict[str, list[Label]] | None = None
         # spelling -> what it means at frame 0, at each frame binding it
         # and at each frame _lookup passed, for every spelling that a binder
@@ -208,7 +213,7 @@ class BindingFrames:
                         positions = at.get(text)
                         if positions:
                             decl = first.get(label, declared[positions[-1]])
-                    occurrences.append((label, env, decl))
+                    occurrences.append((label, env))
                     if decl is not None:
                         edges.add((label, decl))
                 return ()
@@ -244,31 +249,30 @@ class BindingFrames:
         return decl
 
     def rebind(
-        self, spelling: Mapping[Label, str], changed: Collection[str]
+        self, spelling: Mapping[Label, str], respelled: Mapping[Label, str]
     ) -> tuple[set[Edge], set[Edge]]:
         """The edges to drop from the graph and to add to it after a
         respelling of the term, given every label's spelling now and the
-        spellings `changed`: each respelled label's old and new one. Only
-        references spelled in `changed` can bind differently, so only they
-        are looked up. From then on the frames describe the respelled term;
-        `graph` is left as it was."""
+        labels `respelled`, each mapped to its previous spelling (as
+        `LabelIndex.rename` records them). Only references spelled like a
+        respelled label, before or after, can bind differently, so only
+        they are looked up. From then on the frames describe the respelled
+        term; `graph` is left as it was."""
         refs, tops, top = self._refs, self._tops, self._top
-        # Each respelled label moved between two spellings of `changed`.
+        changed = {spelling[v] for v in respelled}.union(respelled.values())
         if refs is None:
-            # reference label -> the frames of its occurrences, and -> its
-            # declarations; spelling -> the reference labels spelled so
             occurs: dict[Label, list[int]] = {}
-            bound: dict[Label, set[Label]] = {}
             refs = {}
-            for v, f, d in self._occurrences:
+            for v, f in self._occurrences:
                 where = occurs.get(v)
                 if where is None:
                     occurs[v] = [f]
                     refs.setdefault(spelling[v], []).append(v)
                 else:
                     where.append(f)
-                if d is not None:
-                    bound.setdefault(v, set()).add(d)
+            bound: dict[Label, set[Label]] = {}
+            for v, d in self.graph.edges:
+                bound.setdefault(v, set()).add(d)
             self._occurs, self._bound, self._refs = occurs, bound, refs
             self._occurrences = []
         else:

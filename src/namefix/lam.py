@@ -64,12 +64,17 @@ class _Parser(Scanner):
         super().__init__(src, _TOKEN, frozenset(), ParseError, len(src))
 
     def parse_exp(self) -> Term:
-        if self.at("\\"):
+        # A chain of lambdas is parsed by this loop, so it nests as deep as
+        # memory allows.
+        binders: list[Name] = []
+        while self.at("\\"):
             self.next()
-            binder = self.name(self.next("name"))
+            binders.append(self.name(self.next("name")))
             self.next(".")
-            return lam(binder, self.parse_exp())
-        return self.parse_add()
+        e = self.parse_add()
+        while binders:
+            e = lam(binders.pop(), e)
+        return e
 
     def parse_add(self) -> Term:
         e = self.parse_app()

@@ -10,9 +10,10 @@ pass against the source program's name graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from operator import attrgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import term
 from .fix import name_fix
@@ -201,32 +202,36 @@ class _Parser(Scanner):
         return params
 
     def parse_exp(self) -> Term:
-        if self.at("let"):
-            self.next()
-            if self.at("fun"):
-                self.next()
-                name = self.name(self.next("name"))
-                params = self.parse_params()
-                self.next("=")
-                fbody = self.parse_exp()
-                self.next("in")
-                body = self.parse_exp()
-                return letfun(fdef(name, params, fbody), body)
-            binder = self.name(self.next("name"))
-            self.next("=")
-            init = self.parse_exp()
-            self.next("in")
-            body = self.parse_exp()
-            return let(binder, init, body)
-        if self.at("if"):
-            self.next()
-            cond = self.parse_exp()
-            self.next("then")
-            then = self.parse_exp()
-            self.next("else")
-            els = self.parse_exp()
-            return if_(cond, then, els)
-        return self.parse_eq()
+        # The tail of a let, a let fun or an if, its last part, is parsed by
+        # this loop: a chain of them nests as deep as memory allows. Every
+        # other part recurses.
+        heads: list[Callable[[Term], Compound]] = []
+        while self.at("let") or self.at("if"):
+            if self.next()[0] == "let":
+                if self.at("fun"):
+                    self.next()
+                    name = self.name(self.next("name"))
+                    params = self.parse_params()
+                    self.next("=")
+                    fbody = self.parse_exp()
+                    self.next("in")
+                    heads.append(partial(letfun, fdef(name, params, fbody)))
+                else:
+                    binder = self.name(self.next("name"))
+                    self.next("=")
+                    init = self.parse_exp()
+                    self.next("in")
+                    heads.append(partial(let, binder, init))
+            else:
+                cond = self.parse_exp()
+                self.next("then")
+                then = self.parse_exp()
+                self.next("else")
+                heads.append(partial(if_, cond, then))
+        e = self.parse_eq()
+        while heads:
+            e = heads.pop()(e)
+        return e
 
     def parse_eq(self) -> Term:
         e = self.parse_add()
@@ -250,10 +255,15 @@ class _Parser(Scanner):
         return e
 
     def parse_unary(self) -> Term:
-        if self.at("!"):
+        nots = 0
+        while self.at("!"):
             self.next()
-            return not_(self.parse_unary())
-        return self.parse_atom()
+            nots += 1
+        e = self.parse_atom()
+        while nots:
+            e = not_(e)
+            nots -= 1
+        return e
 
     def parse_atom(self) -> Term:
         if self.at("int"):

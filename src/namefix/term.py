@@ -58,7 +58,8 @@ class Label(int):
     `Label` is source, and `Label(id, Provenance.SYNTHESIZED)` makes an
     instance of a private subclass. Two consequences: `Label(3) == 3`, and
     `Label(0)` is falsy, so code never tests a label for truth (write
-    `is None`).
+    `is None`). A term gives each id one spelling and one provenance:
+    repair looks labels up by id and reads the provenance of the one found.
     """
 
     __slots__ = ()
@@ -520,13 +521,16 @@ class LabelIndex:
     Renaming never changes a term's shape, so the index built once serves
     every later respelling: `rename` rebuilds only the compounds above the
     names it respells, shares every other subterm, and respells `spelling`
-    in place, so the index describes the new term. Built by one walk.
+    in place, so the index describes the new term. `respelled` maps each
+    label the last `rename` respelled to its previous spelling. Built by
+    one walk.
     """
 
     def __init__(self, t: Term, spelling: dict[Label, str]) -> None:
         # A holder above the root, so that the root is a position too.
         self._holder: Spine = [Compound((t,)), None, 0, 0]
         self.spelling = spelling
+        self.respelled: dict[Label, str] = {}
         # label -> spine, index, spine, index, ... of its occurrences
         self._at: dict[Label, list] = {}
         at = self._at
@@ -556,6 +560,7 @@ class LabelIndex:
         it; from then on the index describes that term. Labels the term
         does not have are ignored."""
         spelling = self.spelling
+        respelled = self.respelled = {}
         # id(spine) -> (its depth, spine, its new children), for every
         # spine to rebuild
         edited: dict[int, tuple[int, Spine, list[Term]]] = {}
@@ -563,6 +568,7 @@ class LabelIndex:
             old = spelling.get(label)
             if old is None or old == text:
                 continue
+            respelled[label] = old
             spelling[label] = text
             places = iter(self._at[label])
             for spine, i in zip(places, places):

@@ -442,6 +442,22 @@ class TestSubstPins:
         err = capsys.readouterr().err
         assert err == f"namefix: replacement: label @1 is spelled 'n' here but 'f' in {p}\n"
 
+    @pytest.mark.parametrize(
+        "program, name, replacement, clash",
+        [
+            (PROGRAM, "y", "f@'1 + 1", "@'1 is synthesized here but source"),
+            ("let x@3 = 1 in let x = 2 in y + x\n", "y", "x@'3", "@'3 is synthesized here but source"),
+        ],
+        ids=["function", "let"],
+    )
+    def test_pin_under_another_provenance_is_a_usage_error(
+        self, tmp_path, capsys, program, name, replacement, clash
+    ):
+        p = tmp_path / "p.spl"
+        p.write_text(program)
+        assert main(["subst", str(p), name, replacement]) == EXIT_IO
+        assert capsys.readouterr().err == f"namefix: replacement: label {clash} in {p}\n"
+
     def test_pin_spelled_alike_shares_the_label(self, tmp_path, capsys):
         p = tmp_path / "p.spl"
         p.write_text(self.PROGRAM)

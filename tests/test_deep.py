@@ -4,8 +4,11 @@ bounded by memory and not by the Python stack.
 A 5,000-state machine compiles to a `main` whose if-chain is one level deep
 per state; 10,000 nested lambdas are 10,000 levels deep, with one binder
 name or 10,000 distinct ones; a repair re-binds 5,000 references below
-20,000 binders. Only the parsers still recurse, so these inputs are built
-in memory or from flat `.stm` text.
+20,000 binders. The parsers read right-nested chains (lets, if-else,
+lambdas) in a loop, so the printed 5,000-state compile output and the
+printed 10,000-lambda chain parse back; they still recurse on
+parenthesised and operand nesting, so the other inputs are built in memory
+or from flat `.stm` text.
 
 The frame walk is also checked against the recursive reference resolvers
 of `reference.py` on terms 300 levels deep, shallow enough for those, and
@@ -22,7 +25,7 @@ from namefix import simpl
 from namefix.cli import main
 from namefix.fix import find_capture, name_fix
 from namefix.graph import BindingFrames, NameGraph, alpha_equiv_relabel, sub_alpha_equiv
-from namefix.lam import LAMBDA_RESOLVER, app, lam, pretty_lambda, resolve_lambda
+from namefix.lam import LAMBDA_RESOLVER, app, lam, parse_lambda, pretty_lambda, resolve_lambda
 from namefix.simpl import (
     SIMPL_RESOLVER,
     call,
@@ -83,12 +86,20 @@ def test_compile_5000_states_with_a_clash(tmp_path, capsys, monkeypatch):
     ((repaired, text),) = printed
     out = capsys.readouterr().out
     assert out == text
+    # The printed text parses back. Compiling repeats labels (a state's in
+    # its function and in `main`), which printing forgets, so the parse is
+    # compared with the repaired term given one label per occurrence.
+    reparsed = parse_simpl(out)
+    ids = itertools.count(1)
+    relabeled = fold(repaired, lambda n: Name(n.text, Label(next(ids))))
+    assert alpha_equiv_relabel(reparsed, relabeled, SIMPL_RESOLVER)
     # The synthesized dispatch function gave way to the state's name.
     assert "fun s1-dispatch0(event) = " in out
     assert {fdef_name(f).text for f in prog_fdefs(repaired)} >= {"s1-dispatch", "main"}
     clash = STATES // 2
     for state in (0, STATES - 1, clash - 1):
         assert successor(repaired, state, "go") == table[(state, "go")]
+        assert successor(reparsed, state, "go") == table[(state, "go")]
     assert table[(clash - 1, "go")] == clash
 
 
@@ -137,6 +148,7 @@ def test_10000_nested_lambdas_resolve_repair_and_print():
 
     text = pretty_lambda(repaired)
     assert text == "\\x. " + "\\y. " * LAMBDAS + "\\x0. x"
+    assert alpha_equiv_relabel(parse_lambda(text), repaired, LAMBDA_RESOLVER)
 
 
 def test_10000_nested_lambdas_with_distinct_binders():
@@ -259,13 +271,8 @@ def assert_rebinds_like_reference(resolver, resolve, t, pis):
     index = LabelIndex(t, frames.spelling)
     g = frames.graph
     for pi in pis:
-        spelling = index.spelling
-        changed = set()
-        for v, text in pi.items():
-            if spelling[v] != text:
-                changed.update((spelling[v], text))
         term = index.rename(pi)
-        drop, add = frames.rebind(spelling, changed)
+        drop, add = frames.rebind(index.spelling, index.respelled)
         g = NameGraph(g.labels, g.edges - drop | add)
         assert typed(g) == typed(resolve(term))
 

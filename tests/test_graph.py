@@ -57,6 +57,7 @@ class TestNameGraphBasics:
     def test_relational_edges(self):
         g = NameGraph({lbl(1), lbl(2), lbl(3)}, [(lbl(3), lbl(1)), (lbl(3), lbl(2))])
         assert g.bindings(lbl(3)) == {lbl(1), lbl(2)}
+        assert [g.references_to(v) for v in (lbl(1), lbl(2), lbl(3))] == [[lbl(3)], [lbl(3)], ()]
         with pytest.raises(ValueError):
             reference.lookup(g, lbl(3))
         with pytest.raises(ValueError):

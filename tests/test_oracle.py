@@ -390,12 +390,8 @@ def assert_rebinds_like_resolve(resolver, t, pis):
     g = frames.graph
     assert typed(g) == typed(resolver.resolve(t))
     for pi in pis:
-        changed = set()
-        for v, text in pi.items():
-            if index.spelling[v] != text:
-                changed.update((index.spelling[v], text))
         term = index.rename(pi)
-        drop, add = frames.rebind(index.spelling, changed)
+        drop, add = frames.rebind(index.spelling, index.respelled)
         assert not drop & add
         g = NameGraph(g.labels, g.edges - drop | add)
         assert typed(g) == typed(resolver.resolve(term))
@@ -436,6 +432,7 @@ def test_graph_queries(vs, edges, v):
     g = NameGraph(vs, edges)
     assert g.find(v.id) is reference.find(g, v.id)
     assert g.bindings(v) == reference.bindings(g, v)
+    assert sorted(g.references_to(v)) == sorted(r for r, d in g.edges if d == v)
     assert g.counts_as_source(v) is reference.counts_as_source(g, v)
 
 
@@ -529,7 +526,7 @@ def assert_successive_renamings(rng, t, rounds=4):
     """One LabelIndex respells t round after round, as name_fix uses it,
     against a whole-term reference.rename per round. Each renaming maps
     some labels to a new spelling, some to their current one, and one
-    label the term does not have."""
+    label the term does not have; only the first kind is respelled."""
     index = LabelIndex(t, spellings(t))
     want = t
     for _ in range(rounds):
@@ -545,7 +542,9 @@ def assert_successive_renamings(rng, t, rounds=4):
         assert same_sharing(got, got_from, want, want_from)
         assert index.term is got
         assert index.spelling == spellings(want)
+        assert index.respelled == {v: spell[v] for v, text in pi.items() if spell.get(v, text) != text}
     assert index.rename(spellings(want)) is got
+    assert index.respelled == {}
 
 
 def assert_same_simpl_walks(rng, q):

@@ -81,7 +81,7 @@ def test_too_many_digits_in_a_string_is_no_pin():
     "parser, src",
     [
         ("spl", "fun f(x) = " + "(" * 5000 + "x" + ")" * 5000 + ";"),
-        ("spl-exp", "let x = 1 in " * 5000 + "x"),
+        ("spl-exp", "let x = " * 5000 + "1" + " in x" * 5000),
         ("lam", "\\x. " + "(" * 5000 + "x" + ")" * 5000),
     ],
     ids=["spl", "spl-exp", "lam"],
@@ -90,6 +90,24 @@ def test_deep_nesting(parser, src):
     parse, error = PARSERS[parser]
     with pytest.raises(error, match=r"^nested too deeply \("):
         parse(src)
+
+
+@pytest.mark.parametrize(
+    "parser, src",
+    [
+        ("spl-exp", "let x = 1 in " * 5000 + "x"),
+        ("spl-exp", "let fun f(a) = a in " * 5000 + "f(1)"),
+        ("spl-exp", "if x then 1 else " * 5000 + "2"),
+        ("spl-exp", "!" * 5000 + "x"),
+        ("lam", "\\x. " * 5000 + "x"),
+    ],
+    ids=["let", "letfun", "else-if", "not", "lam"],
+)
+def test_right_nested_chains_parse_at_any_depth(parser, src):
+    """Chains are parsed in a loop, not by recursion: 5,000 levels parse,
+    and print back as they were written."""
+    pretty = {"spl-exp": simpl.pretty_simpl, "lam": lam.pretty_lambda}[parser]
+    assert pretty(PARSERS[parser][0](src)) == src
 
 
 def test_lam_unexpected_character_located_at_itself():
