@@ -74,7 +74,16 @@ def _language_for(path: Path) -> _Language:
 
 def _read(path: Path) -> str:
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CliError(str(exc), EXIT_IO) from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 ({exc.reason} at offset {exc.start})", EXIT_IO) from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
     except OSError as exc:
         raise CliError(str(exc), EXIT_IO) from exc
 
@@ -99,10 +108,11 @@ def _emit_graphs(
     """Write the source graph and the graphs the repair loop resolved."""
     base = Path(args.input)
     paths = [f"{base}.src.dot", f"{base}.tgt.dot"]
-    Path(paths[0]).write_text(to_dot(gs, source, title="source"))
+    _write(paths[0], to_dot(gs, source, title="source"))
     steps = result.trace.steps
     graphs = [s.graph for s in steps] + [result.graph]
-    Path(paths[1]).write_text(
+    _write(
+        paths[1],
         to_dot(
             graphs[0],
             target,
@@ -112,7 +122,7 @@ def _emit_graphs(
     )
     for k, (step, g) in enumerate(zip(steps, graphs[1:]), start=1):
         path = f"{base}.fix{k}.dot"
-        Path(path).write_text(to_dot(g, step.term, title=f"after repair round {k}"))
+        _write(path, to_dot(g, step.term, title=f"after repair round {k}"))
         paths.append(path)
     print("wrote " + ", ".join(paths), file=sys.stderr)
 

@@ -10,16 +10,16 @@ target's resolve is `BindingFrames`: one walk that gives its frames, its
 graph and its spelling map. Renaming never changes a term's shape, so at
 the first capture a second walk builds a `LabelIndex` of the label
 positions, and every round respells the resolve's spelling map through
-it. The index notes each label it respelled with its old spelling, and
-`BindingFrames.rebind` re-binds only the references spelled like one of
-those labels, before or after: no other reference can see a different
+it. The index notes each label it respelled; `comp_renaming` spells
+them fresh, so `BindingFrames.rebind` re-binds only those labels and the
+references bound to them: no other reference can see a different
 declaration of its spelling. The edge delta this yields is applied by
 one rule: dropped edges leave the graph and the capture set, and added
 edges join the graph and are classified, since the source graph
 classifies capture edge by edge. A round then costs a `comp_renaming`
 whose lookups are by label, a respelling that rebuilds only the
 compounds above the renamed names, a re-binding that looks each frame up
-at most once per changed spelling, and set operations on the edges. A
+at most once per spelling, and set operations on the edges. A
 capture-free input costs one resolve and one `find_capture`. A resolver
 without binding forms is resolved in full every round, its delta the
 difference of two graphs, its spelling map `spellings(t)`.
@@ -163,10 +163,11 @@ def _captures(gs: NameGraph, edges: Iterable[Edge]) -> set[CaptureEdge]:
 
 
 def comp_renaming(
-    gs: NameGraph, gt: NameGraph, spell: Mapping[Label, str], capture: CaptureSet
+    gs: NameGraph, spell: Mapping[Label, str], capture: CaptureSet
 ) -> RenamingPair:
     """Fresh spellings for every captured-into declaration, given the
-    spelling of every label of the target term (as its resolve gives it).
+    spelling of every label of the target term (as its resolve gives it):
+    spellings no label of the term has, each handed out once.
 
     A source declaration is renamed together with its source references; a
     synthesized declaration drags along every synthesized label that shares
@@ -190,7 +191,7 @@ def comp_renaming(
         elif v_d not in pi_syn:
             if synthesized is None:
                 synthesized = {}
-                for v in gt.labels:
+                for v in spell:
                     if not gs.counts_as_source(v):
                         synthesized.setdefault(spell[v], []).append(v)
             group = synthesized.get(spell[v_d])
@@ -232,14 +233,14 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
             )
         if index is None:
             index = LabelIndex(t, spellings(t) if frames is None else frames.spelling)
-        pair = comp_renaming(gs, gt, index.spelling, capture)
+        pair = comp_renaming(gs, index.spelling, capture)
         current = index.rename(pair.combined())
         steps.append(FixStep(capture, pair, current, gt))
         if frames is None:
             edges = r.resolve(current).edges
             drop, add = gt.edges - edges, edges - gt.edges
         else:
-            drop, add = frames.rebind(index.spelling, index.respelled)
+            drop, add = frames.rebind(index.respelled)
         # Edges the round leaves alone keep their classification.
         gt = NameGraph(gt.labels, gt.edges - drop | add)
         kept = [e for e in capture.edges if (e.ref, e.decl) not in drop]

@@ -7,9 +7,10 @@ can end up in different scopes, so the edges form a relation rather than a
 function. A language front end states its binding forms (`Scopes`).
 `BindingFrames` runs them in one walk that keeps each scope as a frame
 (its parent and its own binders) and looks each reference up its frame
-chain, memoised per frame and spelling: that walk computes this graph
-(`resolve_lexical`), and the same lookup re-binds it after a respelling.
-The rest is language-independent.
+chain, memoised per frame and spelling: that walk computes this graph, as
+the `resolve` of every `Resolver` stated by binding forms, and the same
+lookup re-binds it after repair respells the term. The rest is
+language-independent.
 """
 
 from __future__ import annotations
@@ -121,13 +122,6 @@ Bind = Callable[[E, Sequence[Name]], E]
 Scopes = Callable[[Compound, E, Bind], Pairs]
 
 
-def resolve_lexical(p: Term, scopes: Scopes, top: Iterable[Name]) -> NameGraph:
-    """The name graph of p under a language's binding forms (`Scopes`) and
-    its `top` declarations, as `BindingFrames` resolves it. Raises
-    InconsistentLabel."""
-    return BindingFrames(p, scopes, top).graph
-
-
 _UNSEEN = object()
 _NOTHING: frozenset[Label] = frozenset()
 
@@ -146,13 +140,14 @@ class BindingFrames:
     last. Kept with the frames: each reference occurrence with its frame,
     `graph`, the name graph of t, which holds each reference's
     declarations, and `spelling`, every label of t mapped to its spelling,
-    which repair respells in place (`LabelIndex`). Built by one walk, which
-    raises InconsistentLabel; nothing here recurses.
+    which repair respells in place (`LabelIndex`) and `rebind` reads.
+    Built by one walk, which raises InconsistentLabel; nothing here
+    recurses.
     """
 
     __slots__ = (
         "graph", "spelling", "_frames", "_top", "_tops", "_first",
-        "_occurrences", "_occurs", "_bound", "_refs",
+        "_occurrences", "_occurs", "_bound", "_referrers",
     )
 
     def __init__(self, t: Term, scopes: Scopes, top: Iterable[Name]) -> None:
@@ -176,10 +171,10 @@ class BindingFrames:
         self._occurrences = occurrences
         edges: set[Edge] = set()
         # Built by the first rebind, from the occurrences and the graph's
-        # edges: reference label -> the frames of its occurrences, and -> its
-        # declarations; spelling -> the reference labels spelled so, as of
-        # the last rebind.
-        self._refs: dict[str, list[Label]] | None = None
+        # edges, and kept up to date by each: reference label -> that label
+        # as the term carries it, then the frames of its occurrences, and ->
+        # its declarations; declaration label -> the references bound to it.
+        self._bound: dict[Label, set[Label]] | None = None
         # spelling -> what it means at frame 0, at each frame binding it
         # and at each frame _lookup passed, for every spelling that a binder
         # met so far has; no other is bound in any scope
@@ -208,7 +203,7 @@ class BindingFrames:
                     memo = memos.get(text)
                     decl = None if memo is None else memo.get(env, _UNSEEN)
                     if decl is _UNSEEN:
-                        decl = self._lookup(env, text, spell, memo)
+                        decl = self._lookup(env, text, memo)
                     if decl is None:
                         positions = at.get(text)
                         if positions:
@@ -222,9 +217,7 @@ class BindingFrames:
         descend(t, 0, rule)
         self.graph = NameGraph(spell, edges)
 
-    def _lookup(
-        self, f: int, s: str, spelling: Mapping[Label, str], memo: dict[int, Label | None]
-    ) -> Label | None:
+    def _lookup(self, f: int, s: str, memo: dict[int, Label | None]) -> Label | None:
         """The innermost binder spelled s up the chain of frame f, or None.
         `memo` holds what s means at frames looked up before, frame 0 (which
         binds nothing) among them: the answer is noted there for every frame
@@ -232,7 +225,7 @@ class BindingFrames:
         frame is looked up once per spelling. A binder the walk has not met
         yet, and so is missing from `spelling`, is spelled as its Name node
         says."""
-        frames = self._frames
+        frames, spelling = self._frames, self.spelling
         path = []
         decl = _UNSEEN
         while decl is _UNSEEN:
@@ -248,65 +241,66 @@ class BindingFrames:
             memo[f] = decl
         return decl
 
-    def rebind(
-        self, spelling: Mapping[Label, str], respelled: Mapping[Label, str]
-    ) -> tuple[set[Edge], set[Edge]]:
+    def rebind(self, respelled: Mapping[Label, str]) -> tuple[set[Edge], set[Edge]]:
         """The edges to drop from the graph and to add to it after a
-        respelling of the term, given every label's spelling now and the
-        labels `respelled`, each mapped to its previous spelling (as
-        `LabelIndex.rename` records them). Only references spelled like a
-        respelled label, before or after, can bind differently, so only
-        they are looked up. From then on the frames describe the respelled
-        term; `graph` is left as it was."""
-        refs, tops, top = self._refs, self._tops, self._top
-        changed = {spelling[v] for v in respelled}.union(respelled.values())
-        if refs is None:
-            occurs: dict[Label, list[int]] = {}
-            refs = {}
+        respelling of the term, given the labels `respelled`, each mapped to
+        its previous spelling, with `spelling` respelled in place (as
+        `LabelIndex.rename` does both). Each new spelling must be fresh: no
+        label outside `respelled` has it. A reference not respelled then
+        keeps its spelling and every binder of it but the respelled ones, so
+        only a respelled reference or one bound to a respelled label can
+        bind differently, and only those are looked up. From then on the
+        frames describe the respelled term; `graph` is left as it was."""
+        spelling, tops, top = self.spelling, self._tops, self._top
+        bound = self._bound
+        if bound is None:
+            occurs: dict[Label, list] = {}
             for v, f in self._occurrences:
-                where = occurs.get(v)
-                if where is None:
-                    occurs[v] = [f]
-                    refs.setdefault(spelling[v], []).append(v)
-                else:
-                    where.append(f)
-            bound: dict[Label, set[Label]] = {}
+                occurs.setdefault(v, [v]).append(f)
+            bound = {}
+            referrers: dict[Label, set[Label]] = {}
             for v, d in self.graph.edges:
                 bound.setdefault(v, set()).add(d)
-            self._occurs, self._bound, self._refs = occurs, bound, refs
+                referrers.setdefault(d, set()).add(v)
+            self._occurs, self._bound, self._referrers = occurs, bound, referrers
             self._occurrences = []
         else:
-            occurs, bound = self._occurs, self._bound
-            for v in [v for s in changed for v in refs.pop(s, ())]:
-                refs.setdefault(spelling[v], []).append(v)
-        for i in [i for s in changed for i in tops.pop(s, ())]:
+            occurs, referrers = self._occurs, self._referrers
+        for i in [i for s in set(respelled.values()) for i in tops.pop(s, ())]:
             tops.setdefault(spelling[top[i]], []).append(i)
         first, lookup = self._first, self._lookup
         drop: set[Edge] = set()
         add: set[Edge] = set()
-        for s in changed:
-            group = refs.get(s)
-            if not group:
-                continue
+        memos: dict[str, dict[int, Label | None]] = {}
+        for v in {v for v in respelled if v in occurs}.union(
+            *[referrers.get(d, ()) for d in respelled]
+        ):
+            # v as the term carries it: a respelled label may come with
+            # another provenance, as the source graph gives it
+            v, *frames = occurs[v]
+            s = spelling[v]
+            memo = memos.setdefault(s, {0: None})
             at = tops.get(s)
             last = top[max(at)] if at else None
-            memo: dict[int, Label | None] = {0: None}
-            for v in group:
-                decls: set[Label] = set()
-                for f in occurs[v]:
-                    decl = memo.get(f, _UNSEEN)
-                    if decl is _UNSEEN:
-                        decl = lookup(f, s, spelling, memo)
-                    if decl is None:
-                        if last is None:
-                            continue
-                        decl = first.get(v, last)
-                    decls.add(decl)
-                old = bound.get(v, _NOTHING)
-                if decls != old:
-                    drop.update([(v, d) for d in old if d not in decls])
-                    add.update([(v, d) for d in decls if d not in old])
-                    bound[v] = decls
+            decls: set[Label] = set()
+            for f in frames:
+                decl = memo.get(f, _UNSEEN)
+                if decl is _UNSEEN:
+                    decl = lookup(f, s, memo)
+                if decl is None:
+                    if last is None:
+                        continue
+                    decl = first.get(v, last)
+                decls.add(decl)
+            old = bound.get(v, _NOTHING)
+            if decls != old:
+                for d in old - decls:
+                    drop.add((v, d))
+                    referrers[d].discard(v)
+                for d in decls - old:
+                    add.add((v, d))
+                    referrers.setdefault(d, set()).add(v)
+                bound[v] = decls
         return drop, add
 
 
@@ -356,16 +350,26 @@ def validate_graph(p: Term, g: NameGraph) -> list[Violation]:
 class Resolver:
     """A language's name analysis: term -> name graph, pure and deterministic.
 
-    A resolver stated by binding forms carries them: `resolve(p)` is then
-    `resolve_lexical(p, scopes, top(p))`, the graph of
+    A resolver stated by binding forms is given its `scopes` and `top`
+    declarations, and no `resolve`: its `resolve(p)` is then the graph of
     `BindingFrames(p, scopes, top(p))`. Repair builds those frames as its
     resolve of the target and re-binds through them instead of resolving
-    every round. Without binding forms, repair resolves every round."""
+    every round. A resolver given only `resolve` is resolved in full every
+    round."""
 
     language: str
-    resolve: Callable[[Term], NameGraph]
+    resolve: Callable[[Term], NameGraph] = None  # type: ignore[assignment]
     scopes: Scopes | None = None
     top: Callable[[Term], Iterable[Name]] | None = None
+
+    def __post_init__(self) -> None:
+        if self.resolve is None:
+            scopes, top = self.scopes, self.top
+
+            def resolve(p: Term) -> NameGraph:
+                return BindingFrames(p, scopes, top(p)).graph
+
+            object.__setattr__(self, "resolve", resolve)
 
 
 def alpha_equiv(p1: Term, p2: Term, r: Resolver) -> bool:

@@ -10,7 +10,7 @@ from itertools import repeat
 from operator import attrgetter
 
 from . import term
-from .graph import Bind, NameGraph, Resolver, resolve_lexical
+from .graph import Bind, Resolver
 from .term import (
     E,
     Compound,
@@ -118,13 +118,10 @@ def scopes(t: Compound, env: E, bind: Bind) -> Pairs:
     return zip(t.children[1:] if k else t.children, repeat(env))
 
 
-def resolve_lambda(p: Term) -> NameGraph:
-    """Lexical scoping: a reference binds to the innermost enclosing binder
-    of equal spelling; unbound names get no edge."""
-    return resolve_lexical(p, scopes, ())
-
-
-LAMBDA_RESOLVER = Resolver("lambda", resolve_lambda, scopes, lambda p: ())
+# Lexical scoping: a reference binds to the innermost enclosing binder of
+# equal spelling; unbound names get no edge.
+LAMBDA_RESOLVER = Resolver("lambda", scopes=scopes, top=lambda p: ())
+resolve_lambda = LAMBDA_RESOLVER.resolve
 
 
 def pretty_lambda(p: Term, show_labels: bool = False) -> str:

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from . import term
 from .fix import name_fix
-from .graph import Bind, NameGraph, Resolver, resolve_lexical
+from .graph import Bind, NameGraph, Resolver
 from .term import (
     END,
     E,
@@ -333,12 +333,9 @@ def top_declarations(p: Term) -> Iterator[Name]:
     return map(fdef_name, prog_fdefs(p))
 
 
-def resolve_simpl(p: Term) -> NameGraph:
-    """Single-namespace lexical scoping (`scopes`, `top_declarations`)."""
-    return resolve_lexical(p, scopes, top_declarations(p))
-
-
-SIMPL_RESOLVER = Resolver("simpl", resolve_simpl, scopes, top_declarations)
+# Single-namespace lexical scoping.
+SIMPL_RESOLVER = Resolver("simpl", scopes=scopes, top=top_declarations)
+resolve_simpl = SIMPL_RESOLVER.resolve
 
 
 def declarations_of(p: Term) -> frozenset[Label]:

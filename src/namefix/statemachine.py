@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 from . import term
 from .fix import name_fix
-from .graph import Bind, NameGraph, Resolver, resolve_lexical
+from .graph import Bind, Resolver
 from .simpl import (
     SIMPL_RESOLVER,
     call,
@@ -168,13 +168,10 @@ def state_names(m: Term) -> Iterator[Name]:
     return map(state_name, machine_states(m))
 
 
-def resolve_machine(m: Term) -> NameGraph:
-    """Flat namespace of state names: a transition target binds to a state
-    of equal spelling (`scopes`, `state_names`)."""
-    return resolve_lexical(m, scopes, state_names(m))
-
-
-STM_RESOLVER = Resolver("statemachine", resolve_machine, scopes, state_names)
+# Flat namespace of state names: a transition target binds to a state of
+# equal spelling.
+STM_RESOLVER = Resolver("statemachine", scopes=scopes, top=state_names)
+resolve_machine = STM_RESOLVER.resolve
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ graph; the differential suite in test_oracle.py requires both to agree.
 It also keeps the lambda lifting that derived its scoping by itself, as
 the oracle for the library's version, which reads it off the name graph,
 and the state-machine resolver as two loops over the states, as the oracle
-for the library's, which runs the shared `graph.resolve_lexical`.
+for the library's, which `Resolver` derives from the machine's binding
+forms through the shared `graph.BindingFrames`, as it does every bundled
+resolver.
 
 The tree walks below are plain recursive functions, one per walk, as the
 library had them before it ran every walk through the explicit-stack

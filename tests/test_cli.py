@@ -390,6 +390,20 @@ class TestErrors:
         p.write_text("state a\n")
         assert main(["compile", str(p)]) == EXIT_IO
 
+    def test_input_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "bad.spl"
+        p.write_bytes(b"fun f(x) = x;\nf(\xff)\n")
+        assert main(["lift", str(p)]) == EXIT_IO
+        assert capsys.readouterr().err == f"namefix: {p}: not UTF-8 (invalid start byte at offset 16)\n"
+
+    def test_graph_file_not_writable(self, tmp_path, capsys):
+        p = tmp_path / "p.spl"
+        p.write_text(ZERO_SUCC)
+        (tmp_path / "p.spl.src.dot").mkdir()
+        assert main(["subst", "--emit-graphs", str(p), "x", "2"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("namefix: ") and f"{p}.src.dot" in err and err.count("\n") == 1
+
     def test_deep_nesting_is_parse_error_without_traceback(self, tmp_path, capsys):
         depth = 1000
         lets = "(let x0 = y in " + "".join(

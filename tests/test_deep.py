@@ -272,7 +272,7 @@ def assert_rebinds_like_reference(resolver, resolve, t, pis):
     g = frames.graph
     for pi in pis:
         term = index.rename(pi)
-        drop, add = frames.rebind(index.spelling, index.respelled)
+        drop, add = frames.rebind(index.respelled)
         g = NameGraph(g.labels, g.edges - drop | add)
         assert typed(g) == typed(resolve(term))
 

@@ -91,7 +91,7 @@ class TestCompRenaming:
         capture = find_capture(
             gs, NameGraph(labels_of(t), {lbl(26): lbl(21)})
         )
-        pair = comp_renaming(gs, NameGraph(labels_of(t), {lbl(26): lbl(21)}), spellings(t), capture)
+        pair = comp_renaming(gs, spellings(t), capture)
         assert set(pair.pi_src) == {lbl(21), lbl(22), lbl(23)}
         assert len(set(pair.pi_src.values())) == 1
         assert pair.pi_syn == {}
@@ -105,7 +105,7 @@ class TestCompRenaming:
             CaptureKind.SOURCE_FREE_CAPTURED,
             CaptureKind.SYNTHESIZED_CAPTURED,
         }
-        pair = comp_renaming(gs, gt, spellings(t), capture)
+        pair = comp_renaming(gs, spellings(t), capture)
         # ascending order: source decl 32 first, then synthesized '33 group
         assert pair.pi_src == {lbl(32): "x0"}
         assert pair.pi_syn == {lbl(33, True): "x1", lbl(34, True): "x1"}
@@ -119,14 +119,14 @@ class TestCompRenaming:
         )
         gs = NameGraph({lbl(1), lbl(2)}, {lbl(1): lbl(2)})
         gt = NameGraph(labels_of(t), [(lbl(2), lbl(1)), (lbl(2), lbl(4)), (lbl(3), lbl(2))])
-        pair = comp_renaming(gs, gt, spellings(t), find_capture(gs, gt))
+        pair = comp_renaming(gs, spellings(t), find_capture(gs, gt))
         assert pair.pi_src == {lbl(1): "x1", lbl(2): "x1"}
         assert pair.pi_syn == {lbl(4): "x01"}
 
     def test_requires_capture(self):
         g = NameGraph(set(), {})
         with pytest.raises(ValueError):
-            comp_renaming(g, g, spellings(parse_lambda("x")), find_capture(g, g))
+            comp_renaming(g, spellings(parse_lambda("x")), find_capture(g, g))
 
 
 class TestNameFixTraces:

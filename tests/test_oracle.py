@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 import reference
 from namefix import lam, simpl
-from namefix.fix import comp_renaming, find_capture, name_fix
-from namefix.graph import BindingFrames, NameGraph, Resolver, alpha_equiv_relabel, resolve_lexical
+from namefix.fix import IterationBudgetExceeded, comp_renaming, find_capture, gensym, name_fix
+from namefix.graph import BindingFrames, NameGraph, Resolver, alpha_equiv_relabel
 from namefix.lam import LAMBDA_RESOLVER, pretty_lambda, resolve_lambda
 from namefix.simpl import (
     SIMPL_RESOLVER,
@@ -85,14 +85,20 @@ def assert_same_repair(gs, t, resolver):
 
 def assert_rounds_resolve_alike(gs, t, resolver, got):
     """Each round's carried graph is the resolved graph of the term it
-    describes and its capture set is find_capture's on that graph; and a
-    resolver without binding forms, which resolves every round, repairs
-    alike."""
+    describes and its capture set is find_capture's on that graph; each
+    round's new spellings are fresh, as `BindingFrames.rebind` requires:
+    no label of the term before has one, and in the term after only labels
+    the round renamed do; and a resolver without binding forms, which
+    resolves every round, repairs alike."""
     before = [t] + [step.term for step in got.trace.steps]
     for prior, step in zip(before, got.trace.steps):
         g = resolver.resolve(prior)
         assert step.graph == g
         assert step.capture == find_capture(gs, g)
+        pi = step.renaming.combined()
+        fresh = set(pi.values())
+        assert not fresh & set(spellings(prior).values())
+        assert {v for v, s in spellings(step.term).items() if s in fresh} <= pi.keys()
     assert got.graph == resolver.resolve(got.term)
     plain = name_fix(gs, t, Resolver(resolver.language, resolver.resolve))
     assert (plain.term, plain.trace, plain.graph) == (got.term, got.trace, got.graph)
@@ -153,13 +159,24 @@ REBINDING_CASES = {
         SIMPL_RESOLVER,
         2,
     ),
+    # The target's binder is the source's @1 turned synthesized: @2 keeps
+    # its binder by id, so only @4's edge is a capture, yet renaming the
+    # binder frees @2 as well. Re-binding only the captured references
+    # would carry @2's edge past the round.
+    "provenance-flipped-binder": (
+        lam.app(lam.lam(x(1), x(2)), x(4)),
+        lam.lam(x(1, True), lam.app(x(2), x(4))),
+        LAMBDA_RESOLVER,
+        1,
+    ),
 }
 
 
 def test_resolvers_carry_their_binding_forms():
     """Each bundled resolver's `resolve` is its module function (the
-    benchmark tracer finds resolvers by it) and is `resolve_lexical` of the
-    binding forms it carries, which repair re-binds through."""
+    benchmark tracer finds resolvers by it) and is the graph `BindingFrames`
+    gives under the binding forms it carries, which repair re-binds
+    through."""
     rng = random.Random(0)
     p = parse_simpl(gen_simpl_source(rng, n_fdefs=5))
     m = parse_stm(gen_machine_source(rng))
@@ -170,7 +187,7 @@ def test_resolvers_carry_their_binding_forms():
         (LAMBDA_RESOLVER, resolve_lambda, s),
     ):
         assert resolver.resolve is resolve
-        assert typed(resolve_lexical(q, resolver.scopes, resolver.top(q))) == typed(resolve(q))
+        assert typed(BindingFrames(q, resolver.scopes, resolver.top(q)).graph) == typed(resolve(q))
 
 
 @pytest.mark.parametrize("case", list(REBINDING_CASES))
@@ -178,6 +195,19 @@ def test_rebinding_hand_cases(case):
     source, target, resolver, rounds = REBINDING_CASES[case]
     got = assert_same_repair(resolver.resolve(source), target, resolver)
     assert len(got.trace) == rounds
+
+
+def test_rebinding_binds_the_label_the_term_carries():
+    """Repair renames the source reference @2 by the source graph's label,
+    but the target carries that id synthesized, @'2, and re-binding must
+    bind @'2: to a source declaration, a capture. So repair renames @1
+    round after round, as the reference loop does, and runs out of
+    budget."""
+    source = lam.lam(x(1), x(2))
+    target = lam.lam(x(1), lam.add(x(4, True), lam.lam(x(3), x(2, True))))
+    for repair in (name_fix, reference.name_fix):
+        with pytest.raises(IterationBudgetExceeded):
+            repair(resolve_lambda(source), target, LAMBDA_RESOLVER)
 
 
 @settings(max_examples=300, deadline=None)
@@ -261,7 +291,7 @@ def test_many_captures_in_one_round(n):
     assert_rounds_resolve_alike(gs, t, SIMPL_RESOLVER, got)
     before = [t] + [step.term for step in got.trace.steps]
     for prior, step, ref_step in zip(before, got.trace.steps, want.trace.steps):
-        pair = comp_renaming(gs, step.graph, spellings(prior), step.capture)
+        pair = comp_renaming(gs, spellings(prior), step.capture)
         assert pair == ref_step.renaming  # reference.comp_renaming on the same graphs
 
 
@@ -372,26 +402,35 @@ def test_top_level_pick_matches_the_scan(seed):
 
 
 def respellings(rng, t, rounds):
-    """Successive random respellings of t's labels, each to a spelling t
-    already has, a spelling given earlier, or a fresh one."""
+    """Successive random respellings of t's labels, each round to one or two
+    spellings fresh for the term, shared among the labels it picks, as
+    repair respells (the contract of `BindingFrames.rebind`). A picked
+    label may come with the other provenance, as repair names a source
+    reference by the source graph's label."""
     spell = spellings(t)
-    pool = sorted(set(spell.values()))
     labels = sorted(spell)
-    for k in range(rounds if labels else 0):
-        pool.append(f"v{k}")
-        yield {v: rng.choice(pool) for v in rng.sample(labels, rng.randrange(1, min(4, len(labels)) + 1))}
+    for _ in range(rounds if labels else 0):
+        picked = rng.sample(labels, rng.randrange(1, min(4, len(labels)) + 1))
+        used = set(spell.values())
+        fresh = []
+        for _ in range(rng.randrange(1, 3)):
+            fresh.append(gensym(spell[rng.choice(picked)], used))
+            used.add(fresh[-1])
+        pi = {lbl(v.id, not v.synthesized) if rng.random() < 0.3 else v: rng.choice(fresh) for v in picked}
+        spell.update(pi)
+        yield pi
 
 
 def assert_rebinds_like_resolve(resolver, t, pis):
     """After each respelling of `pis`, the graph BindingFrames carries is
     the resolved graph of the respelled term, provenance included."""
-    index = LabelIndex(t, spellings(t))
     frames = BindingFrames(t, resolver.scopes, resolver.top(t))
+    index = LabelIndex(t, frames.spelling)
     g = frames.graph
     assert typed(g) == typed(resolver.resolve(t))
     for pi in pis:
         term = index.rename(pi)
-        drop, add = frames.rebind(index.spelling, index.respelled)
+        drop, add = frames.rebind(index.respelled)
         assert not drop & add
         g = NameGraph(g.labels, g.edges - drop | add)
         assert typed(g) == typed(resolver.resolve(term))
@@ -465,7 +504,7 @@ def test_comp_renaming_on_arbitrary_graphs(data):
     gt = NameGraph(spell, {(r, d) for r, d in data.draw(edges) if d not in gs.references})
     capture = find_capture(gs, gt)
     if capture:
-        assert comp_renaming(gs, gt, spellings(t), capture) == reference.comp_renaming(gs, gt, t, capture)
+        assert comp_renaming(gs, spellings(t), capture) == reference.comp_renaming(gs, gt, t, capture)
 
 
 # ---------------------------------------------------------------------------
