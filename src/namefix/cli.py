@@ -16,10 +16,11 @@ import argparse
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import fix, lam, simpl, statemachine
 from .graph import (
+    Edge,
     NameGraph,
     Resolver,
     alpha_equiv_relabel,
@@ -98,42 +99,35 @@ def _load(path: Path) -> tuple[_Language, Term]:
 
 
 def _emit_graphs(
-    args: argparse.Namespace,
-    source: Term,
-    gs: NameGraph,
-    target: Term,
-    result: fix.FixResult,
-    capture: fix.CaptureSet,
+    args: argparse.Namespace, source: Term, gs: NameGraph, target: Term, gt: NameGraph,
+    steps: tuple[fix.FixStep, ...], capture: fix.CaptureSet,
 ) -> None:
-    """Write the source graph and the graphs the repair loop resolved."""
+    """Write the graphs of the source, of the naive target (`gt`, its
+    capture dashed) and of each repair round's term, resolved here."""
     base = Path(args.input)
-    paths = [f"{base}.src.dot", f"{base}.tgt.dot"]
-    _write(paths[0], to_dot(gs, source, title="source"))
-    steps = result.trace.steps
-    graphs = [s.graph for s in steps] + [result.graph]
-    _write(
-        paths[1],
-        to_dot(
-            graphs[0],
-            target,
-            capture=[(e.ref, e.decl) for e in capture.edges],
-            title="target (before repair)",
-        )
-    )
-    for k, (step, g) in enumerate(zip(steps, graphs[1:]), start=1):
-        path = f"{base}.fix{k}.dot"
-        _write(path, to_dot(g, step.term, title=f"after repair round {k}"))
-        paths.append(path)
+    paths: list[str] = []
+
+    def draw(suffix: str, g: NameGraph, t: Term, title: str, dashed: Iterable[Edge] = ()) -> None:
+        paths.append(f"{base}.{suffix}.dot")
+        _write(paths[-1], to_dot(g, t, capture=dashed, title=title))
+
+    draw("src", gs, source, "source")
+    draw("tgt", gt, target, "target (before repair)", [(e.ref, e.decl) for e in capture.edges])
+    for k, step in enumerate(steps, start=1):
+        g = simpl.SIMPL_RESOLVER.resolve(step.term)
+        draw(f"fix{k}", g, step.term, f"after repair round {k}")
     print("wrote " + ", ".join(paths), file=sys.stderr)
 
 
 def _run_fixing(
     args: argparse.Namespace, source: Term, gs: NameGraph, target: Term
 ) -> None:
-    """Repair the naive .spl target against the source graph and print it."""
+    """Repair the naive .spl target against the source graph and print it.
+    The target's graph, if --no-fix or --emit-graphs needs it, is resolved
+    here: repair keeps none."""
+    gt = simpl.SIMPL_RESOLVER.resolve(target) if args.no_fix or args.emit_graphs else None
     if args.no_fix:
-        gt = simpl.SIMPL_RESOLVER.resolve(target)
-        result = fix.FixResult(target, fix.FixTrace(), gt)
+        result = fix.FixResult(target, fix.FixTrace())
         capture = fix.find_capture(gs, gt)
     else:
         result = fix.name_fix(gs, target, simpl.SIMPL_RESOLVER)
@@ -148,11 +142,13 @@ def _run_fixing(
             message = "no capture; output unchanged"
         print(message, file=sys.stderr)
     if args.emit_graphs:
-        _emit_graphs(args, source, gs, target, result, capture)
+        _emit_graphs(args, source, gs, target, gt, result.trace.steps, capture)
     print(simpl.pretty_simpl(result.term, show_labels=args.debug_labels), end="")
 
 
 def _substitute(args: argparse.Namespace, p: Term, gs: NameGraph) -> Term:
+    if not simpl.is_plain_name(args.name):
+        raise CliError(f"name: {args.name!r} is not a plain .spl name", EXIT_IO)
     try:
         repl = simpl.parse_simpl_exp(args.replacement)
     except simpl.ParseError as exc:

@@ -13,16 +13,16 @@ positions, and every round respells the resolve's spelling map through
 it. The index notes each label it respelled; `comp_renaming` spells
 them fresh, so `BindingFrames.rebind` re-binds only those labels and the
 references bound to them: no other reference can see a different
-declaration of its spelling. The edge delta this yields is applied by
-one rule: dropped edges leave the graph and the capture set, and added
-edges join the graph and are classified, since the source graph
-classifies capture edge by edge. A round then costs a `comp_renaming`
-whose lookups are by label, a respelling that rebuilds only the
-compounds above the renamed names, a re-binding that looks each frame up
-at most once per spelling, and set operations on the edges. A
+declaration of its spelling. The edge delta this yields updates the
+capture set by one rule: dropped edges leave it, and added edges are
+classified, since the source graph classifies capture edge by edge. No
+round builds a graph. A round then costs a `comp_renaming` whose lookups
+are by label, a respelling that rebuilds only the compounds above the
+renamed names, a re-binding that looks each frame up at most once per
+spelling, and set operations on the delta and the capture set. A
 capture-free input costs one resolve and one `find_capture`. A resolver
 without binding forms is resolved in full every round, its delta the
-difference of two graphs, its spelling map `spellings(t)`.
+difference of two edge sets, its spelling map `spellings(t)`.
 """
 
 from __future__ import annotations
@@ -87,10 +87,11 @@ class RenamingPair:
 
 @dataclass(frozen=True)
 class FixStep:
+    """One repair round: the capture it found, its renaming, the new term."""
+
     capture: CaptureSet
     renaming: RenamingPair
     term: Term
-    graph: NameGraph  # graph that exhibited the capture, before renaming
 
 
 @dataclass(frozen=True)
@@ -114,9 +115,10 @@ class FixTrace:
 
 @dataclass(frozen=True)
 class FixResult:
+    """The repaired term and its rounds; its graph is the resolver's to give."""
+
     term: Term
     trace: FixTrace
-    graph: NameGraph | None = None  # capture-free name graph of term
 
 
 class FixError(Exception):
@@ -128,11 +130,11 @@ class IterationBudgetExceeded(FixError):
 
 
 def gensym(base: str, used: frozenset[str] | set[str]) -> str:
-    """base plus the smallest decimal suffix avoiding `used` and base itself."""
+    """base plus the smallest decimal suffix avoiding `used`: never base."""
     k = 0
     while True:
         candidate = f"{base}{k}"
-        if candidate not in used and candidate != base:
+        if candidate not in used:
             return candidate
         k += 1
 
@@ -206,7 +208,10 @@ def comp_renaming(
 def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
     """Repair loop: resolve, detect capture, rename, repeat until clean.
     Every round respells the spelling map of the target's resolve, and
-    applies its edge delta to the graph and the capture set.
+    applies its edge delta to the capture set. No round builds or keeps a
+    graph: the binding frames hold the binding relation they re-bind, and
+    a resolver without binding forms leaves only its last edge set, to
+    diff the next resolve against.
 
     Capture-free input comes back as the very same term object. The
     iteration budget is the label count of the input, read off its first
@@ -218,6 +223,7 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
     frames: BindingFrames | None = None
     if r.scopes is None:
         gt = r.resolve(t)
+        edges = gt.edges
     else:
         frames = BindingFrames(t, r.scopes, r.top(t))
         gt = frames.graph
@@ -235,14 +241,14 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
             index = LabelIndex(t, spellings(t) if frames is None else frames.spelling)
         pair = comp_renaming(gs, index.spelling, capture)
         current = index.rename(pair.combined())
-        steps.append(FixStep(capture, pair, current, gt))
+        steps.append(FixStep(capture, pair, current))
         if frames is None:
-            edges = r.resolve(current).edges
-            drop, add = gt.edges - edges, edges - gt.edges
+            resolved = r.resolve(current).edges
+            drop, add = edges - resolved, resolved - edges
+            edges = resolved
         else:
             drop, add = frames.rebind(index.respelled)
         # Edges the round leaves alone keep their classification.
-        gt = NameGraph(gt.labels, gt.edges - drop | add)
         kept = [e for e in capture.edges if (e.ref, e.decl) not in drop]
         capture = CaptureSet(frozenset(_captures(gs, add).union(kept)))
-    return FixResult(current, FixTrace(tuple(steps)), gt)
+    return FixResult(current, FixTrace(tuple(steps)))

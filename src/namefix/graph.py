@@ -77,8 +77,8 @@ class NameGraph:
     ) -> tuple[dict[Label, Label], dict[Label, frozenset[Label]], dict[Label, list[Label]]]:
         """Lookups keyed by label, so by id: the graph's label of that id (with
         its provenance), a reference's declarations and a declaration's
-        references. Built on the first query: graphs only kept, like each
-        FixStep's, never build one."""
+        references. Built on the first query: a graph only iterated, as repair
+        iterates a target's edges, or only drawn, never builds one."""
         decls: dict[Label, set[Label]] = {}
         refs: dict[Label, list[Label]] = {}
         for r, d in self.edges:
@@ -317,32 +317,17 @@ class Violation:
 
 def validate_graph(p: Term, g: NameGraph) -> list[Violation]:
     """Check g against p: exact label set and name agreement on every edge."""
-    violations: list[Violation] = []
     spell = spellings(p)
-    for missing in sorted(spell.keys() - g.labels):
-        violations.append(
-            Violation("MissingLabel", f"label {missing!r} of program not in graph")
-        )
-    for extra in sorted(g.labels - spell.keys()):
-        violations.append(
-            Violation("ExtraLabel", f"graph label {extra!r} not in program")
-        )
+    violations = [Violation("MissingLabel", f"label {v!r} of program not in graph")
+                  for v in sorted(spell.keys() - g.labels)]
+    violations += [Violation("ExtraLabel", f"graph label {v!r} not in program")
+                   for v in sorted(g.labels - spell.keys())]
     for ref, decl in g.edges:
         if ref not in g.labels or decl not in g.labels:
-            violations.append(
-                Violation("DanglingEdge", f"edge {ref!r} -> {decl!r} leaves label set")
-            )
-            continue
-        if ref not in spell or decl not in spell:
-            continue
-        if spell[ref] != spell[decl]:
-            violations.append(
-                Violation(
-                    "NameMismatch",
-                    f"edge {ref!r} -> {decl!r} connects names "
-                    f"{spell[ref]!r} and {spell[decl]!r}",
-                )
-            )
+            violations.append(Violation("DanglingEdge", f"edge {ref!r} -> {decl!r} leaves label set"))
+        elif ref in spell and decl in spell and spell[ref] != spell[decl]:
+            names = f"names {spell[ref]!r} and {spell[decl]!r}"
+            violations.append(Violation("NameMismatch", f"edge {ref!r} -> {decl!r} connects {names}"))
     return violations
 
 
@@ -522,7 +507,8 @@ def to_dot(
     decls = g.declarations
     lines = ["digraph names {"]
     if title:
-        lines.append(f'  label="{title}";')
+        escaped = title.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  label="{escaped}";')
     lines.append("  node [fontname=monospace];")
     spell = spellings(p)
     for v in sorted(g.labels):

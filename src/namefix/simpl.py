@@ -167,6 +167,12 @@ _TOKEN = token_pattern(
 )
 
 
+def is_plain_name(text: str) -> bool:
+    """Whether text scans whole as one name token, unpinned and no keyword."""
+    m = _TOKEN.fullmatch(text)
+    return m is not None and m.lastgroup == "name" and "@" not in text and text not in _KEYWORDS
+
+
 class _Parser(Scanner):
     def __init__(self, src: str) -> None:
         # end of input is reported just past the last token

@@ -194,14 +194,14 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
         gt = r.resolve(current)
         capture = find_capture(gs, gt)
         if not capture:
-            return FixResult(current, FixTrace(tuple(steps)), gt)
+            return FixResult(current, FixTrace(tuple(steps)))
         if len(steps) >= budget:
             raise IterationBudgetExceeded(
                 f"capture repair did not converge within {budget} rounds"
             )
         pair = comp_renaming(gs, gt, current, capture)
         current = rename(current, pair.combined())
-        steps.append(FixStep(capture, pair, current, gt))
+        steps.append(FixStep(capture, pair, current))
 
 
 # ---------------------------------------------------------------------------

@@ -219,13 +219,16 @@ def count_resolves(argv):
         BindingFrames.__init__ = init
 
 
-def test_emit_graphs_reuses_the_loops_graphs(tmp_path, capsys):
+def test_emit_graphs_resolves_each_drawn_term(tmp_path, capsys):
     p = tmp_path / "p.spl"
     p.write_text(OR_AND)
     # The source and the naive target: the repair round re-binds the
     # target's references instead of resolving it again.
     assert count_resolves(["inline", str(p), "and"]) == (0, 2)
-    assert count_resolves(["inline", "--emit-graphs", str(p), "and"]) == (0, 2)
+    # Repair keeps no graph, so the drawing resolves the naive target again
+    # and the term of its one round.
+    assert count_resolves(["inline", "--emit-graphs", str(p), "and"]) == (0, 4)
+    # Without repair, one resolve of the target gives its capture and its file.
     assert count_resolves(["inline", "--no-fix", "--emit-graphs", str(p), "and"]) == (0, 2)
 
 
@@ -422,6 +425,21 @@ class TestErrors:
         assert main(["lift", str(p)]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err == f"namefix: {p}: integer literal too long (4400 digits) (line 1, column 16)\n"
+
+    @pytest.mark.parametrize("name", ["then", "x@1", "", "x y", "1x", "x+1", "x@"])
+    def test_subst_name_that_is_no_plain_name_is_usage_error(self, tmp_path, capsys, name):
+        p = tmp_path / "p.spl"
+        p.write_text(ZERO_SUCC)
+        assert main(["subst", str(p), name, "2"]) == EXIT_IO
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"namefix: name: {name!r} is not a plain .spl name\n"
+
+    def test_graph_title_is_escaped(self, tmp_path, capsys):
+        p = tmp_path / 'a"b.lam'
+        p.write_text("x")
+        assert main(["graph", str(p)]) == 0
+        assert '  label="a\\"b.lam";' in capsys.readouterr().out.splitlines()
 
 
 class TestNoFixTrace:

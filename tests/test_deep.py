@@ -161,9 +161,9 @@ def test_10000_nested_lambdas_with_distinct_binders():
     result = name_fix(gs, naive, LAMBDA_RESOLVER)
     repaired = result.term
     assert len(result.trace) == 1
-    assert result.graph == resolve_lambda(repaired)
-    assert result.graph.edges == gs.edges
-    assert not find_capture(gs, result.graph)
+    g = resolve_lambda(repaired)
+    assert g.edges == gs.edges
+    assert not find_capture(gs, g)
     assert label_equiv(repaired, naive)
     assert sub_alpha_equiv(naive, repaired, gs)
     binders = "".join(f"\\y{i}. " for i in range(LAMBDAS))
@@ -234,8 +234,7 @@ def test_one_round_rebinds_5000_references_far_from_their_binder():
     result = name_fix(gs, naive, LAMBDA_RESOLVER)
     (step,) = result.trace.steps
     assert len(step.capture) == REFERENCES + 1
-    assert result.graph == resolve_lambda(result.term)
-    assert result.graph.edges == gs.edges
+    assert resolve_lambda(result.term).edges == gs.edges
     assert pretty_lambda(result.term).startswith("\\x. " + "\\y. " * SHADOWING + "\\x0. x (\\y. x")
 
 

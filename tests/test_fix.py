@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -180,7 +181,7 @@ class TestNameFixTraces:
         assert pretty_lambda(result.term) == want
         assert any(0 in (e.ref, e.decl) for e in result.trace.steps[0].capture.edges)
         expected = reference.name_fix(gs, t, LAMBDA_RESOLVER)
-        assert (result.term, result.trace, result.graph) == (expected.term, expected.trace, expected.graph)
+        assert (result.term, result.trace) == (expected.term, expected.trace)
 
     def test_trace_formats(self):
         gs = NameGraph({lbl(71), lbl(72)}, {})
@@ -188,6 +189,29 @@ class TestNameFixTraces:
         result = name_fix(gs, t, LAMBDA_RESOLVER)
         text = result.trace.format()
         assert "iteration 1" in text and "pi_src" in text and "pi_syn" in text
+
+    def test_a_repair_builds_one_name_graph_however_many_rounds(self, monkeypatch):
+        # The target's first resolve is the only graph: later rounds re-bind
+        # through its frames and keep just the capture set.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        import workloads
+        from namefix import simpl
+
+        src, var, repl = workloads.gen_open_program(random.Random(1), 50)
+        p = simpl.parse_simpl(src)
+        gs = simpl.resolve_simpl(p)
+        t = simpl.subst_prog(p, var, simpl.parse_simpl_exp(repl))
+        init = NameGraph.__init__
+        built = []
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(NameGraph, "__init__", counting)
+        result = name_fix(gs, t, simpl.SIMPL_RESOLVER)
+        assert len(result.trace) > 1
+        assert len(built) == 1
 
 
 class TestMarkInteraction:

@@ -266,3 +266,8 @@ class TestDotExport:
         assert 'n202 [label="x@202", shape=ellipse]' in dot
         assert "fillcolor" in dot  # synthesized label shaded
         assert "n202 -> n201;" in dot
+
+    def test_title_quotes_and_backslashes_are_escaped(self):
+        p = parse_lambda("x@1")
+        dot = to_dot(resolve_lambda(p), p, title='a"b\\c.lam')
+        assert '  label="a\\"b\\\\c.lam";' in dot.splitlines()
