@@ -146,9 +146,15 @@ def _run_fixing(
     print(simpl.pretty_simpl(result.term, show_labels=args.debug_labels), end="")
 
 
+def _plain_name(name: str) -> str:
+    """name, when it is a plain .spl name; else a usage error."""
+    if not simpl.is_plain_name(name):
+        raise CliError(f"name: {name!r} is not a plain .spl name", EXIT_IO)
+    return name
+
+
 def _substitute(args: argparse.Namespace, p: Term, gs: NameGraph) -> Term:
-    if not simpl.is_plain_name(args.name):
-        raise CliError(f"name: {args.name!r} is not a plain .spl name", EXIT_IO)
+    _plain_name(args.name)
     try:
         repl = simpl.parse_simpl_exp(args.replacement)
     except simpl.ParseError as exc:
@@ -174,7 +180,7 @@ def _substitute(args: argparse.Namespace, p: Term, gs: NameGraph) -> Term:
 _TRANSFORMS = {
     "compile": (".stm", lambda args, m, gs: statemachine.compile_machine(m)),
     "subst": (".spl", _substitute),
-    "inline": (".spl", lambda args, p, gs: simpl.inline_prog(p, args.function, gs)),
+    "inline": (".spl", lambda args, p, gs: simpl.inline_prog(p, _plain_name(args.function), gs)),
     "lift": (".spl", lambda args, p, gs: simpl.lift_prog(p, gs)),
 }
 
@@ -188,7 +194,7 @@ def cmd_transform(args: argparse.Namespace) -> None:
     try:
         target = naive(args, source, gs)
     except simpl.UnknownFunction as exc:
-        raise CliError(f"no top-level function named {exc}", EXIT_IO) from exc
+        raise CliError(f"no top-level function named {exc.args[0]!r}", EXIT_IO) from exc
     except simpl.SimplError as exc:
         raise CliError(str(exc), EXIT_IO) from exc
     _run_fixing(args, source, gs, target)

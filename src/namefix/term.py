@@ -89,12 +89,20 @@ class _Synthesized(Label):
 
 
 class Term:
-    """Base class of term nodes. Instances are immutable values."""
+    """Base class of term nodes. Nodes are slotted, with no per-node dict,
+    and are immutable by convention: no code assigns to a node's fields
+    after construction (`tests/test_immutable_nodes.py` checks `src/`), so
+    subterms can be shared and nodes hashed."""
 
     __slots__ = ()
 
+    def __reduce__(self) -> tuple[type, tuple]:
+        # Rebuild from the fields: pickle protocols 0 and 1 cannot copy the
+        # slots of a class without a dict by themselves.
+        return self.__class__, tuple(map(self.__getattribute__, self.__slots__))
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True, unsafe_hash=True)
 class Const(Term):
     value: object  # int or str
 
@@ -102,7 +110,7 @@ class Const(Term):
         return f"Const({self.value!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Name(Term):
     text: str
     label: Label
@@ -111,7 +119,7 @@ class Name(Term):
         return f"Name({self.text!r}{self.label!r})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Compound(Term):
     children: tuple[Term, ...]
 
@@ -198,7 +206,7 @@ _SESSION = _Counter()
 
 def fresh_source_label() -> Label:
     """A source-provenance label from the session counter (parser use)."""
-    return Label(_SESSION.next_id(), Provenance.SOURCE)
+    return int.__new__(Label, _SESSION.next_id())
 
 
 _PIN = re.compile(r"@('?)(\d+)")
@@ -359,7 +367,7 @@ class LabelAllocator:
         return cls(max(labels, default=0) + 1)
 
     def fresh(self) -> Label:
-        label = Label(self._next, Provenance.SYNTHESIZED)
+        label = int.__new__(_Synthesized, self._next)
         self._next += 1
         return label
 

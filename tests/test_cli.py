@@ -143,6 +143,7 @@ class TestInlineAndLift:
         p = tmp_path / "p.spl"
         p.write_text("fun f() = 0; f()")
         assert main(["inline", str(p), "nope"]) == EXIT_IO
+        assert capsys.readouterr() == ("", "namefix: no top-level function named 'nope'\n")
 
     def test_lift(self, tmp_path, capsys):
         p = tmp_path / "p.spl"
@@ -430,10 +431,11 @@ class TestErrors:
     def test_subst_name_that_is_no_plain_name_is_usage_error(self, tmp_path, capsys, name):
         p = tmp_path / "p.spl"
         p.write_text(ZERO_SUCC)
-        assert main(["subst", str(p), name, "2"]) == EXIT_IO
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"namefix: name: {name!r} is not a plain .spl name\n"
+        for command in (["subst", str(p), name, "2"], ["inline", str(p), name]):
+            assert main(command) == EXIT_IO
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"namefix: name: {name!r} is not a plain .spl name\n"
 
     def test_graph_title_is_escaped(self, tmp_path, capsys):
         p = tmp_path / 'a"b.lam'

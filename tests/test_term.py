@@ -17,6 +17,7 @@ from namefix.term import (
     Provenance,
     compound,
     fresh_source_label,
+    iter_names,
     label_equiv,
     labels_of,
     name_at,
@@ -31,6 +32,12 @@ from gen import gen_lambda
 
 def lbl(i: int, synth: bool = False) -> Label:
     return Label(i, Provenance.SYNTHESIZED if synth else Provenance.SOURCE)
+
+
+def copies(x: object) -> list:
+    """x through copy, deepcopy and pickle at every protocol."""
+    pickled = [pickle.loads(pickle.dumps(x, k)) for k in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return [copy.copy(x), copy.deepcopy(x), *pickled]
 
 
 @st.composite
@@ -113,11 +120,12 @@ class TestLabelIsItsId:
     @given(ids, provenances)
     def test_copies_keep_class_and_provenance(self, i, p):
         a = Label(i, p)
-        pickled = [pickle.loads(pickle.dumps(a, k)) for k in range(pickle.HIGHEST_PROTOCOL + 1)]
-        for b in [copy.copy(a), copy.deepcopy(a), *pickled]:
+        for b in copies(a):
             assert type(b) is type(a) and b == a and b.provenance is p
-        named = pickle.loads(pickle.dumps(Name("x", a)))
-        assert named == Name("x", a) and named.label.provenance is p
+        for t in [Name("x", a), Const(i), Const("s"), compound(Name("x", a), Const(i), compound())]:
+            for u in copies(t):
+                assert type(u) is type(t) and u == t and hash(u) == hash(t)
+                assert [n.label.provenance for n in iter_names(u)] == [p] * (type(t) is not Const)
 
     @given(st.lists(any_labels, max_size=20))
     def test_sorted_is_the_sort_by_id(self, labels):
@@ -142,6 +150,18 @@ class TestLabelIsItsId:
         assert index.rename({lbl(0): "y"}) == want
         assert index.spelling[lbl(0)] == "y"
         assert index.rename({lbl(0): "z", lbl(1): "y"}) == reference.rename(want, {lbl(0): "z", lbl(1): "y"})
+
+
+class TestNodes:
+    def test_nodes_have_no_instance_dict(self):
+        for t in [Const(1), Name("x", lbl(1)), compound(Name("x", lbl(1)))]:
+            assert not hasattr(t, "__dict__")
+
+    @given(st.one_of(st.integers(), st.text()), st.text(), ids, provenances)
+    def test_hash_is_the_hash_of_the_fields(self, v, text, i, p):
+        # Set and dict orders, and so outputs, follow these hashes.
+        assert hash(Const(v)) == hash((v,))
+        assert hash(Name(text, Label(i, p))) == hash((text, i))
 
 
 # (term, queried label, its spelling or None when absent, or the error)
