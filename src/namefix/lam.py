@@ -54,14 +54,12 @@ class ParseError(term.ParseError):
         return cls(message, offset)
 
 
-_TOKEN = token_pattern(
-    r"(?P<punct>[\\.+()])|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*(?:@'?\d+)?)"
-)
+_TOKEN = token_pattern(r"[\\.+()]|\d+|[A-Za-z_][A-Za-z0-9_]*(?:@'?\d+)?")
 
 
 class _Parser(Scanner):
     def __init__(self, src: str) -> None:
-        super().__init__(src, _TOKEN, frozenset(), ParseError, len(src))
+        super().__init__(src, _TOKEN, frozenset("\\.+()"), ParseError, len(src))
 
     def parse_exp(self) -> Term:
         # A chain of lambdas is parsed by this loop, so it nests as deep as
@@ -86,21 +84,22 @@ class _Parser(Scanner):
     def parse_app(self) -> Term:
         # application binds tighter than a lambda; a lambda argument needs parens
         e = self.parse_atom()
-        while self.peek()[0] in ("name", "int", "("):
+        while self.kinds[self.i] in ("name", "int", "("):
             e = app(e, self.parse_atom())
         return e
 
     def parse_atom(self) -> Term:
-        tok = self.next()
-        if tok[0] == "name":
-            return self.name(tok)
-        if tok[0] == "int":
-            return Const(self.integer(tok))
-        if tok[0] == "(":
+        j = self.next()
+        kind = self.kinds[j]
+        if kind == "name":
+            return self.name(j)
+        if kind == "int":
+            return Const(self.integer(j))
+        if kind == "(":
             e = self.parse_exp()
             self.next(")")
             return e
-        raise self.error(f"unexpected token {tok[1]!r}", tok[2])
+        raise self.error(f"unexpected token {self.texts[j]!r}", j)
 
 
 def parse_lambda(src: str) -> Term:

@@ -9,6 +9,7 @@ pass against the source program's name graph.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -158,32 +159,27 @@ class ParseError(term.ParseError):
 
 
 _KEYWORDS = frozenset({"fun", "let", "in", "if", "then", "else", "error"})
-
-_TOKEN = token_pattern(
-    r"(?P<punct>==|[=;(),+*!])"
-    r"|(?P<int>\d+)"
-    r"|(?P<str>\"(?:[^\"\\]|\\.)*\")"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_-]*(?:@'?\d+)?)"
-)
+_PUNCT = frozenset({"==", "=", ";", "(", ")", ",", "+", "*", "!"})  # as in _TOKEN
+_WORD = r"[A-Za-z_][A-Za-z0-9_-]*"
+_TOKEN = token_pattern(rf"==|[=;(),+*!]|\d+|\"(?:[^\"\\]|\\.)*\"|{_WORD}(?:@'?\d+)?")
 
 
 def is_plain_name(text: str) -> bool:
     """Whether text scans whole as one name token, unpinned and no keyword."""
-    m = _TOKEN.fullmatch(text)
-    return m is not None and m.lastgroup == "name" and "@" not in text and text not in _KEYWORDS
+    return re.fullmatch(_WORD, text) is not None and text not in _KEYWORDS
 
 
 class _Parser(Scanner):
     def __init__(self, src: str) -> None:
         # end of input is reported just past the last token
-        super().__init__(src, _TOKEN, _KEYWORDS, ParseError, len(src.rstrip()))
+        super().__init__(src, _TOKEN, _KEYWORDS | _PUNCT, ParseError, len(src.rstrip()))
 
     def parse_program(self) -> Compound:
         fdefs: list[Term] = []
-        while self.at("fun"):
+        while self.kinds[self.i] == "fun":
             fdefs.append(self.parse_fdef())
         main: list[Term] = []
-        if not self.at(END):
+        if self.kinds[self.i] != END:
             main.append(self.parse_exp())
         return prog(fdefs, main)
 
@@ -199,10 +195,10 @@ class _Parser(Scanner):
     def parse_params(self) -> list[Name]:
         self.next("(")
         params: list[Name] = []
-        if not self.at(")"):
+        if self.kinds[self.i] != ")":
             params.append(self.name(self.next("name")))
-            while self.at(","):
-                self.next()
+            while self.kinds[self.i] == ",":
+                self.i += 1
                 params.append(self.name(self.next("name")))
         self.next(")")
         return params
@@ -212,10 +208,11 @@ class _Parser(Scanner):
         # this loop: a chain of them nests as deep as memory allows. Every
         # other part recurses.
         heads: list[Callable[[Term], Compound]] = []
-        while self.at("let") or self.at("if"):
-            if self.next()[0] == "let":
-                if self.at("fun"):
-                    self.next()
+        kinds = self.kinds
+        while kinds[self.i] in ("let", "if"):
+            if kinds[self.next()] == "let":
+                if kinds[self.i] == "fun":
+                    self.i += 1
                     name = self.name(self.next("name"))
                     params = self.parse_params()
                     self.next("=")
@@ -240,66 +237,65 @@ class _Parser(Scanner):
         return e
 
     def parse_eq(self) -> Term:
-        e = self.parse_add()
-        if self.at("=="):
-            self.next()
-            return eq(e, self.parse_add())
+        # `==` does not associate: a second one is left to the caller.
+        e = self.parse_sum()
+        if self.kinds[self.i] == "==":
+            self.i += 1
+            return eq(e, self.parse_sum())
         return e
 
-    def parse_add(self) -> Term:
-        e = self.parse_mul()
-        while self.at("+"):
-            self.next()
-            e = add(e, self.parse_mul())
-        return e
-
-    def parse_mul(self) -> Term:
+    def parse_sum(self) -> Term:
+        # Sums of products in one loop, both left-associative: `total` is
+        # the sum of the products before `e`, the product being read.
+        kinds = self.kinds
+        total = None
         e = self.parse_unary()
-        while self.at("*"):
-            self.next()
-            e = mul(e, self.parse_unary())
-        return e
+        while kinds[self.i] in ("+", "*"):
+            self.i += 1
+            if kinds[self.i - 1] == "*":
+                e = mul(e, self.parse_unary())
+            else:
+                total = e if total is None else add(total, e)
+                e = self.parse_unary()
+        return e if total is None else add(total, e)
 
     def parse_unary(self) -> Term:
-        nots = 0
-        while self.at("!"):
-            self.next()
-            nots += 1
-        e = self.parse_atom()
-        while nots:
-            e = not_(e)
-            nots -= 1
-        return e
-
-    def parse_atom(self) -> Term:
-        if self.at("int"):
-            return Const(self.integer(self.next()))
-        if self.at("str"):
-            raw = self.next()[1]
-            return Const(raw[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
-        if self.at("error"):
-            self.next()
-            self.next("(")
-            self.next(")")
-            return error_call()
-        if self.at("("):
-            self.next()
+        # Any `!`s, then a constant, name, call, error() or parenthesised expression.
+        kinds = self.kinds
+        i = first = self.i
+        while kinds[i] == "!":
+            i += 1
+        kind = kinds[i]
+        self.i = i + 1
+        if kind == "name":
+            e = self.name(i)
+            if kinds[i + 1] == "(":
+                self.i = i + 2
+                args: list[Term] = []
+                if kinds[self.i] != ")":
+                    args.append(self.parse_exp())
+                    while kinds[self.i] == ",":
+                        self.i += 1
+                        args.append(self.parse_exp())
+                self.next(")")
+                e = call(e, args)
+        elif kind == "int":
+            e = Const(self.integer(i))
+        elif kind == "(":
             e = self.parse_exp()
             self.next(")")
-            return e
-        tok = self.next("name")
-        name = self.name(tok)
-        if self.at("("):
-            self.next()
-            args: list[Term] = []
-            if not self.at(")"):
-                args.append(self.parse_exp())
-                while self.at(","):
-                    self.next()
-                    args.append(self.parse_exp())
+        elif kind == "str":
+            e = Const(self.texts[i][1:-1].replace('\\"', '"').replace("\\\\", "\\"))
+        elif kind == "error":
+            self.next("(")
             self.next(")")
-            return call(name, args)
-        return name
+            e = error_call()
+        else:
+            self.i = i
+            self.next("name")  # raises: no operand starts here
+        for _ in range(i - first):
+            e = not_(e)
+        return e
 
 
 def parse_simpl(src: str) -> Compound:

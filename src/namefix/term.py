@@ -13,6 +13,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 import operator
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
@@ -183,7 +184,9 @@ def operand(part: object, level: int) -> str:
 
 
 class _Counter:
-    """Monotone session-wide id source. Safe under concurrent calls."""
+    """Monotone session-wide id source. Safe under concurrent calls: no id
+    is handed out twice. A parse that fails may leave the rest of the block
+    it took unused; those ids are skipped, never handed out later."""
 
     def __init__(self, start: int = 1) -> None:
         self._lock = threading.Lock()
@@ -195,10 +198,13 @@ class _Counter:
             self._next += 1
             return value
 
-    def reserve(self, upto: int) -> None:
-        """Ensure all future ids are strictly greater than `upto`."""
+    def take(self, count: int, after: int = 0) -> int:
+        """The first of `count` consecutive ids, each greater than `after`
+        and than every id handed out before."""
         with self._lock:
-            self._next = max(self._next, upto + 1)
+            first = max(self._next, after + 1)
+            self._next = first + count
+            return first
 
 
 _SESSION = _Counter()
@@ -227,19 +233,23 @@ class NameFactory:
     A token spelled `x@7` pins source label 7 and `x@'7` synthesized label 7,
     in place of a fresh label. Every pinned id of the text is reserved up
     front, so fresh labels never collide with a pin read later in the text.
+    In the same step it takes one block of ids for the `fresh` (unpinned)
+    names the text makes, in order; past it, each id as the name is made.
     """
 
-    def __init__(self, src: str) -> None:
+    def __init__(self, src: str, fresh: int = 0) -> None:
         # A pin too long is left out; make() rejects it as a name.
         pins = [_pin_id(m.group(2)) for m in _PIN.finditer(src)]
-        _SESSION.reserve(max((pin for pin in pins if pin is not None), default=0))
+        first = _SESSION.take(fresh, max((pin for pin in pins if pin is not None), default=0))
+        self._fresh = iter(range(first, first + fresh))
         self._used: set[int] = set()
 
     def make(self, text: str) -> Name:
         """Raises PinError when a pinned id occurs twice or is too long."""
+        if "@" not in text:
+            label = next(self._fresh, None)
+            return Name(text, fresh_source_label() if label is None else int.__new__(Label, label))
         m = _PIN.search(text)
-        if m is None:
-            return Name(text, fresh_source_label())
         pin = _pin_id(m.group(2))
         if pin is None:
             raise PinError(f"pinned label id too long ({len(m.group(2))} digits)")
@@ -250,7 +260,6 @@ class NameFactory:
         return Name(text[: m.start()], Label(pin, provenance))
 
 
-Token = tuple[str, str, int]  # kind, text, offset into the source
 END = "end of input"  # the kind of the token that closes every scan
 T = TypeVar("T")
 E = TypeVar("E")
@@ -258,83 +267,98 @@ R = TypeVar("R")
 
 
 def token_pattern(tokens: str) -> re.Pattern[str]:
-    """The Scanner pattern of a language whose tokens `tokens` matches, one
-    named group per token kind: whitespace first, any other character last."""
-    return re.compile(rf"\s+|{tokens}|(?P<_bad>.)")
+    """The Scanner pattern of a language whose tokens `tokens` matches, a
+    pattern without groups: any other character but whitespace is a token
+    of its own."""
+    return re.compile(rf"{tokens}|\S")
+
+
+class _Kinds(dict):
+    """Token text -> kind, for one scan. It starts with the language's
+    punctuation and keywords, each its own kind; any other text is
+    classified by its first character when first met, as None when it is
+    no token of the language."""
+
+    def __missing__(self, text: str) -> str | None:
+        c = text[0]
+        kind = self[text] = (
+            self.get(text.partition("@")[0], "name")  # a name, or a pinned keyword
+            if c == "_" or c.isascii() and c.isalpha()
+            else "int" if c.isdecimal() else "str" if c == '"' and len(text) > 1 else None
+        )
+        return kind
 
 
 class Scanner:
     """One source text as tokens, and a cursor over them for a recursive
     descent parser.
 
-    The text is scanned in one pass of `pattern` (from `token_pattern`). A
-    token's kind is its group's name, except that a `punct` token's kind is
-    its text and a `name` token spelled like one of `keywords` (up to its
-    pin) has that keyword as its kind. An END token at offset `end` closes
-    the scan: there the parser reports running out of input. Errors are
-    raised as `error.at(message, src, offset)`.
+    One `findall` of `pattern` (from `token_pattern`) gives the token
+    texts, and each token's kind comes from its text: a word is a `name`,
+    or the keyword of `fixed` it spells up to its pin; digits are an `int`;
+    a quoted text is a `str`; punctuation of `fixed` is its own kind. The
+    cursor `i` indexes `kinds` and `texts`. An END token closes the scan:
+    there the parser reports running out of input, at offset `end`. Offsets
+    are not kept: an error at a token rescans the text for its offset and
+    is raised as `error.at(message, src, offset)`.
     """
 
     def __init__(
         self,
         src: str,
         pattern: re.Pattern[str],
-        keywords: frozenset[str],
+        fixed: frozenset[str],
         error: type[ParseError],
         end: int,
     ) -> None:
         self.src = src
+        self._pattern = pattern
         self._error = error
-        tokens: list[Token] = []
-        for m in pattern.finditer(src):
-            kind = m.lastgroup
-            if kind is None:  # whitespace
-                continue
-            text = m.group()
-            if kind == "name":
-                word = text.partition("@")[0]
-                if word in keywords:
-                    kind = word
-            elif kind == "punct":
-                kind = text
-            elif kind == "_bad":
-                raise self.error(f"unexpected character {text!r}", m.start())
-            tokens.append((kind, text, m.start()))
-        tokens.append((END, "", end))
-        self.tokens = tokens
+        self._end = end
+        self.texts = texts = pattern.findall(src)
+        self.kinds = kinds = list(map(_Kinds(zip(fixed, fixed)).__getitem__, texts))
+        if None in kinds:
+            j = kinds.index(None)
+            raise self.error(f"unexpected character {texts[j]!r}", j)
+        fresh = kinds.count("name")
+        if "@" in src:
+            fresh -= sum(1 for kind, text in zip(kinds, texts) if kind == "name" and "@" in text)
+        texts.append("")
+        kinds.append(END)
         self.i = 0
-        self.names = NameFactory(src)
+        self.names = NameFactory(src, fresh)
 
-    def error(self, message: str, offset: int) -> ParseError:
-        return self._error.at(message, self.src, offset)
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def error(self, message: str, j: int) -> ParseError:
+        """The error at token j, located by scanning the text up to it."""
+        m = next(islice(self._pattern.finditer(self.src), j, None), None)
+        return self._error.at(message, self.src, self._end if m is None else m.start())
 
     def at(self, kind: str) -> bool:
-        return self.tokens[self.i][0] == kind
+        return self.kinds[self.i] == kind
 
-    def next(self, kind: str | None = None) -> Token:
-        tok = self.tokens[self.i]
-        if tok[0] == END:
-            raise self.error("unexpected end of input", tok[2])
-        if kind is not None and tok[0] != kind:
-            raise self.error(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        self.i += 1
-        return tok
+    def next(self, kind: str | None = None) -> int:
+        """Consume the token at the cursor, of `kind` when given; its index."""
+        i = self.i
+        found = self.kinds[i]
+        if found == END:
+            raise self.error("unexpected end of input", i)
+        if kind is not None and found != kind:
+            raise self.error(f"expected {kind!r}, found {self.texts[i]!r}", i)
+        self.i = i + 1
+        return i
 
-    def name(self, tok: Token) -> Name:
-        """The Name of a name token, its pin read by the text's NameFactory."""
+    def name(self, j: int) -> Name:
+        """The Name of name token j, its pin read by the text's NameFactory."""
         try:
-            return self.names.make(tok[1])
+            return self.names.make(self.texts[j])
         except PinError as exc:
-            raise self.error(str(exc), tok[2]) from None
+            raise self.error(str(exc), j) from None
 
-    def integer(self, tok: Token) -> int:
+    def integer(self, j: int) -> int:
         try:
-            return int(tok[1])
+            return int(self.texts[j])
         except ValueError:
-            raise self.error(f"integer literal too long ({len(tok[1])} digits)", tok[2]) from None
+            raise self.error(f"integer literal too long ({len(self.texts[j])} digits)", j) from None
 
     def parse(self, rule: Callable[..., T]) -> T:
         """`rule(self)` over the whole text. Input left after it, or nesting
@@ -342,10 +366,9 @@ class Scanner:
         try:
             result = rule(self)
         except RecursionError:
-            raise self.error("nested too deeply", self.tokens[self.i][2]) from None
-        kind, text, offset = self.tokens[self.i]
-        if kind != END:
-            raise self.error(f"trailing input {text!r}", offset)
+            raise self.error("nested too deeply", self.i) from None
+        if self.kinds[self.i] != END:
+            raise self.error(f"trailing input {self.texts[self.i]!r}", self.i)
         return result
 
 

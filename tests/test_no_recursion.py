@@ -22,10 +22,8 @@ _LAM_RULE = "recursive descent: a parenthesised lambda or operand"
 ALLOWED = {
     "simpl._Parser.parse_exp": f"{_SPL_RULE} (a let initializer, a condition)",
     "simpl._Parser.parse_eq": _SPL_RULE,
-    "simpl._Parser.parse_add": _SPL_RULE,
-    "simpl._Parser.parse_mul": _SPL_RULE,
-    "simpl._Parser.parse_unary": _SPL_RULE,
-    "simpl._Parser.parse_atom": f"{_SPL_RULE} (parentheses, call arguments)",
+    "simpl._Parser.parse_sum": _SPL_RULE,
+    "simpl._Parser.parse_unary": f"{_SPL_RULE} (parentheses, call arguments)",
     "lam._Parser.parse_exp": _LAM_RULE,
     "lam._Parser.parse_add": _LAM_RULE,
     "lam._Parser.parse_app": _LAM_RULE,

@@ -1,6 +1,8 @@
 """Parse errors of the three front ends: exact messages and locations, input
 too large for the parsers, and fuzzing (only a ParseError may escape)."""
 
+import random
+import re
 import sys
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from namefix import cli, lam, simpl, statemachine, term
+import gen
 
 PARSERS = {
     "spl": (simpl.parse_simpl, simpl.ParseError),
@@ -114,6 +117,70 @@ def test_lam_unexpected_character_located_at_itself():
     with pytest.raises(lam.ParseError) as err:
         lam.parse_lambda("\\x. x\n  y $")
     assert (str(err.value), err.value.pos) == ("unexpected character '$' (at offset 10)", 10)
+
+
+# The tokens of generated programs, spelled as the front ends scan them.
+GENERATED_TOKEN = {
+    "spl": re.compile(r"[A-Za-z_][A-Za-z0-9_-]*(?:@'?\d+)?|\d+|==|\S"),
+    "lam": re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:@'?\d+)?|\d+|\S"),
+}
+
+
+def generated_programs():
+    """Seeded .spl programs and printed lambda terms, with and without labels."""
+    rng = random.Random(11)
+    for k in range(6):
+        src = gen.gen_simpl_source(rng, closed=bool(k % 2))
+        yield "spl", src
+        yield "spl", simpl.pretty_simpl(simpl.parse_simpl(src), show_labels=True)
+        t = gen.gen_lambda(rng, depth=5)
+        yield "lam", lam.pretty_lambda(t)
+        yield "lam", lam.pretty_lambda(lam.parse_lambda(lam.pretty_lambda(t)), show_labels=True)
+
+
+def position(parser, src, offset):
+    """Where an error at `offset` of `src` is located, computed from the text."""
+    if parser == "lam":
+        return offset
+    lines = src[:offset].split("\n")
+    return len(lines), len(lines[-1]) + 1
+
+
+def located(parser, exc):
+    return exc.pos if parser == "lam" else (exc.line, exc.col)
+
+
+GENERATED = list(generated_programs())
+
+
+@pytest.mark.parametrize("parser, src", GENERATED, ids=[f"{p}-{k}" for k, (p, _) in enumerate(GENERATED)])
+def test_error_at_every_token_is_located_there(parser, src):
+    """Token k replaced by `$` is an error at its start; the text cut after
+    token k, unless it parses, runs out of input at its end."""
+    parse, error = PARSERS[parser]
+    tokens = list(GENERATED_TOKEN[parser].finditer(src))
+    assert tokens
+    for m in tokens:
+        with pytest.raises(error) as err:
+            parse(src[: m.start()] + "$" + src[m.end() :])
+        assert str(err.value).startswith("unexpected character '$' (")
+        assert located(parser, err.value) == position(parser, src, m.start())
+        try:
+            parse(src[: m.end()])
+        except error as exc:
+            assert str(exc).startswith("unexpected end of input (")
+            assert located(parser, exc) == position(parser, src, m.end())
+
+
+def test_nested_too_deeply_is_located_at_the_token_reached():
+    # One "(" per line after the first: token i >= 6 stands alone on line i - 4.
+    src = "fun f(x) =\n" + "(\n" * 5000 + "x" + ")" * 5000 + ";"
+    parser = simpl._Parser(src)
+    with pytest.raises(simpl.ParseError) as err:
+        parser.parse(simpl._Parser.parse_program)
+    assert str(err.value).startswith("nested too deeply (")
+    assert 6 < parser.i < 5006
+    assert (err.value.line, err.value.col) == (parser.i - 4, 1)
 
 
 # Token spellings per language; joined without separators they also make
