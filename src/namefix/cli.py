@@ -8,6 +8,10 @@ by file extension: .stm, .spl, .lam.
 Exit codes: 0 success, 1 parse error, 2 I/O or usage error, 3 a check
 failed (programs not alpha-equivalent, or the resolver violates its
 contract on the input), 4 repair did not converge or internal error.
+
+The argument parser is built once per process, when the module is imported,
+and every `main` call parses with it: argparse keeps no state between parses
+(each gets a fresh Namespace), so a call pays only for its input.
 """
 
 from __future__ import annotations
@@ -296,9 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         args.func(args)
     except CliError as exc:

@@ -95,48 +95,56 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*(?:@'?\d+)?$")
 
 def parse_stm(src: str) -> Compound:
     """Line-oriented: `state <name>` headers, `<event> => <target>`
-    transitions, optional trailing `end`."""
-    names = NameFactory(src)
+    transitions, optional trailing `end`.
 
-    def make_name(text: str, lineno: int) -> Name:
-        if not _IDENT.match(text):
-            raise ParseError(f"invalid name {text!r}", lineno)
-        try:
-            return names.make(text)
-        except PinError as exc:
-            raise ParseError(str(exc), lineno) from None
-
-    states: list[Term] = []
-    current: tuple[Name, list[Term]] | None = None
+    The lines are read up to the first that does not parse, and then their
+    names are made, so the unpinned names take one block of ids and only
+    the pins of name fields are reserved, not those of comments. Errors are
+    raised in line order all the same."""
+    # (line number, name text, event): a state header has no event
+    fields: list[tuple[int, str, str | None]] = []
+    error = None  # the message of the first line that does not parse
     ended = False
     for lineno, raw in enumerate(src.splitlines(), start=1):
         line = raw.split("//")[0].strip()
         if not line:
             continue
         if ended:
-            raise ParseError(f"input after end: {line!r}", lineno)
-        if line == "end":
+            error = f"input after end: {line!r}"
+        elif line == "end":
             ended = True
-            continue
-        if line.startswith("state "):
-            if current is not None:
-                states.append(state(current[0], current[1]))
-            current = (make_name(line[len("state "):].strip(), lineno), [])
-            continue
-        if "=>" in line:
-            if current is None:
-                raise ParseError("transition before any state", lineno)
+        elif line.startswith("state "):
+            fields.append((lineno, line[len("state "):].strip(), None))
+        elif "=>" not in line:
+            error = f"cannot parse line {line!r}"
+        elif not fields:
+            error = "transition before any state"
+        else:
             event_text, _, target_text = line.partition("=>")
             event_text = event_text.strip()
-            if not _IDENT.match(event_text) or "@" in event_text:
-                raise ParseError(f"invalid event {event_text!r}", lineno)
-            target = make_name(target_text.strip(), lineno)
-            current[1].append(trans(event_text, target))
-            continue
-        raise ParseError(f"cannot parse line {line!r}", lineno)
-    if current is not None:
-        states.append(state(current[0], current[1]))
-    return machine(states)
+            if _IDENT.match(event_text) and "@" not in event_text:
+                fields.append((lineno, target_text.strip(), event_text))
+            else:
+                error = f"invalid event {event_text!r}"
+        if error is not None:
+            break
+    pinned = [text for _, text, _ in fields if "@" in text and _IDENT.match(text)]
+    names = NameFactory(len(fields) - len(pinned), pinned)
+    states: list[tuple[Name, list[Term]]] = []
+    for where, text, event in fields:
+        if not _IDENT.match(text):
+            raise ParseError(f"invalid name {text!r}", where)
+        try:
+            name = names.make(text)
+        except PinError as exc:
+            raise ParseError(str(exc), where) from None
+        if event is None:
+            states.append((name, []))
+        else:
+            states[-1][1].append(trans(event, name))
+    if error is not None:
+        raise ParseError(error, lineno)
+    return machine([state(name, transitions) for name, transitions in states])
 
 
 def pretty_stm(m: Term, show_labels: bool = False) -> str:

@@ -231,15 +231,16 @@ class NameFactory:
     """Turns the name tokens of one source text into labeled Name nodes.
 
     A token spelled `x@7` pins source label 7 and `x@'7` synthesized label 7,
-    in place of a fresh label. Every pinned id of the text is reserved up
-    front, so fresh labels never collide with a pin read later in the text.
-    In the same step it takes one block of ids for the `fresh` (unpinned)
-    names the text makes, in order; past it, each id as the name is made.
+    in place of a fresh label. The pins of the text's name tokens, `pinned`,
+    are reserved up front, so fresh labels never collide with a pin read
+    later in the text; an `@digits` elsewhere, in a string or a comment, is
+    no pin. In the same step it takes one block of ids for the `fresh`
+    (unpinned) name tokens, handed out in the order the names are made.
     """
 
-    def __init__(self, src: str, fresh: int = 0) -> None:
+    def __init__(self, fresh: int, pinned: Iterable[str]) -> None:
         # A pin too long is left out; make() rejects it as a name.
-        pins = [_pin_id(m.group(2)) for m in _PIN.finditer(src)]
+        pins = [_pin_id(_PIN.search(text).group(2)) for text in pinned]
         first = _SESSION.take(fresh, max((pin for pin in pins if pin is not None), default=0))
         self._fresh = iter(range(first, first + fresh))
         self._used: set[int] = set()
@@ -247,8 +248,7 @@ class NameFactory:
     def make(self, text: str) -> Name:
         """Raises PinError when a pinned id occurs twice or is too long."""
         if "@" not in text:
-            label = next(self._fresh, None)
-            return Name(text, fresh_source_label() if label is None else int.__new__(Label, label))
+            return Name(text, int.__new__(Label, next(self._fresh)))
         m = _PIN.search(text)
         pin = _pin_id(m.group(2))
         if pin is None:
@@ -321,12 +321,14 @@ class Scanner:
             j = kinds.index(None)
             raise self.error(f"unexpected character {texts[j]!r}", j)
         fresh = kinds.count("name")
+        pinned = []
         if "@" in src:
-            fresh -= sum(1 for kind, text in zip(kinds, texts) if kind == "name" and "@" in text)
+            pinned = [text for kind, text in zip(kinds, texts) if kind == "name" and "@" in text]
+            fresh -= len(pinned)
         texts.append("")
         kinds.append(END)
         self.i = 0
-        self.names = NameFactory(src, fresh)
+        self.names = NameFactory(fresh, pinned)
 
     def error(self, message: str, j: int) -> ParseError:
         """The error at token j, located by scanning the text up to it."""

@@ -1,8 +1,11 @@
+import argparse
+import gc
+import random
 from pathlib import Path
 
 import pytest
 
-from namefix import cli, lam, simpl, statemachine
+from namefix import cli, lam, simpl, statemachine, term
 from namefix.fix import find_capture, name_fix
 from namefix.graph import BindingFrames, NameGraph, Resolver, to_dot
 from namefix.term import spellings
@@ -498,3 +501,123 @@ class TestSubstPins:
         assert main(["subst", "--no-fix", "--debug-labels", str(p), "y", "f@1 + 1"]) == 0
         out = capsys.readouterr().out
         assert out == "fun f@1(x@2) = x@3 + (f@1 + 1);\nf@5(f@1 + 1)\n"
+
+
+# The CLI's argparse parser is built once, at import, and every main call
+# parses with it. The tests below pin what that must keep: no call builds a
+# parser, repeated calls answer alike, and a call leaves no cyclic garbage.
+
+@pytest.fixture
+def inputs(tmp_path):
+    """One input file per fixture program, and a .stm that does not parse."""
+    files = {"door.stm": DOOR, "zero.spl": ZERO_SUCC, "or.spl": OR_AND, "local.spl": LOCAL_FNS,
+             "bad.stm": "state a\nnot a line\n", "p.lam": r"\x. (\x. x) x"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return {name: str(tmp_path / name) for name in files}
+
+
+# name -> argv of a main call, given the `inputs` paths, and its exit code
+def calls(f):
+    return {
+        "compile": (["compile", f["door.stm"]], 0),
+        "subst": (["subst", "--trace", f["zero.spl"], "x", "2 * n"], 0),
+        "inline": (["inline", f["or.spl"], "and"], 0),
+        "lift": (["lift", f["local.spl"]], 0),
+        "graph": (["graph", f["or.spl"]], 0),
+        "check": (["check", f["door.stm"]], 0),
+        "alphacheck": (["alphacheck", f["or.spl"], f["or.spl"]], 0),
+        "alphacheck-differ": (["alphacheck", f["or.spl"], f["zero.spl"]], EXIT_CHECK),
+        "parse-error": (["compile", f["bad.stm"]], EXIT_PARSE),
+        "io-error": (["lift", f["local.spl"].replace("local", "missing")], EXIT_IO),
+        "bad-name": (["subst", f["zero.spl"], "x y", "2"], EXIT_IO),
+        "check-fails": (["check", f["p.lam"]], EXIT_CHECK),
+        "usage-no-command": ([], 2),
+        "usage-unknown-command": (["frobnicate", f["door.stm"]], 2),
+        "usage-missing-argument": (["subst", f["zero.spl"], "x"], 2),
+        "usage-unknown-flag": (["lift", "--fast", f["local.spl"]], 2),
+        "help": (["inline", "--help"], 0),
+    }
+
+
+def outcome(argv, capsys):
+    """main(argv)'s exit code, stdout and stderr; argparse's exits as their code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.fixture
+def broken_check(monkeypatch):
+    """.lam inputs resolved by a resolver that binds every declaration to
+    itself, so that `namefix check` fails on them."""
+    language = cli._LANGUAGES[".lam"]
+    resolver = Resolver("self-bound", broken_lambda_resolvers()["self-bound"])
+    monkeypatch.setitem(cli._LANGUAGES, ".lam", cli._Language(language.parse, resolver, language.pretty))
+
+
+def test_main_calls_build_no_parser(inputs, capsys, monkeypatch, broken_check):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(3):
+        for argv, _ in calls(inputs).values():
+            outcome(argv, capsys)
+    assert built == []
+    cli.build_parser()
+    assert len(built) == 8  # the parser, and one per subcommand
+
+
+def test_repeated_interleaved_calls_answer_alike(inputs, capsys, monkeypatch, broken_check):
+    def answer(argv):
+        # `graph` prints label ids, which come from the session counter.
+        monkeypatch.setattr(term, "_SESSION", term._Counter(1))
+        return outcome(argv, capsys)
+
+    cases = calls(inputs)
+    first = {name: answer(argv) for name, (argv, _) in cases.items()}
+    assert {name: got[0] for name, got in first.items()} == {
+        name: code for name, (_, code) in cases.items()
+    }
+    for name, (_, out, err) in first.items():
+        if name.startswith("usage"):
+            assert out == "" and err.startswith("usage: namefix") and "error:" in err
+    assert first["help"][1].startswith("usage: namefix inline")
+    rng = random.Random(0)
+    for _ in range(3):
+        order = list(cases)
+        rng.shuffle(order)
+        for name in order:
+            assert answer(cases[name][0]) == first[name], name
+
+
+GARBAGE_FREE = ["compile", "subst", "inline", "lift", "graph", "check", "alphacheck",
+                "parse-error", "io-error"]
+
+
+@pytest.mark.parametrize("name", GARBAGE_FREE)
+def test_a_call_leaves_no_cyclic_garbage(inputs, capsys, name):
+    """Everything a call makes is freed by reference counting: the cyclic
+    collector finds nothing after it."""
+    argv, code = calls(inputs)[name]
+    assert outcome(argv, capsys)[0] == code  # first-call caches are filled here
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == code
+        found = gc.collect()
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert found == 0
