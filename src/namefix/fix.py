@@ -6,23 +6,27 @@ graph of its output, and iteratively renames the capturing declarations
 output is capture-free.
 
 Cost of a repair round. For a resolver stated by binding forms, the
-target's resolve is `BindingFrames`: one walk that gives its frames, its
-graph and its spelling map. Renaming never changes a term's shape, so at
-the first capture a second walk builds a `LabelIndex` of the label
-positions, and every round respells the resolve's spelling map through
-it. The index notes each label it respelled; `comp_renaming` spells
-them fresh, so `BindingFrames.rebind` re-binds only those labels and the
-references bound to them: no other reference can see a different
-declaration of its spelling. The edge delta this yields updates the
-capture set by one rule: dropped edges leave it, and added edges are
-classified, since the source graph classifies capture edge by edge. No
-round builds a graph. A round then costs a `comp_renaming` whose lookups
-are by label, a respelling that rebuilds only the compounds above the
-renamed names, a re-binding that looks each frame up at most once per
-spelling, and set operations on the delta and the capture set. A
-capture-free input costs one resolve and one `find_capture`. A resolver
-without binding forms is resolved in full every round, its delta the
-difference of two edge sets, its spelling map `spellings(t)`.
+target's resolve is `BindingFrames`: one walk over the term that calls
+into the language only at the compounds its table of binding forms has a
+rule for, and gives the frames, the graph, the spelling map and each
+reference's occurrence frames grouped by label. Renaming never changes a
+term's shape, so at the first capture a second walk builds a
+`LabelIndex` of the label positions, and every round respells the
+resolve's spelling map through it. The index notes each label it
+respelled; `comp_renaming` spells them fresh, so `BindingFrames.rebind`
+re-binds only those labels and the references bound to them, reading
+their occurrence frames as the walk grouped them: no other reference can
+see a different declaration of its spelling. The edge delta this yields
+updates the capture set by one rule: dropped edges leave it, and added
+edges are classified, since the source graph classifies capture edge by
+edge (`NameGraph.unintended`, one query per edge set). No round builds a
+graph. A round then costs a `comp_renaming` whose lookups are by label, a
+respelling that rebuilds only the compounds above the renamed names, a
+re-binding that looks each frame up at most once per spelling, and set
+operations on the delta and the capture set. A capture-free input costs
+one resolve and one `find_capture`. A resolver without binding forms is
+resolved in full every round, its delta the difference of two edge sets,
+its spelling map `spellings(t)`.
 """
 
 from __future__ import annotations
@@ -150,18 +154,12 @@ def find_capture(gs: NameGraph, gt: NameGraph) -> CaptureSet:
 def _captures(gs: NameGraph, edges: Iterable[Edge]) -> set[CaptureEdge]:
     """The capture edges among `edges`: each edge is classified on its own,
     against the source graph alone."""
-    out: set[CaptureEdge] = set()
-    for v, target in edges:
-        if gs.counts_as_source(v):
-            bound = gs.bindings(v)
-            if bound:
-                if target not in bound:
-                    out.add(CaptureEdge(v, target, CaptureKind.SOURCE_REBOUND))
-            elif v != target:
-                out.add(CaptureEdge(v, target, CaptureKind.SOURCE_FREE_CAPTURED))
-        elif gs.counts_as_source(target):
-            out.add(CaptureEdge(v, target, CaptureKind.SYNTHESIZED_CAPTURED))
-    return out
+    rebound, free, synthesized = gs.unintended(edges)
+    return {
+        *[CaptureEdge(v, d, CaptureKind.SOURCE_REBOUND) for v, d in rebound],
+        *[CaptureEdge(v, d, CaptureKind.SOURCE_FREE_CAPTURED) for v, d in free],
+        *[CaptureEdge(v, d, CaptureKind.SYNTHESIZED_CAPTURED) for v, d in synthesized],
+    }
 
 
 def comp_renaming(
@@ -193,9 +191,8 @@ def comp_renaming(
         elif v_d not in pi_syn:
             if synthesized is None:
                 synthesized = {}
-                for v in spell:
-                    if not gs.counts_as_source(v):
-                        synthesized.setdefault(spell[v], []).append(v)
+                for v in gs.foreign(spell):
+                    synthesized.setdefault(spell[v], []).append(v)
             group = synthesized.get(spell[v_d])
             if group:
                 fresh = gensym(spell[v_d], used)

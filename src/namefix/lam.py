@@ -6,7 +6,6 @@ suites; there is deliberately no evaluator.
 
 from __future__ import annotations
 
-from itertools import repeat
 from operator import attrgetter
 
 from . import term
@@ -23,7 +22,6 @@ from .term import (
     fold,
     operand,
     show_name,
-    tag,
     token_pattern,
 )
 
@@ -106,20 +104,20 @@ def parse_lambda(src: str) -> Term:
     return _Parser(src).parse(_Parser.parse_exp)
 
 
-def scopes(t: Compound, env: E, bind: Bind) -> Pairs:
-    """Binding forms (`graph.Scopes`): a lambda's binder is a declaration,
-    visible in its body, where it shadows an outer binder of equal
-    spelling."""
-    k = tag(t)
-    if k == "lam":
-        binder = t.children[1]
-        return ((binder, None), (t.children[2], bind(env, (binder,))))
-    return zip(t.children[1:] if k else t.children, repeat(env))
+def _lam(t: Compound, env: E, bind: Bind) -> Pairs:
+    """A lambda's binder is a declaration, visible in its body, where it
+    shadows an outer binder of equal spelling."""
+    binder = t.children[1]
+    return ((binder, None), (t.children[2], bind(env, (binder,))))
+
+
+# Binding forms (`graph.Scopes`): only a lambda binds.
+SCOPES = {"lam": _lam}
 
 
 # Lexical scoping: a reference binds to the innermost enclosing binder of
 # equal spelling; unbound names get no edge.
-LAMBDA_RESOLVER = Resolver("lambda", scopes=scopes, top=lambda p: ())
+LAMBDA_RESOLVER = Resolver("lambda", scopes=SCOPES, top=lambda p: ())
 resolve_lambda = LAMBDA_RESOLVER.resolve
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from . import term
 from .fix import name_fix
-from .graph import Bind, NameGraph, Resolver
+from .graph import Bind, NameGraph, Resolver, scoped_names
 from .term import (
     END,
     E,
@@ -31,7 +31,6 @@ from .term import (
     Scanner,
     Term,
     compound,
-    descend,
     fold,
     iter_names,
     share,
@@ -309,24 +308,29 @@ def parse_simpl_exp(src: str) -> Term:
 # ---------------------------------------------------------------------------
 # Name resolution
 
-def scopes(e: Compound, env: E, bind: Bind) -> Pairs:
-    """Binding forms (`graph.Scopes`), in one namespace. A let binds its
-    body only; a local function's name is visible in its own definition and
-    the let body; a function's parameters are visible in its body. Function
-    names, parameters and let binders are declarations."""
-    t = tag(e)
-    if t == "let":
-        binder = e.children[1]
-        return ((binder, None), (e.children[2], env), (e.children[3], bind(env, (binder,))))
-    if t == "letfun":
-        _, fn, body = e.children
-        inner = bind(env, (fn.children[1],))
-        return ((fn, inner), (body, inner))
-    if t == "fdef":
-        _, n, params, body = e.children
-        names = params.children[1:]
-        return ((n, None), *zip(names, repeat(None)), (body, bind(env, names)))
-    return zip(e.children[1:] if t else e.children, repeat(env))
+# Binding forms (`graph.Scopes`), in one namespace. Function names,
+# parameters and let binders are declarations. A let binds its body only; a
+# local function's name is visible in its own definition and the let body;
+# a function's parameters are visible in its body.
+
+def _let(e: Compound, env: E, bind: Bind) -> Pairs:
+    binder = e.children[1]
+    return ((binder, None), (e.children[2], env), (e.children[3], bind(env, (binder,))))
+
+
+def _letfun(e: Compound, env: E, bind: Bind) -> Pairs:
+    _, fn, body = e.children
+    inner = bind(env, (fn.children[1],))
+    return ((fn, inner), (body, inner))
+
+
+def _fdef(e: Compound, env: E, bind: Bind) -> Pairs:
+    _, n, params, body = e.children
+    names = params.children[1:]
+    return ((n, None), *zip(names, repeat(None)), (body, bind(env, names)))
+
+
+SCOPES = {"let": _let, "letfun": _letfun, "fdef": _fdef}
 
 
 def top_declarations(p: Term) -> Iterator[Name]:
@@ -336,24 +340,14 @@ def top_declarations(p: Term) -> Iterator[Name]:
 
 
 # Single-namespace lexical scoping.
-SIMPL_RESOLVER = Resolver("simpl", scopes=scopes, top=top_declarations)
+SIMPL_RESOLVER = Resolver("simpl", scopes=SCOPES, top=top_declarations)
 resolve_simpl = SIMPL_RESOLVER.resolve
 
 
 def declarations_of(p: Term) -> frozenset[Label]:
     """Labels in declaration position: function names, parameters, and
     let/letfun binders."""
-    out: set[Label] = set()
-
-    def rule(e: Term, env: tuple | None) -> Pairs:
-        if e.__class__ is Compound:
-            return scopes(e, env, _no_scope)
-        if env is None:
-            out.add(e.label)
-        return ()
-
-    descend(p, (), rule)
-    return frozenset(out)
+    return frozenset([n.label for n, env in scoped_names(p, (), SCOPES, _no_scope) if env is None])
 
 
 def _no_scope(env: tuple, names: Sequence[Name]) -> tuple:
@@ -526,17 +520,22 @@ def eval_simpl(p: Term, fuel: int = 100_000) -> object:
 # ---------------------------------------------------------------------------
 # Substitution
 
+def _call(e: Compound, env: E, bind: Bind) -> Pairs:
+    """A called function's name is kept apart, as a declaration is."""
+    return ((e.children[1], None), *zip(e.children[2:], repeat(env)))
+
+
+# The binding forms, and a call's head, which substitution leaves alone.
+_SUBST_SCOPES = {**SCOPES, "call": _call}
+
+
 def subst_exp_many(e: Term, sub: Mapping[str, Term]) -> Term:
     """Simultaneous name-driven substitution. Deliberately capturing:
     shadowed binders cut off substitution, nothing is renamed. A reference
     is replaced, unless it names a called function or a local binder above
-    it (`scopes`; top-level functions do not count) declares its spelling."""
+    it (`SCOPES`; top-level functions do not count) declares its spelling."""
     if not sub:
         return e
-    # What replaces a name depends on the binders above it, which descend
-    # tracks. The result is rebuilt by fold, which meets the names in the
-    # same order, as long as the rule below visits every name in order.
-    replacements: list[Term] = []
 
     def hide(env: frozenset[str], names: Sequence[Name]) -> frozenset[str]:
         """The spellings of sub that `names` declare, on top of `env`'s:
@@ -544,19 +543,11 @@ def subst_exp_many(e: Term, sub: Mapping[str, Term]) -> Term:
         hidden = [n.text for n in names if n.text in sub]
         return env.union(hidden) if hidden else env
 
-    def rule(x: Term, env: frozenset[str] | None) -> Pairs:
-        kind = x.__class__
-        if kind is Name:
-            replacements.append(x if env is None or x.text in env else sub.get(x.text, x))
-            return ()
-        if kind is Const:
-            return ()
-        if tag(x) == "call":
-            return ((x.children[1], None), *zip(x.children[2:], repeat(env)))
-        return scopes(x, env, hide)
-
-    descend(e, frozenset(), rule)
-    substituted = iter(replacements)
+    # fold meets the names in the order scoped_names lists them.
+    substituted = iter([
+        n if env is None or n.text in env else sub.get(n.text, n)
+        for n, env in scoped_names(e, frozenset(), _SUBST_SCOPES, hide)
+    ])
     return fold(e, lambda _: next(substituted))
 
 

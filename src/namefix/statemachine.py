@@ -160,15 +160,15 @@ def pretty_stm(m: Term, show_labels: bool = False) -> str:
 # ---------------------------------------------------------------------------
 # Name resolution
 
-def scopes(m: Compound, env: E, bind: Bind) -> Pairs:
-    """Binding forms of a machine (`graph.Scopes`), all at its root: a
-    state's name is a declaration, and its transition targets are
-    references. No scope nests, so `bind` goes unused."""
-    pairs: list = []
-    for s in m.children[1:]:
-        pairs.append((s.children[1], None))
-        pairs += [(t.children[2], env) for t in s.children[2:]]
-    return pairs
+def _state(s: Compound, env: E, bind: Bind) -> Pairs:
+    """A state's name is a declaration; its transition targets are
+    references, in the machine's one scope."""
+    return [(s.children[1], None), *[(t.children[2], env) for t in s.children[2:]]]
+
+
+# Binding forms (`graph.Scopes`): only a state declares, and no scope
+# nests, so `bind` goes unused.
+SCOPES = {"state": _state}
 
 
 def state_names(m: Term) -> Iterator[Name]:
@@ -178,7 +178,7 @@ def state_names(m: Term) -> Iterator[Name]:
 
 # Flat namespace of state names: a transition target binds to a state of
 # equal spelling.
-STM_RESOLVER = Resolver("statemachine", scopes=scopes, top=state_names)
+STM_RESOLVER = Resolver("statemachine", scopes=SCOPES, top=state_names)
 resolve_machine = STM_RESOLVER.resolve
 
 

@@ -277,12 +277,13 @@ class _Kinds(dict):
     """Token text -> kind, for one scan. It starts with the language's
     punctuation and keywords, each its own kind; any other text is
     classified by its first character when first met, as None when it is
-    no token of the language."""
+    no token of the language: one character, or a pinned keyword."""
 
     def __missing__(self, text: str) -> str | None:
         c = text[0]
         kind = self[text] = (
-            self.get(text.partition("@")[0], "name")  # a name, or a pinned keyword
+            # a name, unless it is a keyword with a pin
+            ("name" if self.get(text.partition("@")[0], "name") == "name" else None)
             if c == "_" or c.isascii() and c.isalpha()
             else "int" if c.isdecimal() else "str" if c == '"' and len(text) > 1 else None
         )
@@ -295,9 +296,10 @@ class Scanner:
 
     One `findall` of `pattern` (from `token_pattern`) gives the token
     texts, and each token's kind comes from its text: a word is a `name`,
-    or the keyword of `fixed` it spells up to its pin; digits are an `int`;
-    a quoted text is a `str`; punctuation of `fixed` is its own kind. The
-    cursor `i` indexes `kinds` and `texts`. An END token closes the scan:
+    or the keyword of `fixed` it spells (a keyword with a pin is an
+    error); digits are an `int`; a quoted text is a `str`; punctuation of
+    `fixed` is its own kind. The cursor `i` indexes `kinds` and `texts`.
+    An END token closes the scan:
     there the parser reports running out of input, at offset `end`. Offsets
     are not kept: an error at a token rescans the text for its offset and
     is raised as `error.at(message, src, offset)`.
@@ -319,7 +321,8 @@ class Scanner:
         self.kinds = kinds = list(map(_Kinds(zip(fixed, fixed)).__getitem__, texts))
         if None in kinds:
             j = kinds.index(None)
-            raise self.error(f"unexpected character {texts[j]!r}", j)
+            what = "unexpected character" if len(texts[j]) == 1 else "pinned keyword"
+            raise self.error(f"{what} {texts[j]!r}", j)
         fresh = kinds.count("name")
         pinned = []
         if "@" in src:

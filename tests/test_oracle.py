@@ -48,6 +48,7 @@ from namefix.statemachine import (
 )
 from namefix.term import (
     Compound,
+    Const,
     InconsistentLabel,
     Label,
     LabelIndex,
@@ -59,6 +60,8 @@ from namefix.term import (
     label_equiv,
     rename,
     spellings,
+    subterms,
+    tag,
 )
 
 from gen import (
@@ -186,6 +189,97 @@ def test_resolvers_carry_their_binding_forms():
     ):
         assert resolver.resolve is resolve
         assert typed(BindingFrames(q, resolver.scopes, resolver.top(q)).graph) == typed(resolve(q))
+
+
+def counted_rules(scopes):
+    """scopes with each rule wrapped to note (its tag, the compound) per call."""
+    calls = []
+
+    def counted(key, rule):
+        def call(c, env, bind):
+            calls.append((key, c))
+            return rule(c, env, bind)
+
+        return call
+
+    return {key: counted(key, rule) for key, rule in scopes.items()}, calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds)
+def test_rules_run_only_at_compounds_of_their_tag(seed):
+    """A resolve hands the language only the compounds whose tag its table
+    of binding forms has, each once; every other compound is walked
+    without it."""
+    rng = random.Random(seed)
+    m = parse_stm(gen_machine_source(rng))
+    s = gen_lambda(rng)
+    for resolver, q in (
+        (SIMPL_RESOLVER, parse_simpl(gen_simpl_source(rng, n_fdefs=rng.randrange(1, 8)))),
+        (SIMPL_RESOLVER, compile_machine(m)),
+        (STM_RESOLVER, m),
+        (LAMBDA_RESOLVER, s),
+        (LAMBDA_RESOLVER, mutate_lambda(rng, s)),
+    ):
+        scopes, calls = counted_rules(resolver.scopes)
+        assert typed(BindingFrames(q, scopes, resolver.top(q)).graph) == typed(resolver.resolve(q))
+        assert all(tag(c) == key for key, c in calls)
+        ruled = [c for c in subterms(q) if tag(c) in resolver.scopes]
+        assert sorted(id(c) for _, c in calls) == sorted(map(id, ruled))
+
+
+# The children of each compound that stand for expressions, by tag:
+# wrapping one leaves the term's binding structure as it was.
+OPERANDS = {
+    "lam": [2], "app": [1, 2], "add": [1, 2], "mul": [1, 2], "eq": [1, 2], "not": [1],
+    "if": [1, 2, 3], "let": [2, 3], "letfun": [2], "fdef": [3],
+}
+
+
+def wrapped(rng, t):
+    """t with some operands (and any call argument or main expression)
+    inside a compound no binding form has a rule for: untagged, headed by
+    an int, or tagged `box`."""
+
+    def wrap(e):
+        k = rng.randrange(4)
+        return (
+            e if k == 0
+            else Compound((e,)) if k == 1
+            else Compound((Const(7), e, Const(8))) if k == 2
+            else Compound((Const("box"), e))
+        )
+
+    def node(c, parts):
+        key = tag(c)
+        if key in ("main", "call"):
+            at = range(1 if key == "main" else 2, len(parts))
+        else:
+            at = OPERANDS.get(key, ())
+        for i in at:
+            parts[i] = wrap(parts[i])
+        return Compound(tuple(parts))
+
+    return fold(t, node=node)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds)
+def test_compounds_without_a_rule_are_transparent(seed):
+    """An untagged compound, or one whose tag has no rule, lets each child
+    see its own scope: resolve, substitution and declarations_of agree
+    with the recursive reference versions, which walk such compounds
+    through."""
+    rng = random.Random(seed)
+    p = wrapped(rng, parse_simpl(gen_simpl_source(rng, n_fdefs=rng.randrange(1, 8))))
+    assert typed(resolve_simpl(p)) == typed(reference.resolve_simpl(p))
+    assert simpl.declarations_of(p) == reference.declarations_of(p)
+    repl = wrapped(rng, parse_simpl_exp("let x = 2 in x + z + f(n)"))
+    for x in ("x", "y", "f", "n"):
+        assert_same_term(subst_prog(p, x, repl), reference.subst_prog(p, x, repl))
+    s = gen_lambda(rng)
+    for q in (wrapped(rng, s), wrapped(rng, mutate_lambda(rng, s))):
+        assert typed(resolve_lambda(q)) == typed(reference.resolve_lambda(q))
 
 
 @pytest.mark.parametrize("case", list(REBINDING_CASES))

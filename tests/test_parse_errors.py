@@ -39,6 +39,11 @@ TABLE = [
     ("stm", "state a\nend\nstate b\n", "input after end: 'state b' (line 3)", {"line": 3}),
     ("stm", "  go => a\nstate a\n", "transition before any state (line 1)", {"line": 1}),
     ("stm", "state a@3\nstate b@3\n", "pinned label id 3 used twice (line 2)", {"line": 2}),
+    ("spl-exp", "let@5 x = 1 in x", "pinned keyword 'let@5' (line 1, column 1)", {"line": 1, "col": 1}),
+    ("spl", "fun@9 f(x) = x;", "pinned keyword 'fun@9' (line 1, column 1)", {"line": 1, "col": 1}),
+    ("spl", "fun f(x) = x;\nlet y = 1 in@'3 y", "pinned keyword \"in@'3\" (line 2, column 11)", {"line": 2, "col": 11}),
+    ("spl-exp", "if x then y else@2 z $", "pinned keyword 'else@2' (line 1, column 13)", {"line": 1, "col": 13}),
+    ("spl-exp", "$ let@5 x = 1 in x", "unexpected character '$' (line 1, column 1)", {"line": 1, "col": 1}),
 ]
 
 
