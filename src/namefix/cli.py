@@ -7,7 +7,8 @@ by file extension: .stm, .spl, .lam.
 
 Exit codes: 0 success, 1 parse error, 2 I/O or usage error, 3 a check
 failed (programs not alpha-equivalent, or the resolver violates its
-contract on the input), 4 repair did not converge or internal error.
+contract on the input), 4 a resolver broke its contract during repair,
+or internal error.
 
 The argument parser is built once per process, when the module is imported,
 and every `main` call parses with it: argparse keeps no state between parses

@@ -2,8 +2,8 @@
 
 Compares the name graph of a transformation's source program against the
 graph of its output, and iteratively renames the capturing declarations
-(together with the references that legitimately share their name) until the
-output is capture-free.
+(together with the references that legitimately share their name), each at
+most once, until the output is capture-free.
 
 Cost of a repair round. For a resolver stated by binding forms, the
 target's resolve is `BindingFrames`: one walk over the term that calls
@@ -55,6 +55,9 @@ class CaptureEdge:
     decl: Label
     kind: CaptureKind
 
+    def __str__(self) -> str:
+        return f"{self.ref!r} -> {self.decl!r} ({self.kind.value})"
+
 
 @dataclass(frozen=True)
 class CaptureSet:
@@ -71,11 +74,7 @@ class CaptureSet:
         return frozenset(e.decl for e in self.edges)
 
     def format(self) -> str:
-        parts = [
-            f"{e.ref!r} -> {e.decl!r} ({e.kind.value})"
-            for e in sorted(self.edges, key=lambda e: (e.ref, e.decl))
-        ]
-        return "{" + ", ".join(parts) + "}"
+        return "{" + ", ".join(map(str, sorted(self.edges, key=lambda e: (e.ref, e.decl)))) + "}"
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ class FixError(Exception):
 
 
 class IterationBudgetExceeded(FixError):
-    """More repair rounds than declarations: a resolver contract violation."""
+    """A declaration captured again after repair renamed it: a resolver contract violation."""
 
 
 def gensym(base: str, used: frozenset[str] | set[str]) -> str:
@@ -210,12 +209,9 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
     a resolver without binding forms leaves only its last edge set, to
     diff the next resolve against.
 
-    Capture-free input comes back as the very same term object. The
-    iteration budget is the label count of the input, read off its first
-    resolved graph (a resolver's graph holds exactly the term's labels);
-    the repair argument guarantees each declaration is renamed at most
-    once, so running past the budget means a resolver assumption does not
-    hold.
+    Capture-free input comes back as the very same term object. A round
+    renames every declaration its capture set holds, each at most once by
+    the repair argument: one captured again raises, so the loop ends.
     """
     frames: BindingFrames | None = None
     if r.scopes is None:
@@ -224,21 +220,24 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
     else:
         frames = BindingFrames(t, r.scopes, r.top(t))
         gt = frames.graph
-    budget = len(gt.labels)
     capture = find_capture(gs, gt)
     steps: list[FixStep] = []
+    renamed: dict[Label, int] = {}  # captured declaration -> the round renaming it
     index: LabelIndex | None = None
     current = t
     while capture:
-        if len(steps) >= budget:
+        if again := [e for e in capture.edges if e.decl in renamed]:
+            e = min(again, key=lambda e: (e.ref, e.decl))
             raise IterationBudgetExceeded(
-                f"capture repair did not converge within {budget} rounds"
+                f"declaration {e.decl!r}, renamed in round {renamed[e.decl]}, "
+                f"is captured again in round {len(steps) + 1}: {e}"
             )
         if index is None:
             index = LabelIndex(t, spellings(t) if frames is None else frames.spelling)
         pair = comp_renaming(gs, index.spelling, capture)
         current = index.rename(pair.combined())
         steps.append(FixStep(capture, pair, current))
+        renamed.update(dict.fromkeys(capture.captured_declarations, len(steps)))
         if frames is None:
             resolved = r.resolve(current).edges
             drop, add = edges - resolved, resolved - edges

@@ -11,6 +11,7 @@ from namefix.graph import BindingFrames, NameGraph, Resolver, to_dot
 from namefix.term import spellings
 from namefix.cli import (
     EXIT_CHECK,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_PARSE,
     main,
@@ -422,6 +423,33 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"namefix: {p}: nested too deeply (line 1, column ")
         assert err.count("\n") == 1
+
+    def test_resolver_breaking_its_contract_in_repair_is_named(self, tmp_path, capsys, monkeypatch):
+        # every resolve binds the reference x@3 to the function f@1, so the
+        # round that renames f@1 leaves it captured again
+        def lawless(p):
+            g = simpl.resolve_simpl(p)
+            return NameGraph(g.labels, g.edges | {(term.Label(3), term.Label(1))})
+
+        monkeypatch.setattr(simpl, "SIMPL_RESOLVER", Resolver("lawless", lawless))
+        p = tmp_path / "p.spl"
+        p.write_text("fun f@1(x@2) = x@3;\nf@4(1)\n")
+        assert main(["lift", str(p)]) == EXIT_INTERNAL
+        assert capsys.readouterr() == (
+            "",
+            "namefix: declaration @1, renamed in round 1, is captured again in round 2: "
+            "@3 -> @1 (source-reference-rebound)\n",
+        )
+
+    def test_internal_error_is_one_line_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def broken(p, gs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(simpl, "lift_prog", broken)
+        p = tmp_path / "p.spl"
+        p.write_text("fun f(x) = x;\nf(1)\n")
+        assert main(["lift", str(p)]) == EXIT_INTERNAL
+        assert capsys.readouterr() == ("", "namefix: internal error: RuntimeError: boom\n")
 
     def test_too_long_integer_is_parse_error(self, tmp_path, capsys):
         p = tmp_path / "long.spl"

@@ -248,6 +248,35 @@ class TestBudget:
         with pytest.raises(IterationBudgetExceeded):
             name_fix(gs, t, Resolver("lawless", lawless))
 
+    def test_lawless_resolver_is_named_after_one_round(self):
+        # round 1 renames @95; the resolve after it captures @95 again
+        t = parse_lambda(r"\x@95. x@96")
+        resolved = []
+
+        def lawless(p):
+            resolved.append(p)
+            return NameGraph(resolve_lambda(p).labels, {lbl(96): lbl(95)})
+
+        gs = NameGraph({lbl(95), lbl(96)}, {lbl(96): lbl(96)})
+        with pytest.raises(IterationBudgetExceeded) as info:
+            name_fix(gs, t, Resolver("lawless", lawless))
+        assert len(resolved) == 2  # the input and the term of round 1
+        assert str(info.value) == (
+            "declaration @95, renamed in round 1, is captured again in round 2: "
+            "@96 -> @95 (source-reference-rebound)"
+        )
+
+    def test_the_smallest_edge_captured_again_is_named(self):
+        # both edges capture @95 again; the message names the smaller one
+        t = parse_lambda(r"\x@95. x@97 + x@'96")
+
+        def lawless(p):
+            return NameGraph(resolve_lambda(p).labels, {lbl(97): lbl(95), lbl(96, True): lbl(95)})
+
+        gs = NameGraph({lbl(95), lbl(97)}, {lbl(97): lbl(97)})
+        with pytest.raises(IterationBudgetExceeded, match=r"round 2: @'96 -> @95 \(synth"):
+            name_fix(gs, t, Resolver("lawless", lawless))
+
     def test_random_traces_within_declaration_budget(self):
         rng = random.Random(42)
         for _ in range(300):

@@ -90,12 +90,16 @@ def assert_rounds_resolve_alike(gs, t, resolver, got):
     the term before it, and the repaired term resolves capture-free; each
     round's new spellings are fresh, as `BindingFrames.rebind` requires:
     no label of the term before has one, and in the term after only labels
-    the round renamed do; and a resolver without binding forms, which
-    resolves every round, repairs alike."""
+    the round renamed do; no round captures a declaration an earlier round
+    captured, which is what ends the loop; and a resolver without binding
+    forms, which resolves every round, repairs alike."""
     before = [t] + [step.term for step in got.trace.steps]
+    captured = set()
     for prior, step in zip(before, got.trace.steps):
         g = resolver.resolve(prior)
         assert step.capture == find_capture(gs, g)
+        assert not captured & step.capture.captured_declarations
+        captured |= step.capture.captured_declarations
         pi = step.renaming.combined()
         fresh = set(pi.values())
         assert not fresh & set(spellings(prior).values())
@@ -300,6 +304,21 @@ def test_rebinding_binds_the_label_the_term_carries():
     for repair in (name_fix, reference.name_fix):
         with pytest.raises(IterationBudgetExceeded):
             repair(resolve_lambda(source), target, LAMBDA_RESOLVER)
+
+
+def test_rebinding_names_the_declaration_captured_again():
+    """On the same term repair stops in round 2, which captures @1 again,
+    and names @1, its round and the edge, with binding frames and with a
+    resolver that resolves every round alike."""
+    source = lam.lam(x(1), x(2))
+    target = lam.lam(x(1), lam.add(x(4, True), lam.lam(x(3), x(2, True))))
+    for resolver in (LAMBDA_RESOLVER, Resolver("lambda", resolve_lambda)):
+        with pytest.raises(IterationBudgetExceeded) as info:
+            name_fix(resolve_lambda(source), target, resolver)
+        assert str(info.value) == (
+            "declaration @1, renamed in round 1, is captured again in round 2: "
+            "@'2 -> @1 (synthesized-reference-captured)"
+        )
 
 
 @settings(max_examples=300, deadline=None)
