@@ -19,8 +19,7 @@ from .term import (
     Scanner,
     Term,
     compound,
-    fold,
-    operand,
+    literal,
     show_name,
     token_pattern,
 )
@@ -122,17 +121,52 @@ resolve_lambda = LAMBDA_RESOLVER.resolve
 
 
 def pretty_lambda(p: Term, show_labels: bool = False) -> str:
-    return operand(fold(p, show_name if show_labels else attrgetter("text"), _print), 0)
+    """The text of a lambda term, a name or a constant.
 
-
-def _print(t: Compound, parts: list) -> tuple[str, int]:
-    """fold rule of pretty_lambda: each term prints as (text, precedence),
-    with 0 = lambda, 1 = add, 2 = app, 3 = atom."""
-    kind = parts[0].value
-    if kind == "lam":
-        return f"\\{parts[1]}. {operand(parts[2], 0)}", 0
-    if kind == "app":
-        return f"{operand(parts[1], 2)} {operand(parts[2], 3)}", 2
-    if kind == "add":
-        return f"{operand(parts[1], 1)} + {operand(parts[2], 2)}", 1
-    raise ValueError(f"not a lambda term: {t!r}")
+    One explicit-stack loop prints top-down, as `simpl.pretty_simpl` does,
+    with the precedences 0 = lambda, 1 = add, 2 = app, 3 = atom."""
+    name = show_name if show_labels else attrgetter("text")
+    out: list[str] = []
+    append = out.append
+    todo: list = [(p, 0)]
+    push = todo.append
+    pop = todo.pop
+    while todo:
+        x = pop()
+        if x.__class__ is str:
+            append(x)
+            continue
+        x, level = x
+        while True:
+            kind = x.__class__
+            if kind is Name:
+                append(name(x))
+                break
+            if kind is not Compound:
+                append(literal(x.value))
+                break
+            c = x.children
+            t = c[0].value if c and c[0].__class__ is Const else None
+            if t == "app":
+                if level > 2:
+                    append("(")
+                    push(")")
+                push((c[2], 3))
+                push(" ")
+                x, level = c[1], 2
+            elif t == "lam":
+                if level:
+                    append("(")
+                    push(")")
+                append(f"\\{name(c[1])}. ")
+                x, level = c[2], 0
+            elif t == "add":
+                if level > 1:
+                    append("(")
+                    push(")")
+                push((c[2], 2))
+                push(" + ")
+                x, level = c[1], 1
+            else:
+                raise ValueError(f"not a lambda term: {x!r}")
+    return "".join(out)

@@ -33,8 +33,8 @@ from .term import (
     compound,
     fold,
     iter_names,
+    literal,
     share,
-    operand,
     show_name,
     spellings,
     subterms,
@@ -359,44 +359,120 @@ def _no_scope(env: tuple, names: Sequence[Name]) -> tuple:
 # Pretty printing
 
 def pretty_simpl(p: Term, show_labels: bool = False) -> str:
-    return operand(fold(p, show_name if show_labels else attrgetter("text"), _print), 0)
+    """The text of a program (its function definitions, then its main
+    expressions, one a line), of an expression, a name or a constant.
 
+    One explicit-stack loop prints top-down. At each compound it decides
+    the parentheses from the compound's tag and the precedence its
+    position needs (0 = let/if, 1 = eq, 2 = add, 3 = mul, 4 = unary/atom),
+    then prints the compound's first part at once and stacks the rest, in
+    reverse: pieces of text, and (term, precedence) pairs. The pieces go to
+    one list, joined once."""
+    name = show_name if show_labels else attrgetter("text")
 
-def _print(e: Compound, parts: list) -> object:
-    """fold rule of pretty_simpl. An expression prints as (text,
-    precedence), with 0 = let/if, 1 = eq, 2 = add, 3 = mul, 4 = unary/atom;
-    a function definition as (name, parameters, body); a program as its
-    text."""
-    t = parts[0].value
-    if t == "if":
-        return f"if {operand(parts[1], 1)} then {operand(parts[2], 0)} else {operand(parts[3], 0)}", 0
-    if t == "eq":
-        return f"{operand(parts[1], 2)} == {operand(parts[2], 2)}", 1
-    if t == "call":
-        return f"{parts[1]}({', '.join([operand(a, 0) for a in parts[2:]])})", 4
-    if t == "let":
-        return f"let {parts[1]} = {operand(parts[2], 0)} in {operand(parts[3], 0)}", 0
-    if t == "add":
-        return f"{operand(parts[1], 2)} + {operand(parts[2], 3)}", 2
-    if t == "mul":
-        return f"{operand(parts[1], 3)} * {operand(parts[2], 4)}", 3
-    if t == "not":
-        return f"!{operand(parts[1], 4)}", 4
-    if t == "letfun":
-        fname, params, body = parts[1]
-        return f"let fun {fname}({params}) = {body} in {operand(parts[2], 0)}", 0
-    if t == "fdef":
-        return parts[1], parts[2], operand(parts[3], 0)
-    if t == "params":
-        return ", ".join(parts[1:])
-    if t == "error":
-        return "error()", 4
-    if t in ("fdefs", "main"):
-        return parts[1:]
-    if t == "prog":
-        lines = [f"fun {fname}({params}) = {body};" for fname, params, body in parts[1]]
-        return "\n".join(lines + [operand(x, 0) for x in parts[2]]) + "\n"
-    raise ValueError(f"not an expression: {e!r}")
+    def header(f: Compound) -> str:
+        """`name(params) = `: a function definition up to its body."""
+        _, fname, params, _ = f.children
+        return f"{name(fname)}({', '.join(map(name, params.children[1:]))}) = "
+
+    out: list[str] = []
+    append = out.append
+    todo: list = [(p, 0)]
+    push = todo.append
+    pop = todo.pop
+    while todo:
+        x = pop()
+        if x.__class__ is str:
+            append(x)
+            continue
+        x, level = x
+        while True:
+            kind = x.__class__
+            if kind is Name:
+                append(name(x))
+                break
+            if kind is not Compound:
+                append(literal(x.value))
+                break
+            c = x.children
+            t = c[0].value if c and c[0].__class__ is Const else None
+            if t == "if":
+                if level:
+                    append("(")
+                    push(")")
+                append("if ")
+                push((c[3], 0))
+                push(" else ")
+                push((c[2], 0))
+                push(" then ")
+                x, level = c[1], 1
+            elif t == "eq":
+                if level > 1:
+                    append("(")
+                    push(")")
+                push((c[2], 2))
+                push(" == ")
+                x, level = c[1], 2
+            elif t == "call":
+                append(f"{name(c[1])}(")
+                push(")")
+                if len(c) == 2:
+                    break
+                for a in reversed(c[3:]):
+                    push((a, 0))
+                    push(", ")
+                x, level = c[2], 0
+            elif t == "add":
+                if level > 2:
+                    append("(")
+                    push(")")
+                push((c[2], 3))
+                push(" + ")
+                x, level = c[1], 2
+            elif t == "let":
+                if level:
+                    append("(")
+                    push(")")
+                append(f"let {name(c[1])} = ")
+                push((c[3], 0))
+                push(" in ")
+                x, level = c[2], 0
+            elif t == "mul":
+                if level > 3:
+                    append("(")
+                    push(")")
+                push((c[2], 4))
+                push(" * ")
+                x, level = c[1], 3
+            elif t == "not":
+                append("!")
+                x, level = c[1], 4
+            elif t == "error":
+                append("error()")
+                break
+            elif t == "letfun":
+                if level:
+                    append("(")
+                    push(")")
+                append("let fun " + header(c[1]))
+                push((c[2], 0))
+                push(" in ")
+                x, level = c[1].children[3], 0
+            elif t == "prog":
+                fdefs, main = c[1].children[1:], c[2].children[1:]
+                if not fdefs and not main:
+                    append("\n")
+                for e in reversed(main):
+                    push("\n")
+                    push((e, 0))
+                for f in reversed(fdefs):
+                    push(";\n")
+                    push((f.children[3], 0))
+                    push("fun " + header(f))
+                break
+            else:
+                raise ValueError(f"not an expression: {x!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .term import (
     PinError,
     Term,
     compound,
-    labels_of,
     show_name,
 )
 
@@ -160,15 +159,23 @@ def pretty_stm(m: Term, show_labels: bool = False) -> str:
 # ---------------------------------------------------------------------------
 # Name resolution
 
-def _state(s: Compound, env: E, bind: Bind) -> Pairs:
-    """A state's name is a declaration; its transition targets are
-    references, in the machine's one scope."""
-    return [(s.children[1], None), *[(t.children[2], env) for t in s.children[2:]]]
+def _machine(m: Compound, env: E, bind: Bind) -> Pairs:
+    """Every state's name is a declaration, and every transition target a
+    reference in the machine's one scope: all paired in one call, state by
+    state."""
+    pairs = []
+    add = pairs.append
+    for s in m.children[1:]:
+        c = s.children
+        add((c[1], None))
+        for t in c[2:]:
+            add((t.children[2], env))
+    return pairs
 
 
-# Binding forms (`graph.Scopes`): only a state declares, and no scope
-# nests, so `bind` goes unused.
-SCOPES = {"state": _state}
+# Binding forms (`graph.Scopes`): the machine declares its states, and no
+# scope nests, so `bind` goes unused.
+SCOPES = {"machine": _machine}
 
 
 def state_names(m: Term) -> Iterator[Name]:
@@ -193,39 +200,35 @@ def compile_machine(m: Term) -> Compound:
     `<state>-dispatch` mapping events to successor-state calls. A `main`
     function selects the dispatch function for the current state. All
     invented names carry fresh labels; transition targets and state names
-    keep their source labels.
+    keep their source labels. The fresh ids start after the largest id of
+    the state names and transition targets, the machine's only names.
     """
-    alloc = LabelAllocator.after(labels_of(m))
     states = machine_states(m)
+    names = [state_name(s) for s in states]
+    # per state, its transitions as (event, target)
+    arcs = [[(trans_event(t), trans_target(t)) for t in state_transitions(s)] for s in states]
+    alloc = LabelAllocator.after([n.label for n in names] + [x.label for ts in arcs for _, x in ts])
 
     def syn(text: str) -> Name:
         return Name(text, alloc.fresh())
 
-    consts = [
-        fdef(state_name(s), (), Const(i)) for i, s in enumerate(states)
-    ]
+    consts = [fdef(n, (), Const(i)) for i, n in enumerate(names)]
 
     dispatches = []
-    for s in states:
+    for n, ts in zip(names, arcs):
         event_param = syn("event")
         body: Term = error_call()
-        for t in reversed(state_transitions(s)):
-            body = if_(
-                eq(syn("event"), Const(trans_event(t))),
-                call(trans_target(t), ()),
-                body,
-            )
-        dispatches.append(
-            fdef(syn(f"{state_name(s).text}-dispatch"), (event_param,), body)
-        )
+        for event, target in reversed(ts):
+            body = if_(eq(syn("event"), Const(event)), call(target, ()), body)
+        dispatches.append(fdef(syn(f"{n.text}-dispatch"), (event_param,), body))
 
     state_param = syn("state")
     event_param = syn("event")
     main_body: Term = error_call()
-    for s in reversed(states):
+    for n in reversed(names):
         main_body = if_(
-            eq(syn("state"), call(state_name(s), ())),
-            call(syn(f"{state_name(s).text}-dispatch"), (syn("event"),)),
+            eq(syn("state"), call(n, ())),
+            call(syn(f"{n.text}-dispatch"), (syn("event"),)),
             main_body,
         )
     main = fdef(syn("main"), (state_param, event_param), main_body)

@@ -167,17 +167,9 @@ def show_name(n: Name, with_label: bool = True) -> str:
     return f"{n.text}@{tick}{n.label.id}"
 
 
-def operand(part: object, level: int) -> str:
-    """The text of a printer's fold result where precedence `level` is
-    expected: a compound's (text, precedence), parenthesized when it binds
-    looser; a name's text; a constant's value, a string quoted."""
-    kind = part.__class__
-    if kind is tuple:
-        text, precedence = part
-        return text if precedence >= level else f"({text})"
-    if kind is str:
-        return part
-    value = part.value
+def literal(value: object) -> str:
+    """A constant's text: a string quoted, with its `\\` and `"` escaped;
+    any other value as `str` gives it."""
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     return str(value)
@@ -401,8 +393,11 @@ class LabelAllocator:
 
 
 # ---------------------------------------------------------------------------
-# Traversal. Every tree walk is a `descend`, a `fold` or a pass over
-# `subterms`: they keep their own stack, so depth is bounded by memory only.
+# Traversal. A tree walk is a `descend`, a `fold` or a pass over `subterms`,
+# or, where the walk is hot, an explicit-stack loop of its own (the resolve
+# of `graph.BindingFrames`, the printers `simpl.pretty_simpl` and
+# `lam.pretty_lambda`): each keeps its own stack, so depth is bounded by
+# memory only.
 
 Pairs = Iterable[tuple[Term, E]]
 

@@ -1,12 +1,14 @@
 """Guard: no function in src/namefix reaches itself through calls.
 
 Tree walks go through `term.descend` and `term.fold`, which keep their own
-stack; a recursive walk would overflow the Python stack on deep programs
-(a 5,000-state machine compiles to a 5,000-deep if-chain). A function is
-recursive when it calls itself, or calls functions of its own module that
-call it back: by bare name, resolved as Python's scoping does, or as a
-`self.`/`cls.` method of its class. A call inside a nested function counts
-for the functions around it too.
+stack, or are explicit-stack loops of their own, as the printers
+`simpl.pretty_simpl` and `lam.pretty_lambda` are; a recursive walk would
+overflow the Python stack on deep programs (a 5,000-state machine compiles
+to a 5,000-deep if-chain). A function is recursive when it calls itself,
+or calls functions of its own module that call it back: by bare name,
+resolved as Python's scoping does, or as a `self.`/`cls.` method of its
+class. A call inside a nested function counts for the functions around it
+too.
 """
 
 import ast

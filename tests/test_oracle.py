@@ -296,9 +296,11 @@ def test_rebinding_hand_cases(case):
 def test_rebinding_binds_the_label_the_term_carries():
     """Repair renames the source reference @2 by the source graph's label,
     but the target carries that id synthesized, @'2, and re-binding must
-    bind @'2: to a source declaration, a capture. So repair renames @1
-    round after round, as the reference loop does, and runs out of
-    budget."""
+    bind @'2: to a source declaration, a capture. So round 2 captures @1
+    again: `name_fix` stops there, on the repair argument's check that no
+    declaration is renamed twice, while `reference.name_fix` renames @1
+    round after round until it runs out of budget. Both raise
+    IterationBudgetExceeded."""
     source = lam.lam(x(1), x(2))
     target = lam.lam(x(1), lam.add(x(4, True), lam.lam(x(3), x(2, True))))
     for repair in (name_fix, reference.name_fix):

@@ -33,7 +33,7 @@ from namefix.simpl import (
     subst_exp_many,
     tag,
 )
-from namefix.term import Compound, Label, Name, Provenance, fold, iter_names, labels_of
+from namefix.term import Compound, Const, Label, Name, Provenance, fold, iter_names, labels_of
 
 import reference
 from gen import gen_simpl_source
@@ -132,6 +132,59 @@ class TestParsing:
             p = parse_simpl(gen_simpl_source(rng))
             text = pretty_simpl(p)
             assert pretty_simpl(parse_simpl(text)) == text
+
+
+# Printer corner cases: (source, whether it is a whole program, whether
+# labels are shown, the printed text). Each text is also what the parser
+# reads back to a term that prints the same.
+PRINTED = [
+    ("a * (b + c)", False, False, "a * (b + c)"),
+    ("(a * b) + c", False, False, "a * b + c"),
+    ("a + (b + c)", False, False, "a + (b + c)"),
+    ("(a + b) + c", False, False, "a + b + c"),
+    ("a * (b * c)", False, False, "a * (b * c)"),
+    ("(a == b) == c", False, False, "(a == b) == c"),
+    ("a == (b == c)", False, False, "a == (b == c)"),
+    ("a + b == c * d", False, False, "a + b == c * d"),
+    ("!(a + b)", False, False, "!(a + b)"),
+    ("!!f(!a)", False, False, "!!f(!a)"),
+    ("!(a == b) * !error()", False, False, "!(a == b) * !error()"),
+    ("1 + (if a then b else c)", False, False, "1 + (if a then b else c)"),
+    ("(let x = 1 in x) * 2", False, False, "(let x = 1 in x) * 2"),
+    ("if (if a then b else c) then d else e", False, False, "if (if a then b else c) then d else e"),
+    ("if a == b then c else d", False, False, "if a == b then c else d"),
+    ("f(if a then b else c, let x = 1 in x, g())", False, False, "f(if a then b else c, let x = 1 in x, g())"),
+    ("let x = let y = 1 in y in if x then 1 else 2", False, False, "let x = let y = 1 in y in if x then 1 else 2"),
+    ("let fun f(x, y) = x + y in f(1, 2)", False, False, "let fun f(x, y) = x + y in f(1, 2)"),
+    ("let fun f() = let fun g(x) = x in g in (let fun h(y) = y in h(1)) + 1", False, False,
+     "let fun f() = let fun g(x) = x in g in (let fun h(y) = y in h(1)) + 1"),
+    (r'f("a\"b\\c", "")', False, False, r'f("a\"b\\c", "")'),
+    ("", True, False, "\n"),
+    ("  1 + 2 ", True, False, "1 + 2\n"),
+    ("fun f() = 1;", True, False, "fun f() = 1;\n"),
+    ("fun f(a, b) = a;\nfun g() = f(1, 2);\ng() * 3", True, False, "fun f(a, b) = a;\nfun g() = f(1, 2);\ng() * 3\n"),
+    ("fun f@3(x@'4) = x@'5 + y@6;\nf@7(2)", True, True, "fun f@3(x@'4) = x@'5 + y@6;\nf@7(2)\n"),
+    ("let x@'8 = 1 in let fun g@'9(z@10) = z@11 in g@'12(x@'13)", False, True,
+     "let x@'8 = 1 in let fun g@'9(z@10) = z@11 in g@'12(x@'13)"),
+]
+
+
+@pytest.mark.parametrize("src, whole, show_labels, text", PRINTED)
+def test_printer_corner_cases(src, whole, show_labels, text):
+    parse = parse_simpl if whole else parse_simpl_exp
+    assert pretty_simpl(parse(src), show_labels) == text
+    assert pretty_simpl(parse(text), show_labels) == text
+    assert pretty_simpl(parse(src), show_labels) == reference.pretty_simpl(parse(src), show_labels)
+
+
+def test_printer_leaves_and_built_terms():
+    x = Name("x", lbl(3, synth=True))
+    assert (pretty_simpl(x), pretty_simpl(x, show_labels=True)) == ("x", "x@'3")
+    assert pretty_simpl(Const(7)) == "7"
+    assert pretty_simpl(Const('a"b\\')) == '"a\\"b\\\\"'
+    assert pretty_simpl(prog([], [Const(1), x])) == "1\nx\n"
+    with pytest.raises(ValueError, match=r"^not an expression: "):
+        pretty_simpl(simpl.add(Const(1), Compound((Const("box"), Const(2)))))
 
 
 class TestResolve:

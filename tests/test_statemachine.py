@@ -30,8 +30,11 @@ from namefix.statemachine import (
     trans_target,
 )
 from namefix.term import (
+    InconsistentLabel,
     Label,
+    Name,
     Provenance,
+    fold,
     iter_names,
     labels_of,
     rename,
@@ -181,6 +184,16 @@ class TestCompile:
         assert lbl(451) in labels_of(p)
         assert lbl(452) in labels_of(p)
 
+    @pytest.mark.parametrize("src, first", [
+        ("state a@5\n  go => b@90\nstate b@7\n", 91),
+        ("state a@95\n  go => b@9\nstate b@10\n  go => a@11\n", 96),
+        ("", 1),
+    ])
+    def test_fresh_ids_follow_the_largest_id_of_the_machine(self, src, first):
+        p = compile_machine(parse_stm(src))
+        fresh = sorted(n.label.id for n in iter_names(p) if n.label.synthesized)
+        assert fresh == list(range(first, first + len(fresh)))
+
     def test_synthesized_names_are_marked_synthesized(self):
         m = parse_stm(DOOR)
         source_ids = {v.id for v in labels_of(m)}
@@ -189,6 +202,15 @@ class TestCompile:
             assert (n.label.id in source_ids) == (
                 n.label.provenance is Provenance.SOURCE
             )
+
+    def test_compile_fixed_rejects_a_label_spelled_two_ways(self):
+        """compile_machine reads no spellings; the resolve of the machine
+        that compile_fixed repairs against rejects a corrupt one."""
+        m = parse_stm(DOOR)
+        a, b = (state_name(s) for s in machine_states(m)[:2])
+        corrupt = fold(m, lambda n: Name(n.text, a.label) if n is b else n)
+        with pytest.raises(InconsistentLabel):
+            compile_fixed(corrupt)
 
     def test_compiled_door_machine_runs(self):
         p = compile_fixed(parse_stm(DOOR))
