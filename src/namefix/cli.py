@@ -13,11 +13,20 @@ or internal error.
 The argument parser is built once per process, when the module is imported,
 and every `main` call parses with it: argparse keeps no state between parses
 (each gets a fresh Namespace), so a call pays only for its input.
+
+Once its arguments are parsed, a `main` call runs with the cyclic garbage
+collector paused, and turns it back on at the end only if it was on when
+the call began. A call leaves no cyclic garbage (reference counting frees
+everything it makes; `tests/test_cli.py` checks this), so every collection
+during a call would scan the call's large trees and find nothing. The
+library functions leave the collector alone: a process that calls them
+owns its collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -306,6 +315,8 @@ _PARSER = build_parser()
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args.func(args)
     except CliError as exc:
@@ -318,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a defect: report it in one line, not a traceback
         print(f"namefix: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

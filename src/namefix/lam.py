@@ -59,44 +59,77 @@ class _Parser(Scanner):
         super().__init__(src, _TOKEN, frozenset("\\.+()"), ParseError, len(src))
 
     def parse_exp(self) -> Term:
-        # A chain of lambdas is parsed by this loop, so it nests as deep as
-        # memory allows.
-        binders: list[Name] = []
-        while self.at("\\"):
-            self.next()
-            binders.append(self.name(self.next("name")))
-            self.next(".")
-        e = self.parse_add()
-        while binders:
-            e = lam(binders.pop(), e)
-        return e
-
-    def parse_add(self) -> Term:
-        e = self.parse_app()
-        while self.at("+"):
-            self.next()
-            e = add(e, self.parse_app())
-        return e
-
-    def parse_app(self) -> Term:
-        # application binds tighter than a lambda; a lambda argument needs parens
-        e = self.parse_atom()
-        while self.kinds[self.i] in ("name", "int", "("):
-            e = app(e, self.parse_atom())
-        return e
-
-    def parse_atom(self) -> Term:
-        j = self.next()
-        kind = self.kinds[j]
-        if kind == "name":
-            return self.name(j)
-        if kind == "int":
-            return Const(self.integer(j))
-        if kind == "(":
-            e = self.parse_exp()
-            self.next(")")
-            return e
-        raise self.error(f"unexpected token {self.texts[j]!r}", j)
+        # One loop with a stack of its own, so nesting is bounded by memory
+        # only. The locals describe the expression being read: the sum of
+        # the applications before the one being read, and that
+        # application's function before its next argument. A subexpression
+        # pushes a frame whose first field says what ends it:
+        #   (")", total, f)    a parenthesised one
+        #   ("tail", binder)   a lambda's body
+        #   (None,)            the expression read
+        kinds = self.kinds
+        i = self.i
+        stack: list[tuple] = [(None,)]
+        push = stack.append
+        pop = stack.pop
+        total = f = None
+        start = True  # at the start of an expression, where a lambda may come
+        while True:
+            if start:
+                while kinds[i] == "\\":
+                    self.i = i + 1
+                    push(("tail", self.name(self.next("name"))))
+                    self.next(".")
+                    i = self.i
+            # An operand: a name, a constant or a parenthesised expression.
+            kind = kinds[i]
+            if kind == "name":
+                e = self.name(i)
+            elif kind == "int":
+                e = Const(self.integer(i))
+            elif kind == "(":
+                i += 1
+                push((")", total, f))
+                total = f = None
+                start = True
+                continue
+            else:
+                self.i = i
+                self.next()  # raises at the end of input
+                raise self.error(f"unexpected token {self.texts[i]!r}", i)
+            i += 1
+            # e is an operand read. Apply the function before it, then
+            # continue after it with an argument or a `+`, or end the
+            # expressions it ends. Application binds tighter than `+` and a
+            # lambda: a lambda argument needs parentheses.
+            while True:
+                if f is not None:
+                    e = app(f, e)
+                    f = None
+                kind = kinds[i]
+                if kind == "name" or kind == "int" or kind == "(":
+                    f = e
+                    break
+                if kind == "+":
+                    total = e if total is None else add(total, e)
+                    i += 1
+                    break
+                if total is not None:
+                    e = add(total, e)
+                    total = None
+                frame = pop()
+                while frame[0] == "tail":
+                    e = lam(frame[1], e)
+                    frame = pop()
+                if frame[0] is None:
+                    self.i = i
+                    return e
+                if kind != ")":
+                    self.i = i
+                    self.next(")")  # raises
+                i += 1
+                _, total, f = frame
+            start = False
 
 
 def parse_lambda(src: str) -> Term:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from operator import attrgetter
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import term
 from .fix import name_fix
@@ -203,98 +203,146 @@ class _Parser(Scanner):
         return params
 
     def parse_exp(self) -> Term:
-        # The tail of a let, a let fun or an if, its last part, is parsed by
-        # this loop: a chain of them nests as deep as memory allows. Every
-        # other part recurses.
-        heads: list[Callable[[Term], Compound]] = []
+        # One loop with a stack of its own, so nesting is bounded by memory
+        # only. The locals describe the expression being read: the left side
+        # of its `==`, the sum of the products before the one being read,
+        # that product's left factor before a `*`, and the number of `!`s
+        # before the operand being read. A subexpression pushes a frame
+        # whose first field says what ends it:
+        #   (")", lhs, total, left, nots)             a parenthesised one
+        #   (",", lhs, total, left, nots, fn, args)   a call argument
+        #   ("in", binder) / ("in", name, params)     a let initializer / a
+        #                                             local function's body
+        #   ("then",) / ("else", cond)                an if's condition / branch
+        #   ("tail", head)                            what follows a let, a let
+        #                                             fun or an if: head(e) is
+        #                                             the enclosing expression
+        #   (None,)                                   the expression read
         kinds = self.kinds
-        while kinds[self.i] in ("let", "if"):
-            if kinds[self.next()] == "let":
-                if kinds[self.i] == "fun":
-                    self.i += 1
-                    name = self.name(self.next("name"))
-                    params = self.parse_params()
-                    self.next("=")
-                    fbody = self.parse_exp()
-                    self.next("in")
-                    heads.append(partial(letfun, fdef(name, params, fbody)))
-                else:
-                    binder = self.name(self.next("name"))
-                    self.next("=")
-                    init = self.parse_exp()
-                    self.next("in")
-                    heads.append(partial(let, binder, init))
-            else:
-                cond = self.parse_exp()
-                self.next("then")
-                then = self.parse_exp()
-                self.next("else")
-                heads.append(partial(if_, cond, then))
-        e = self.parse_eq()
-        while heads:
-            e = heads.pop()(e)
-        return e
-
-    def parse_eq(self) -> Term:
-        # `==` does not associate: a second one is left to the caller.
-        e = self.parse_sum()
-        if self.kinds[self.i] == "==":
-            self.i += 1
-            return eq(e, self.parse_sum())
-        return e
-
-    def parse_sum(self) -> Term:
-        # Sums of products in one loop, both left-associative: `total` is
-        # the sum of the products before `e`, the product being read.
-        kinds = self.kinds
-        total = None
-        e = self.parse_unary()
-        while kinds[self.i] in ("+", "*"):
-            self.i += 1
-            if kinds[self.i - 1] == "*":
-                e = mul(e, self.parse_unary())
-            else:
-                total = e if total is None else add(total, e)
-                e = self.parse_unary()
-        return e if total is None else add(total, e)
-
-    def parse_unary(self) -> Term:
-        # Any `!`s, then a constant, name, call, error() or parenthesised expression.
-        kinds = self.kinds
-        i = first = self.i
-        while kinds[i] == "!":
-            i += 1
-        kind = kinds[i]
-        self.i = i + 1
-        if kind == "name":
-            e = self.name(i)
-            if kinds[i + 1] == "(":
-                self.i = i + 2
-                args: list[Term] = []
-                if kinds[self.i] != ")":
-                    args.append(self.parse_exp())
-                    while kinds[self.i] == ",":
-                        self.i += 1
-                        args.append(self.parse_exp())
+        i = self.i
+        stack: list[tuple] = [(None,)]
+        push = stack.append
+        pop = stack.pop
+        lhs = total = left = None
+        nots = 0
+        start = True  # at the start of an expression, where a head may come
+        while True:
+            if start:
+                kind = kinds[i]
+                while kind == "let" or kind == "if":
+                    if kind == "if":
+                        i += 1
+                        push(("then",))
+                    else:
+                        self.i = i + 1
+                        if kinds[i + 1] == "fun":
+                            self.i = i + 2
+                            name = self.name(self.next("name"))
+                            push(("in", name, self.parse_params()))
+                        else:
+                            push(("in", self.name(self.next("name"))))
+                        self.next("=")
+                        i = self.i
+                    kind = kinds[i]
+            # An operand: any `!`s, then a constant, name, call, error() or
+            # parenthesised expression.
+            j = i
+            while kinds[j] == "!":
+                j += 1
+            nots = j - i
+            kind = kinds[j]
+            i = j + 1
+            if kind == "name":
+                e = self.name(j)
+                if kinds[i] == "(":
+                    i += 1
+                    if kinds[i] != ")":
+                        push((",", lhs, total, left, nots, e, []))
+                        lhs = total = left = None
+                        start = True
+                        continue
+                    i += 1
+                    e = call(e, ())
+            elif kind == "int":
+                e = Const(self.integer(j))
+            elif kind == "(":
+                push((")", lhs, total, left, nots))
+                lhs = total = left = None
+                start = True
+                continue
+            elif kind == "str":
+                e = Const(self.texts[j][1:-1].replace('\\"', '"').replace("\\\\", "\\"))
+            elif kind == "error":
+                self.i = i
+                self.next("(")
                 self.next(")")
-                e = call(e, args)
-        elif kind == "int":
-            e = Const(self.integer(i))
-        elif kind == "(":
-            e = self.parse_exp()
-            self.next(")")
-        elif kind == "str":
-            e = Const(self.texts[i][1:-1].replace('\\"', '"').replace("\\\\", "\\"))
-        elif kind == "error":
-            self.next("(")
-            self.next(")")
-            e = error_call()
-        else:
-            self.i = i
-            self.next("name")  # raises: no operand starts here
-        for _ in range(i - first):
-            e = not_(e)
-        return e
+                i = self.i
+                e = error_call()
+            else:
+                self.i = j
+                self.next("name")  # raises: no operand starts here
+            # e is an operand read. Apply what precedes it, then continue
+            # after it with an operator, or end the expressions it ends.
+            while True:
+                while nots:
+                    e = not_(e)
+                    nots -= 1
+                if left is not None:
+                    e = mul(left, e)
+                    left = None
+                kind = kinds[i]
+                if kind == "*":
+                    left = e
+                elif kind == "+":
+                    total = e if total is None else add(total, e)
+                elif lhs is None and kind == "==":
+                    # `==` does not associate: a second one ends the expression.
+                    lhs = e if total is None else add(total, e)
+                    total = None
+                else:
+                    if total is not None:
+                        e = add(total, e)
+                        total = None
+                    if lhs is not None:
+                        e = eq(lhs, e)
+                        lhs = None
+                    frame = pop()
+                    while frame[0] == "tail":
+                        e = frame[1](e)
+                        frame = pop()
+                    ends = frame[0]
+                    if ends is None:
+                        self.i = i
+                        return e
+                    if ends == ",":
+                        frame[6].append(e)
+                        if kind == ",":
+                            i += 1
+                            push(frame)
+                            start = True
+                            break
+                        e = call(frame[5], frame[6])
+                        ends = ")"
+                    if kind != ends:
+                        self.i = i
+                        self.next(ends)  # raises
+                    i += 1
+                    if ends == ")":
+                        _, lhs, total, left, nots = frame[:5]
+                        continue
+                    if ends == "then":
+                        push(("else", e))
+                    elif ends == "else":
+                        push(("tail", partial(if_, frame[1], e)))
+                    elif len(frame) == 2:
+                        push(("tail", partial(let, frame[1], e)))
+                    else:
+                        push(("tail", partial(letfun, fdef(frame[1], frame[2], e))))
+                    start = True
+                    break
+                i += 1
+                start = False
+                break
 
 
 def parse_simpl(src: str) -> Compound:

@@ -283,8 +283,9 @@ class _Kinds(dict):
 
 
 class Scanner:
-    """One source text as tokens, and a cursor over them for a recursive
-    descent parser.
+    """One source text as tokens, and a cursor over them for a parser:
+    each language's expression parser is one explicit-stack loop over the
+    tokens, so nesting is bounded by memory only.
 
     One `findall` of `pattern` (from `token_pattern`) gives the token
     texts, and each token's kind comes from its text: a word is a `name`,
@@ -330,9 +331,6 @@ class Scanner:
         m = next(islice(self._pattern.finditer(self.src), j, None), None)
         return self._error.at(message, self.src, self._end if m is None else m.start())
 
-    def at(self, kind: str) -> bool:
-        return self.kinds[self.i] == kind
-
     def next(self, kind: str | None = None) -> int:
         """Consume the token at the cursor, of `kind` when given; its index."""
         i = self.i
@@ -358,12 +356,9 @@ class Scanner:
             raise self.error(f"integer literal too long ({len(self.texts[j])} digits)", j) from None
 
     def parse(self, rule: Callable[..., T]) -> T:
-        """`rule(self)` over the whole text. Input left after it, or nesting
-        too deep for the recursive rules, is a located error."""
-        try:
-            result = rule(self)
-        except RecursionError:
-            raise self.error("nested too deeply", self.i) from None
+        """`rule(self)` over the whole text. Input left after it is a
+        located error."""
+        result = rule(self)
         if self.kinds[self.i] != END:
             raise self.error(f"trailing input {self.texts[self.i]!r}", self.i)
         return result

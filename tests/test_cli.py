@@ -1,11 +1,12 @@
 import argparse
+import collections
 import gc
 import random
 from pathlib import Path
 
 import pytest
 
-from namefix import cli, lam, simpl, statemachine, term
+from namefix import cli, fix, lam, simpl, statemachine, term
 from namefix.fix import find_capture, name_fix
 from namefix.graph import BindingFrames, NameGraph, Resolver, to_dot
 from namefix.term import spellings
@@ -34,6 +35,11 @@ state closed
 state opened-dispatch
   unlock => closed
 """
+
+# 1,000 parenthesised lets, each initialized from the one before it.
+DEEP_LETS = "(let x0 = y in " + "".join(
+    f"(let x{i} = x{i - 1} + 1 in " for i in range(1, 1000)
+) + "x999" + ")" * 1000 + "\n"
 
 ZERO_SUCC = """fun zero() = 0;
 fun succ(x) = let n = 1 in x + n;
@@ -134,6 +140,13 @@ class TestSubst:
         p = tmp_path / "p.spl"
         p.write_text("fun f() = 0; x")
         assert main(["subst", str(p), "x", "1 +"]) == EXIT_PARSE
+
+    def test_deep_nesting(self, tmp_path, capsys):
+        p = tmp_path / "deep.spl"
+        p.write_text(DEEP_LETS)
+        assert main(["subst", str(p), "y", "2"]) == 0
+        chain = "".join(f"let x{i} = x{i - 1} + 1 in " for i in range(1, 1000))
+        assert capsys.readouterr() == (f"let x0 = 2 in {chain}x999\n", "")
 
 
 class TestInlineAndLift:
@@ -412,18 +425,6 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("namefix: ") and f"{p}.src.dot" in err and err.count("\n") == 1
 
-    def test_deep_nesting_is_parse_error_without_traceback(self, tmp_path, capsys):
-        depth = 1000
-        lets = "(let x0 = y in " + "".join(
-            f"(let x{i} = x{i - 1} + 1 in " for i in range(1, depth)
-        )
-        p = tmp_path / "deep.spl"
-        p.write_text(lets + f"x{depth - 1}" + ")" * depth + "\n")
-        assert main(["subst", str(p), "y", "2"]) == EXIT_PARSE
-        err = capsys.readouterr().err
-        assert err.startswith(f"namefix: {p}: nested too deeply (line 1, column ")
-        assert err.count("\n") == 1
-
     def test_resolver_breaking_its_contract_in_repair_is_named(self, tmp_path, capsys, monkeypatch):
         # every resolve binds the reference x@3 to the function f@1, so the
         # round that renames f@1 leaves it captured again
@@ -533,13 +534,15 @@ class TestSubstPins:
 
 # The CLI's argparse parser is built once, at import, and every main call
 # parses with it. The tests below pin what that must keep: no call builds a
-# parser, repeated calls answer alike, and a call leaves no cyclic garbage.
+# parser, and repeated calls answer alike. A call runs with the cyclic
+# collector paused, so they also pin that a call leaves no cyclic garbage,
+# and the collector as it found it.
 
 @pytest.fixture
 def inputs(tmp_path):
     """One input file per fixture program, and a .stm that does not parse."""
     files = {"door.stm": DOOR, "zero.spl": ZERO_SUCC, "or.spl": OR_AND, "local.spl": LOCAL_FNS,
-             "bad.stm": "state a\nnot a line\n", "p.lam": r"\x. (\x. x) x"}
+             "deep.spl": DEEP_LETS, "bad.stm": "state a\nnot a line\n", "p.lam": r"\x. (\x. x) x"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     return {name: str(tmp_path / name) for name in files}
@@ -550,6 +553,8 @@ def calls(f):
     return {
         "compile": (["compile", f["door.stm"]], 0),
         "subst": (["subst", "--trace", f["zero.spl"], "x", "2 * n"], 0),
+        "subst-deep": (["subst", f["deep.spl"], "y", "2"], 0),
+        "emit-graphs": (["subst", "--emit-graphs", f["zero.spl"], "x", "2 * n"], 0),
         "inline": (["inline", f["or.spl"], "and"], 0),
         "lift": (["lift", f["local.spl"]], 0),
         "graph": (["graph", f["or.spl"]], 0),
@@ -626,12 +631,15 @@ def test_repeated_interleaved_calls_answer_alike(inputs, capsys, monkeypatch, br
             assert answer(cases[name][0]) == first[name], name
 
 
-GARBAGE_FREE = ["compile", "subst", "inline", "lift", "graph", "check", "alphacheck",
-                "parse-error", "io-error"]
+# Every call that gets past argparse: its usage errors and its help are
+# formatted by objects that refer to each other, made before the pause.
+GARBAGE_FREE = [
+    name for name in calls(collections.defaultdict(str)) if not name.startswith(("usage", "help"))
+]
 
 
 @pytest.mark.parametrize("name", GARBAGE_FREE)
-def test_a_call_leaves_no_cyclic_garbage(inputs, capsys, name):
+def test_a_call_leaves_no_cyclic_garbage(inputs, capsys, broken_check, name):
     """Everything a call makes is freed by reference counting: the cyclic
     collector finds nothing after it."""
     argv, code = calls(inputs)[name]
@@ -641,7 +649,7 @@ def test_a_call_leaves_no_cyclic_garbage(inputs, capsys, name):
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        assert main(argv) == code
+        assert outcome(argv, capsys)[0] == code
         found = gc.collect()
     finally:
         gc.set_debug(debug)
@@ -649,3 +657,53 @@ def test_a_call_leaves_no_cyclic_garbage(inputs, capsys, name):
         if enabled:
             gc.enable()
     assert found == 0
+
+
+def test_a_call_runs_with_the_collector_paused(inputs, capsys, monkeypatch):
+    seen = []
+    lift = simpl.lift_prog
+
+    def recording(p, gs):
+        seen.append(gc.isenabled())
+        return lift(p, gs)
+
+    monkeypatch.setattr(simpl, "lift_prog", recording)
+    enabled = gc.isenabled()
+    gc.enable()
+    try:
+        assert main(["lift", inputs["local.spl"]]) == 0
+        assert gc.isenabled()
+    finally:
+        if not enabled:
+            gc.disable()
+    assert seen == [False]
+
+
+def _internal_error(p, gs):
+    raise RuntimeError("boom")
+
+
+def _repair_error(*args):
+    raise fix.IterationBudgetExceeded("captured again")
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+def test_main_leaves_the_collector_as_it_found_it(inputs, capsys, monkeypatch, broken_check, collecting):
+    """On every exit: 0, 1, 2 (I/O and usage errors), 3, and 4 (repair
+    failed, or an internal error)."""
+    cases = {name: (argv, code, None) for name, (argv, code) in calls(inputs).items()}
+    lift = ["lift", inputs["local.spl"]]
+    cases["repair-error"] = (lift, EXIT_INTERNAL, (fix, "name_fix", _repair_error))
+    cases["internal-error"] = (lift, EXIT_INTERNAL, (simpl, "lift_prog", _internal_error))
+    assert {code for _, code, _ in cases.values()} == {0, 1, 2, 3, 4}
+    enabled = gc.isenabled()
+    try:
+        for name, (argv, code, patch) in cases.items():
+            (gc.enable if collecting else gc.disable)()
+            with monkeypatch.context() as m:
+                if patch:
+                    m.setattr(*patch)
+                assert outcome(argv, capsys)[0] == code, name
+            assert gc.isenabled() is collecting, name
+    finally:
+        (gc.enable if enabled else gc.disable)()

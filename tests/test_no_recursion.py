@@ -2,13 +2,16 @@
 
 Tree walks go through `term.descend` and `term.fold`, which keep their own
 stack, or are explicit-stack loops of their own, as the printers
-`simpl.pretty_simpl` and `lam.pretty_lambda` are; a recursive walk would
-overflow the Python stack on deep programs (a 5,000-state machine compiles
-to a 5,000-deep if-chain). A function is recursive when it calls itself,
-or calls functions of its own module that call it back: by bare name,
-resolved as Python's scoping does, or as a `self.`/`cls.` method of its
-class. A call inside a nested function counts for the functions around it
-too.
+`simpl.pretty_simpl` and `lam.pretty_lambda` are; so are the expression
+parsers `simpl._Parser.parse_exp` and `lam._Parser.parse_exp`. A recursive
+walk would overflow the Python stack on deep programs (a 5,000-state
+machine compiles to a 5,000-deep if-chain), and a recursive parser on
+deeply parenthesised input. Only the evaluator recurses.
+
+A function is recursive when it calls itself, or calls functions of its
+own module that call it back: by bare name, resolved as Python's scoping
+does, or as a `self.`/`cls.` method of its class. A call inside a nested
+function counts for the functions around it too.
 """
 
 import ast
@@ -16,20 +19,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "namefix"
 
-# The parser rules recurse on parenthesised and operand nesting: chains of
-# lets, if-else, lambdas and `!` are parsed in a loop, and Scanner.parse
-# turns nesting too deep for the rest into a located ParseError.
-_SPL_RULE = "recursive descent: a parenthesised or operand expression"
-_LAM_RULE = "recursive descent: a parenthesised lambda or operand"
 ALLOWED = {
-    "simpl._Parser.parse_exp": f"{_SPL_RULE} (a let initializer, a condition)",
-    "simpl._Parser.parse_eq": _SPL_RULE,
-    "simpl._Parser.parse_sum": _SPL_RULE,
-    "simpl._Parser.parse_unary": f"{_SPL_RULE} (parentheses, call arguments)",
-    "lam._Parser.parse_exp": _LAM_RULE,
-    "lam._Parser.parse_add": _LAM_RULE,
-    "lam._Parser.parse_app": _LAM_RULE,
-    "lam._Parser.parse_atom": f"{_LAM_RULE} (parentheses)",
     # The evaluator recurses on operands and calls only (if/let/letfun loop
     # in place); eval_simpl reports running out of stack as OutOfFuel.
     "simpl.eval_simpl.ev": "evaluation of operands and of called functions",

@@ -1,5 +1,6 @@
-"""Parse errors of the three front ends: exact messages and locations, input
-too large for the parsers, and fuzzing (only a ParseError may escape)."""
+"""Parse errors of the three front ends: exact messages and locations,
+numbers too long to read, deep nesting (no error), and fuzzing (only a
+ParseError may escape)."""
 
 import random
 import re
@@ -85,19 +86,51 @@ def test_too_many_digits_in_a_string_is_no_pin():
     assert simpl.parse_simpl_exp(f'"x@{LONG}"') == term.Const(f"x@{LONG}")
 
 
+PRINTERS = {
+    "spl": simpl.pretty_simpl,
+    "spl-exp": simpl.pretty_simpl,
+    "lam": lam.pretty_lambda,
+}
+
+
+def same_up_to_labels(t1, t2):
+    return term.lockstep(t1, t2, lambda a, b: a.text == b.text)
+
+
 @pytest.mark.parametrize(
     "parser, src",
     [
         ("spl", "fun f(x) = " + "(" * 5000 + "x" + ")" * 5000 + ";"),
         ("spl-exp", "let x = " * 5000 + "1" + " in x" * 5000),
         ("lam", "\\x. " + "(" * 5000 + "x" + ")" * 5000),
+        # one "(" on each line
+        ("spl", "fun f(x) =\n" + "(\n" * 5000 + "x" + ")" * 5000 + ";"),
+        ("spl-exp", "!(1 + 2 * " * 5000 + "x" + ")" * 5000),
+        ("spl-exp", "f(1, " * 5000 + "x" + ")" * 5000),
+        ("lam", "(f (\\x. " * 5000 + "x" + "))" * 5000),
     ],
-    ids=["spl", "spl-exp", "lam"],
+    ids=["spl", "spl-exp", "lam", "spl-lines", "spl-operands", "spl-calls", "lam-operands"],
 )
 def test_deep_nesting(parser, src):
-    parse, error = PARSERS[parser]
-    with pytest.raises(error, match=r"^nested too deeply \("):
-        parse(src)
+    """Parenthesised and operand nesting 5,000 deep parses, as the parsers
+    keep their own stack; the term prints, and reads back as itself."""
+    parse = PARSERS[parser][0]
+    t = parse(src)
+    assert same_up_to_labels(parse(PRINTERS[parser](t)), t)
+
+
+@pytest.mark.parametrize(
+    "parser, src, message, location",
+    [
+        ("spl", "fun f(x) =\n" + "(\n" * 5000 + "x +" + ")" * 5000 + ";",
+         "expected 'name', found ')' (line 5002, column 4)", {"line": 5002, "col": 4}),
+        ("lam", "\\x. " + "(" * 5000 + "x +" + ")" * 5000,
+         "unexpected token ')' (at offset 5007)", {"pos": 5007}),
+    ],
+    ids=["spl", "lam"],
+)
+def test_error_inside_deep_nesting_is_located_at_its_token(parser, src, message, location):
+    test_error_message_and_location(parser, src, message, location)
 
 
 @pytest.mark.parametrize(
@@ -114,8 +147,7 @@ def test_deep_nesting(parser, src):
 def test_right_nested_chains_parse_at_any_depth(parser, src):
     """Chains are parsed in a loop, not by recursion: 5,000 levels parse,
     and print back as they were written."""
-    pretty = {"spl-exp": simpl.pretty_simpl, "lam": lam.pretty_lambda}[parser]
-    assert pretty(PARSERS[parser][0](src)) == src
+    assert PRINTERS[parser](PARSERS[parser][0](src)) == src
 
 
 def test_lam_unexpected_character_located_at_itself():
@@ -175,17 +207,6 @@ def test_error_at_every_token_is_located_there(parser, src):
         except error as exc:
             assert str(exc).startswith("unexpected end of input (")
             assert located(parser, exc) == position(parser, src, m.end())
-
-
-def test_nested_too_deeply_is_located_at_the_token_reached():
-    # One "(" per line after the first: token i >= 6 stands alone on line i - 4.
-    src = "fun f(x) =\n" + "(\n" * 5000 + "x" + ")" * 5000 + ";"
-    parser = simpl._Parser(src)
-    with pytest.raises(simpl.ParseError) as err:
-        parser.parse(simpl._Parser.parse_program)
-    assert str(err.value).startswith("nested too deeply (")
-    assert 6 < parser.i < 5006
-    assert (err.value.line, err.value.col) == (parser.i - 4, 1)
 
 
 # Token spellings per language; joined without separators they also make
