@@ -11,29 +11,37 @@ into the language only at the compounds its table of binding forms has a
 rule for, and gives the frames, the graph, the spelling map and each
 reference's occurrence frames grouped by label. Renaming never changes a
 term's shape, so at the first capture a second walk builds a
-`LabelIndex` of the label positions, and every round respells the
-resolve's spelling map through it. The index notes each label it
-respelled; `comp_renaming` spells them fresh, so `BindingFrames.rebind`
-re-binds only those labels and the references bound to them, reading
-their occurrence frames as the walk grouped them: no other reference can
-see a different declaration of its spelling. The edge delta this yields
-updates the capture set by one rule: dropped edges leave it, and added
-edges are classified, since the source graph classifies capture edge by
-edge (`NameGraph.unintended`, one query per edge set). No round builds a
-graph. A round then costs a `comp_renaming` whose lookups are by label, a
-respelling that rebuilds only the compounds above the renamed names, a
-re-binding that looks each frame up at most once per spelling, and set
-operations on the delta and the capture set. A capture-free input costs
-one resolve and one `find_capture`. A resolver without binding forms is
-resolved in full every round, its delta the difference of two edge sets,
-its spelling map `spellings(t)`.
+`LabelIndex` of the label positions and a count of each spelling's
+labels, and every round respells the resolve's spelling map through it.
+The index notes each label it respelled; `comp_renaming` spells them
+fresh, so `BindingFrames.rebind` re-binds only those labels and the
+references bound to them: no other reference can see a different
+declaration of its spelling. The first re-binding of a reference groups
+its occurrence frames by the binder each sees; a later one looks up only
+the frames of a respelled binder, unless the reference was respelled
+itself. The edge delta this yields updates the capture set by one rule:
+dropped edges leave it, and added edges are classified, since the source
+graph classifies capture edge by edge (`NameGraph.unintended`, one query
+per edge set). No round builds a graph. A round costs what it changes:
+a `comp_renaming` whose lookups are by label, whose used spellings are
+the index's counts and whose `gensym` resumes at a cursor per base (but
+a captured synthesized declaration makes it group every synthesized
+label of the term by spelling); a respelling that rebuilds only the
+compounds above the renamed names (one of them may be as wide as the
+program's list of functions); a re-binding that moves only the renamed
+top declarations between spelling buckets and looks each stale frame up
+at most once per spelling; and set operations on the delta and the
+capture set. A capture-free input costs one resolve and one
+`find_capture`. A resolver without binding forms is resolved in full
+every round, its delta the difference of two edge sets, its spelling
+map `spellings(t)`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Collection, Container, Iterable, Mapping, MutableMapping
 
 from .graph import BindingFrames, Edge, NameGraph, Resolver
 from .term import Label, LabelIndex, Term, spellings
@@ -132,41 +140,89 @@ class IterationBudgetExceeded(FixError):
     """A declaration captured again after repair renamed it: a resolver contract violation."""
 
 
-def gensym(base: str, used: frozenset[str] | set[str]) -> str:
-    """base plus the smallest decimal suffix avoiding `used`: never base."""
-    k = 0
-    while True:
-        candidate = f"{base}{k}"
-        if candidate not in used:
-            return candidate
+def gensym(base: str, used: Container[str], cursor: dict[str, int]) -> str:
+    """base plus the smallest decimal suffix k for which base<k> is not in
+    `used`: never base itself. `cursor` maps a base to a suffix below which
+    every candidate is in `used`, so the search starts there, and gensym
+    leaves the base's cursor at its pick. Kept across calls, the cursor
+    stays true as `used` grows; when base<k> leaves `used`, with k below
+    the base's cursor, `rewind` moves the cursor back to k. An empty
+    cursor searches from 0."""
+    k = cursor.get(base, 0)
+    while (candidate := f"{base}{k}") in used:
         k += 1
+    cursor[base] = k
+    return candidate
+
+
+def rewind(cursor: dict[str, int], gone: Iterable[str]) -> None:
+    """Keep `gensym`'s cursor true when the spellings `gone` leave its used
+    set: each base<k> among them with k below the base's cursor moves that
+    cursor back to k. A spelling such as `x12` is both `x1` with suffix 2
+    and `x` with 12, so every split is checked."""
+    for s in gone:
+        i = len(s)
+        while i and "0" <= s[i - 1] <= "9":
+            i -= 1
+            k = cursor.get(s[:i])
+            if k is not None and len(s) - i <= len(str(k)):
+                j = int(s[i:])
+                if j < k and str(j) == s[i:]:  # as gensym spells base<j>
+                    cursor[s[:i]] = j
+
+
+class _Taken(dict):
+    """The spellings a round of repair must avoid: the fresh ones it hands
+    out, its own keys, and those of the term, `term`. A ChainMap would do,
+    but its `in` costs about three times as much."""
+
+    __slots__ = ("term",)
+
+    def __init__(self, term: Container[str]) -> None:
+        self.term = term
+
+    def __contains__(self, s: object) -> bool:
+        return dict.__contains__(self, s) or s in self.term
+
+
+_NO_CAPTURE = CaptureSet(frozenset())
 
 
 def find_capture(gs: NameGraph, gt: NameGraph) -> CaptureSet:
     """Edges of the target graph that break reference intent or
     declaration extent relative to the source graph."""
     if not gt.edges:  # nothing to check: leave gs's index unbuilt
-        return CaptureSet(frozenset())
-    return CaptureSet(frozenset(_captures(gs, gt.edges)))
+        return _NO_CAPTURE
+    return _captures(gs, gt.edges)
 
 
-def _captures(gs: NameGraph, edges: Iterable[Edge]) -> set[CaptureEdge]:
-    """The capture edges among `edges`: each edge is classified on its own,
-    against the source graph alone."""
+def _captures(gs: NameGraph, edges: Iterable[Edge], kept: Collection[CaptureEdge] = ()) -> CaptureSet:
+    """The capture edges among `edges`, and those `kept`: each edge is
+    classified on its own, against the source graph alone. No capture
+    found and none kept is one shared empty set."""
     rebound, free, synthesized = gs.unintended(edges)
-    return {
+    if not (rebound or free or synthesized or kept):
+        return _NO_CAPTURE
+    return CaptureSet(frozenset([
+        *kept,
         *[CaptureEdge(v, d, CaptureKind.SOURCE_REBOUND) for v, d in rebound],
         *[CaptureEdge(v, d, CaptureKind.SOURCE_FREE_CAPTURED) for v, d in free],
         *[CaptureEdge(v, d, CaptureKind.SYNTHESIZED_CAPTURED) for v, d in synthesized],
-    }
+    ]))
 
 
 def comp_renaming(
-    gs: NameGraph, spell: Mapping[Label, str], capture: CaptureSet
+    gs: NameGraph,
+    spell: Mapping[Label, str],
+    capture: CaptureSet,
+    used: MutableMapping[str, int],
+    cursor: dict[str, int],
 ) -> RenamingPair:
     """Fresh spellings for every captured-into declaration, given the
-    spelling of every label of the target term (as its resolve gives it):
-    spellings no label of the term has, each handed out once.
+    spelling of every label of the target term (as its resolve gives it),
+    the spellings `used` in the term, to which it adds each fresh one it
+    hands out, and `gensym`'s cursor: spellings no label of the term has,
+    each handed out once.
 
     A source declaration is renamed together with its source references; a
     synthesized declaration drags along every synthesized label that shares
@@ -177,14 +233,13 @@ def comp_renaming(
         raise ValueError("comp_renaming requires a nonempty capture set")
     pi_src: dict[Label, str] = {}
     pi_syn: dict[Label, str] = {}
-    used = set(spell.values())  # every spelling of t, plus each fresh one assigned
     synthesized: dict[str, list[Label]] | None = None  # spelling -> labels, when needed
     for v_d in sorted(capture.captured_declarations):
         if gs.counts_as_source(v_d):
             if v_d not in pi_src:
-                fresh = gensym(spell[v_d], used)
+                fresh = gensym(spell[v_d], used, cursor)
                 pi_src[v_d] = fresh
-                used.add(fresh)
+                used[fresh] = 1
                 for v_r in gs.references_to(v_d):
                     pi_src[v_r] = fresh
         elif v_d not in pi_syn:
@@ -194,8 +249,8 @@ def comp_renaming(
                     synthesized.setdefault(spell[v], []).append(v)
             group = synthesized.get(spell[v_d])
             if group:
-                fresh = gensym(spell[v_d], used)
-                used.add(fresh)
+                fresh = gensym(spell[v_d], used, cursor)
+                used[fresh] = 1
                 for v in group:
                     pi_syn[v] = fresh
     return RenamingPair(pi_src, pi_syn)
@@ -224,6 +279,7 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
     steps: list[FixStep] = []
     renamed: dict[Label, int] = {}  # captured declaration -> the round renaming it
     index: LabelIndex | None = None
+    cursor: dict[str, int] = {}  # gensym's, kept across rounds
     current = t
     while capture:
         if again := [e for e in capture.edges if e.decl in renamed]:
@@ -234,8 +290,13 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
             )
         if index is None:
             index = LabelIndex(t, spellings(t) if frames is None else frames.spelling)
-        pair = comp_renaming(gs, index.spelling, capture)
+        used = _Taken(index.counts)
+        pair = comp_renaming(gs, index.spelling, capture, used, cursor)
         current = index.rename(pair.combined())
+        # A fresh spelling no label took, or an old one no label has now,
+        # is free for gensym again.
+        counts = index.counts
+        rewind(cursor, [s for s in {*index.respelled.values(), *used} if s not in counts])
         steps.append(FixStep(capture, pair, current))
         renamed.update(dict.fromkeys(capture.captured_declarations, len(steps)))
         if frames is None:
@@ -246,5 +307,5 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
             drop, add = frames.rebind(index.respelled)
         # Edges the round leaves alone keep their classification.
         kept = [e for e in capture.edges if (e.ref, e.decl) not in drop]
-        capture = CaptureSet(frozenset(_captures(gs, add).union(kept)))
+        capture = _captures(gs, add, kept)
     return FixResult(current, FixTrace(tuple(steps)))

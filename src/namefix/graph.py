@@ -19,6 +19,7 @@ language-independent.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -229,7 +230,7 @@ class BindingFrames:
 
     __slots__ = (
         "graph", "spelling", "_frames", "_top", "_tops", "_first",
-        "_occurs", "_bound", "_referrers",
+        "_occurs", "_bound", "_referrers", "_top_at", "_groups",
     )
 
     def __init__(self, t: Term, scopes: Scopes, top: Iterable[Name]) -> None:
@@ -253,10 +254,15 @@ class BindingFrames:
         occurs: dict[Label, list] = {}
         self._occurs = occurs
         edges: set[Edge] = set()
-        # Built by the first rebind from the graph's edges, and kept up to
-        # date by each: reference label -> its declarations; declaration
-        # label -> the references bound to it.
+        # Built by the first rebind, from the graph's edges and the top
+        # declarations, and kept up to date by each: reference label -> its
+        # declarations; declaration label -> the references bound to it;
+        # top declaration label -> its positions in `_top`; reference label
+        # -> its occurrence frames rebound so far, by the binder each sees.
         self._bound: dict[Label, set[Label]] | None = None
+        self._referrers: dict[Label, set[Label]]
+        self._top_at: dict[Label, list[int]]
+        self._groups: dict[Label, dict[Label | None, list[int]]]
         # spelling -> what it means at frame 0, at each frame binding it
         # and at each frame _lookup passed, for every spelling that a binder
         # met so far has; no other is bound in any scope
@@ -362,44 +368,87 @@ class BindingFrames:
         keeps its spelling and every binder of it but the respelled ones, so
         only a respelled reference or one bound to a respelled label can
         bind differently, and only those are looked up. From then on the
-        frames describe the respelled term; `graph` is left as it was."""
+        frames describe the respelled term; `graph` is left as it was.
+
+        The first rebind of a reference groups its occurrence frames by the
+        binder each one sees, or under None when none binds its spelling
+        there: those bind to the top declaration its spelling picks, if
+        any, all alike. A later rebind of a reference not respelled looks
+        up again only the frames of a respelled binder, and picks the top
+        declaration again. Only the respelled top declarations move to the
+        bucket of their new spelling; each bucket stays sorted, so its
+        last position is the last declaration of the spelling."""
         spelling, tops, top = self.spelling, self._tops, self._top
         occurs, bound = self._occurs, self._bound
         if bound is None:
             bound = {}
             referrers: dict[Label, set[Label]] = {}
             for v, d in self.graph.edges:
-                bound.setdefault(v, set()).add(d)
-                referrers.setdefault(d, set()).add(v)
-            self._bound, self._referrers = bound, referrers
+                # not setdefault: that makes a set per edge
+                ds = bound.get(v)
+                if ds is None:
+                    bound[v] = {d}
+                else:
+                    ds.add(d)
+                vs = referrers.get(d)
+                if vs is None:
+                    referrers[d] = {v}
+                else:
+                    vs.add(v)
+            top_at: dict[Label, list[int]] = {}
+            for i, d in enumerate(top):
+                positions = top_at.get(d)
+                if positions is None:
+                    top_at[d] = [i]
+                else:
+                    positions.append(i)
+            self._bound, self._referrers, self._top_at = bound, referrers, top_at
+            self._groups = {}
         else:
-            referrers = self._referrers
-        for i in [i for s in set(respelled.values()) for i in tops.pop(s, ())]:
-            tops.setdefault(spelling[top[i]], []).append(i)
-        first, lookup = self._first, self._lookup
+            referrers, top_at = self._referrers, self._top_at
+        for d, was in respelled.items():
+            positions = top_at.get(d)
+            if positions:
+                out, into = tops[was], tops.setdefault(spelling[d], [])
+                for i in positions:
+                    del out[bisect_left(out, i)]
+                    insort(into, i)
+                if not out:
+                    del tops[was]
+        first, lookup, groups = self._first, self._lookup, self._groups
         drop: set[Edge] = set()
         add: set[Edge] = set()
         memos: dict[str, dict[int, Label | None]] = {}
         for v in {v for v in respelled if v in occurs}.union(
             *[referrers.get(d, ()) for d in respelled]
         ):
-            # v as the term carries it: a respelled label may come with
-            # another provenance, as the source graph gives it
-            v, *frames = occurs[v]
+            by_binder = groups.get(v)
+            if by_binder is None or v in respelled:
+                # v as the term carries it: a respelled label may come with
+                # another provenance, as the source graph gives it
+                v, *frames = occurs[v]
+                by_binder = groups[v] = {}
+            else:
+                v = occurs[v][0]
+                stale = [d for d in by_binder if d in respelled]
+                frames = [f for d in stale for f in by_binder.pop(d)]
             s = spelling[v]
-            memo = memos.setdefault(s, {0: None})
-            at = tops.get(s)
-            last = top[max(at)] if at else None
-            decls: set[Label] = set()
-            for f in frames:
-                decl = memo.get(f, _UNSEEN)
-                if decl is _UNSEEN:
-                    decl = lookup(f, s, memo)
-                if decl is None:
-                    if last is None:
-                        continue
-                    decl = first.get(v, last)
-                decls.add(decl)
+            if frames:
+                memo = memos.setdefault(s, {0: None})
+                for f in frames:
+                    decl = memo.get(f, _UNSEEN)
+                    if decl is _UNSEEN:
+                        decl = lookup(f, s, memo)
+                    same = by_binder.get(decl)
+                    if same is None:
+                        by_binder[decl] = [f]
+                    else:
+                        same.append(f)
+            decls = set(by_binder)
+            if None in decls:
+                decls.remove(None)
+                if at := tops.get(s):
+                    decls.add(first.get(v, top[at[-1]]))
             old = bound.get(v, _NOTHING)
             if decls != old:
                 for d in old - decls:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import sys
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -548,14 +549,18 @@ class LabelIndex:
     every later respelling: `rename` rebuilds only the compounds above the
     names it respells, shares every other subterm, and respells `spelling`
     in place, so the index describes the new term. `respelled` maps each
-    label the last `rename` respelled to its previous spelling. Built by
-    one walk.
+    label the last `rename` respelled to its previous spelling. `counts`
+    maps each spelling of the term to the number of its labels that have
+    it: `rename` keeps it up to date, and drops a spelling no label has
+    any more, so its keys are the spellings in use. Built by one walk.
     """
 
     def __init__(self, t: Term, spelling: dict[Label, str]) -> None:
         # A holder above the root, so that the root is a position too.
         self._holder: Spine = [Compound((t,)), None, 0, 0]
         self.spelling = spelling
+        # A plain dict: a Counter's item access is slower.
+        self.counts: dict[str, int] = dict(Counter(spelling.values()))
         self.respelled: dict[Label, str] = {}
         # label -> spine, index, spine, index, ... of its occurrences
         self._at: dict[Label, list] = {}
@@ -585,7 +590,7 @@ class LabelIndex:
         """The term with every label in dom(pi) respelled, as `rename` gives
         it; from then on the index describes that term. Labels the term
         does not have are ignored."""
-        spelling = self.spelling
+        spelling, counts = self.spelling, self.counts
         respelled = self.respelled = {}
         # id(spine) -> (its depth, spine, its new children), for every
         # spine to rebuild
@@ -596,6 +601,12 @@ class LabelIndex:
                 continue
             respelled[label] = old
             spelling[label] = text
+            counts[text] = counts.get(text, 0) + 1
+            left = counts[old] - 1
+            if left:
+                counts[old] = left
+            else:
+                del counts[old]
             places = iter(self._at[label])
             for spine, i in zip(places, places):
                 entry = edited.get(id(spine))

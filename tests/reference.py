@@ -29,7 +29,6 @@ from namefix.fix import (
     FixTrace,
     IterationBudgetExceeded,
     RenamingPair,
-    gensym,
 )
 from typing import Callable, Mapping, Sequence
 
@@ -124,6 +123,16 @@ def counts_as_source(g: NameGraph, v: Label) -> bool:
 
 # ---------------------------------------------------------------------------
 # The repair loop built on those queries
+
+def gensym(base: str, used: frozenset[str] | set[str]) -> str:
+    """base plus the smallest decimal suffix avoiding `used`: never base."""
+    k = 0
+    while True:
+        candidate = f"{base}{k}"
+        if candidate not in used:
+            return candidate
+        k += 1
+
 
 def find_capture(gs: NameGraph, gt: NameGraph) -> CaptureSet:
     edges: set[CaptureEdge] = set()

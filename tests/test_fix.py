@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from namefix.fix import (
     find_capture,
     gensym,
     name_fix,
+    rewind,
 )
 from namefix.graph import NameGraph, Resolver
 from namefix.lam import (
@@ -29,15 +31,37 @@ def lbl(i: int, synth: bool = False) -> Label:
     return Label(i, Provenance.SYNTHESIZED if synth else Provenance.SOURCE)
 
 
+def first_renaming(gs, t, capture):
+    """comp_renaming of a repair's first round on t."""
+    spell = spellings(t)
+    return comp_renaming(gs, spell, capture, Counter(spell.values()), {})
+
+
 class TestGensym:
     def test_first_free_suffix(self):
-        assert gensym("n", {"zero", "succ", "x", "n"}) == "n0"
+        assert gensym("n", {"zero", "succ", "x", "n"}, {}) == "n0"
 
     def test_skips_taken_suffixes(self):
-        assert gensym("x", {"x", "x0"}) == "x1"
+        assert gensym("x", {"x", "x0"}, {}) == "x1"
 
     def test_never_returns_base(self):
-        assert gensym("f", set()) == "f0"
+        assert gensym("f", set(), {}) == "f0"
+
+    def test_search_starts_at_the_cursor_and_leaves_it_at_the_pick(self):
+        cursor = {"x": 2}
+        assert gensym("x", {"x2", "x3"}, cursor) == "x4"  # x0 and x1 not tried
+        assert cursor == {"x": 4}
+        assert gensym("y", set(), cursor) == "y0"
+        assert cursor == {"x": 4, "y": 0}
+
+    def test_rewind_moves_a_cursor_back_to_a_spelling_that_left(self):
+        cursor = {"x": 5, "x1": 3, "y": 2}
+        rewind(cursor, ["x12", "y7", "z0"])  # x12 is x1 with 2, and x with 12
+        assert cursor == {"x": 5, "x1": 2, "y": 2}
+        rewind(cursor, ["x3", "x01", "x"])  # x01 is no gensym spelling of x
+        assert cursor == {"x": 3, "x1": 2, "y": 2}
+        rewind(cursor, ["x" + "9" * 5000])
+        assert cursor == {"x": 3, "x1": 2, "y": 2}
 
 
 class TestFindCapture:
@@ -92,7 +116,7 @@ class TestCompRenaming:
         capture = find_capture(
             gs, NameGraph(labels_of(t), {lbl(26): lbl(21)})
         )
-        pair = comp_renaming(gs, spellings(t), capture)
+        pair = first_renaming(gs, t, capture)
         assert set(pair.pi_src) == {lbl(21), lbl(22), lbl(23)}
         assert len(set(pair.pi_src.values())) == 1
         assert pair.pi_syn == {}
@@ -106,7 +130,7 @@ class TestCompRenaming:
             CaptureKind.SOURCE_FREE_CAPTURED,
             CaptureKind.SYNTHESIZED_CAPTURED,
         }
-        pair = comp_renaming(gs, spellings(t), capture)
+        pair = first_renaming(gs, t, capture)
         # ascending order: source decl 32 first, then synthesized '33 group
         assert pair.pi_src == {lbl(32): "x0"}
         assert pair.pi_syn == {lbl(33, True): "x1", lbl(34, True): "x1"}
@@ -120,14 +144,14 @@ class TestCompRenaming:
         )
         gs = NameGraph({lbl(1), lbl(2)}, {lbl(1): lbl(2)})
         gt = NameGraph(labels_of(t), [(lbl(2), lbl(1)), (lbl(2), lbl(4)), (lbl(3), lbl(2))])
-        pair = comp_renaming(gs, spellings(t), find_capture(gs, gt))
+        pair = first_renaming(gs, t, find_capture(gs, gt))
         assert pair.pi_src == {lbl(1): "x1", lbl(2): "x1"}
         assert pair.pi_syn == {lbl(4): "x01"}
 
     def test_requires_capture(self):
         g = NameGraph(set(), {})
         with pytest.raises(ValueError):
-            comp_renaming(g, spellings(parse_lambda("x")), find_capture(g, g))
+            first_renaming(g, parse_lambda("x"), find_capture(g, g))
 
 
 class TestNameFixTraces:
@@ -232,6 +256,65 @@ class TestMarkInteraction:
         result = name_fix(gs, t, LAMBDA_RESOLVER)
         assert len(result.trace) == 1
         assert name_at(result.term, lbl(92, True)) != "it"
+
+
+def scripted(*rounds):
+    """A resolver that gives the edges of the first of `rounds` whose
+    spellings the term has: each is (label -> its spelling, edges)."""
+
+    def resolve(t):
+        spell = spellings(t)
+        for needs, edges in rounds:
+            if all(spell[v] == text for v, text in needs.items()):
+                return NameGraph(spell, edges)
+        return NameGraph(spell, ())
+
+    return Resolver("scripted", resolve)
+
+
+class TestGensymAcrossRounds:
+    """gensym resumes at a cursor per base in later rounds, yet picks the
+    smallest suffix the term does not use, as it did when it scanned from 0
+    every round: a spelling that leaves the term is free again."""
+
+    def test_a_spelling_the_term_gave_up(self):
+        # Round 1 renames @1, spelled x, while x0 is in use, so it takes
+        # x1; it also renames every label spelled x0. In round 2, @3,
+        # spelled x, takes the freed x0.
+        t = compound(*(Name(text, v) for text, v in [
+            ("x", lbl(1)), ("x0", lbl(2)), ("x", lbl(3)), ("x0", lbl(4)),
+            ("x", lbl(5, True)), ("x0", lbl(6, True)), ("x0", lbl(7, True)),
+        ]))
+        gs = NameGraph({lbl(1), lbl(2), lbl(3), lbl(4)}, {lbl(4): lbl(2)})
+        r = scripted(
+            ({lbl(1): "x"}, [(lbl(5, True), lbl(1)), (lbl(6, True), lbl(2)), (lbl(4), lbl(7, True))]),
+            ({lbl(3): "x"}, [(lbl(5, True), lbl(3))]),
+        )
+        result = name_fix(gs, t, r)
+        first, second = (step.renaming for step in result.trace.steps)
+        assert first.pi_src == {lbl(1): "x1", lbl(2): "x00", lbl(4): "x00"}
+        assert first.pi_syn == {lbl(6, True): "x01", lbl(7, True): "x01"}
+        assert second.pi_src == {lbl(3): "x0"}
+        expected = reference.name_fix(gs, t, r)
+        assert (result.term, result.trace) == (expected.term, expected.trace)
+
+    def test_a_fresh_spelling_no_label_took(self):
+        # Round 1 hands x00 to @1, then overwrites it with x1 as @1 is a
+        # source reference of @2, so @'4 takes x01: x00 never enters the
+        # term. In round 2, @5, spelled x0, takes x00.
+        t = compound(*(Name(text, v) for text, v in [
+            ("x0", lbl(1)), ("x", lbl(2)), ("x", lbl(3, True)), ("x0", lbl(4, True)),
+            ("x0", lbl(5)), ("x0", lbl(6)),
+        ]))
+        gs = NameGraph({lbl(1), lbl(2), lbl(5), lbl(6)}, {lbl(1): lbl(2)})
+        r = scripted(
+            ({lbl(1): "x0"}, [(lbl(2), lbl(1)), (lbl(2), lbl(4, True)), (lbl(3, True), lbl(2))]),
+            ({lbl(5): "x0"}, [(lbl(6), lbl(5))]),
+        )
+        first, second = (step.renaming for step in name_fix(gs, t, r).trace.steps)
+        assert first.pi_src == {lbl(1): "x1", lbl(2): "x1"}
+        assert first.pi_syn == {lbl(4, True): "x01"}
+        assert second.pi_src == {lbl(5): "x00"}
 
 
 class TestBudget:

@@ -12,6 +12,7 @@ which resolves every round.
 
 import random
 import re
+from collections import ChainMap, Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import reference
 from namefix import lam, simpl
-from namefix.fix import IterationBudgetExceeded, comp_renaming, find_capture, gensym, name_fix
+from namefix.fix import IterationBudgetExceeded, comp_renaming, find_capture, gensym, name_fix, rewind
 from namefix.graph import BindingFrames, NameGraph, Resolver, alpha_equiv_relabel
 from namefix.lam import LAMBDA_RESOLVER, pretty_lambda, resolve_lambda
 from namefix.simpl import (
@@ -403,7 +404,8 @@ def test_many_captures_in_one_round(n):
     assert_rounds_resolve_alike(gs, t, SIMPL_RESOLVER, got)
     before = [t] + [step.term for step in got.trace.steps]
     for prior, step, ref_step in zip(before, got.trace.steps, want.trace.steps):
-        pair = comp_renaming(gs, spellings(prior), step.capture)
+        spell = spellings(prior)
+        pair = comp_renaming(gs, spell, step.capture, Counter(spell.values()), {})
         assert pair == ref_step.renaming  # reference.comp_renaming on the same graphs
 
 
@@ -526,7 +528,7 @@ def respellings(rng, t, rounds):
         used = set(spell.values())
         fresh = []
         for _ in range(rng.randrange(1, 3)):
-            fresh.append(gensym(spell[rng.choice(picked)], used))
+            fresh.append(gensym(spell[rng.choice(picked)], used, {}))
             used.add(fresh[-1])
         pi = {lbl(v.id, not v.synthesized) if rng.random() < 0.3 else v: rng.choice(fresh) for v in picked}
         spell.update(pi)
@@ -616,7 +618,39 @@ def test_comp_renaming_on_arbitrary_graphs(data):
     gt = NameGraph(spell, {(r, d) for r, d in data.draw(edges) if d not in gs.references})
     capture = find_capture(gs, gt)
     if capture:
-        assert comp_renaming(gs, spellings(t), capture) == reference.comp_renaming(gs, gt, t, capture)
+        spell = spellings(t)
+        got = comp_renaming(gs, spell, capture, Counter(spell.values()), {})
+        assert got == reference.comp_renaming(gs, gt, t, capture)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_gensym_cursor_picks_what_the_scan_from_zero_picks(data):
+    """Rounds as repair runs them: gensym hands out fresh spellings with
+    one cursor kept across rounds, a renaming gives some of them to labels
+    and leaves others unused, and a label's old spelling may leave the term.
+    Every spelling that left is rewound, as `name_fix` does, and every pick
+    is the reference's smallest-unused one."""
+    # Spellings that are bases, candidates of one another (x1 is x's, x12
+    # both x's and x1's) or neither.
+    texts = st.sampled_from(["x", "x0", "x1", "x12", "x2", "y", "y0"])
+    spell = data.draw(st.dictionaries(labels, texts, min_size=1, max_size=8))
+    index = LabelIndex(Compound(tuple(Name(text, v) for v, text in spell.items())), dict(spell))
+    cursor: dict[str, int] = {}
+    for _ in range(data.draw(st.integers(1, 6))):
+        taken = ChainMap({}, index.counts)
+        used = set(index.spelling.values())
+        assert used == set(index.counts)
+        picks = []
+        for base in data.draw(st.lists(st.sampled_from(["x", "x1", "y"]), min_size=1, max_size=3)):
+            picks.append(gensym(base, taken, cursor))
+            assert picks[-1] == reference.gensym(base, used)
+            taken[picks[-1]] = 1
+            used.add(picks[-1])
+        chosen = data.draw(st.lists(st.sampled_from(sorted(spell)), unique=True))
+        pi = {v: data.draw(st.sampled_from(picks)) for v in chosen}
+        index.rename(pi)
+        rewind(cursor, [s for s in {*index.respelled.values(), *picks} if s not in index.counts])
 
 
 # ---------------------------------------------------------------------------
