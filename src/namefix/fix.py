@@ -8,33 +8,36 @@ most once, until the output is capture-free.
 Cost of a repair round. For a resolver stated by binding forms, the
 target's resolve is `BindingFrames`: one walk over the term that calls
 into the language only at the compounds its table of binding forms has a
-rule for, and gives the frames, the graph, the spelling map and each
-reference's occurrence frames grouped by label. Renaming never changes a
-term's shape, so at the first capture a second walk builds a
-`LabelIndex` of the label positions and a count of each spelling's
-labels, and every round respells the resolve's spelling map through it.
-The index notes each label it respelled; `comp_renaming` spells them
-fresh, so `BindingFrames.rebind` re-binds only those labels and the
-references bound to them: no other reference can see a different
-declaration of its spelling. The first re-binding of a reference groups
-its occurrence frames by the binder each sees; a later one looks up only
-the frames of a respelled binder, unless the reference was respelled
-itself. The edge delta this yields updates the capture set by one rule:
+rule for, and keeps only what its lookups need, the frames, the edges,
+the spelling map and the top declarations, plus the frame of each name
+in one flat list; capture is found on those edges, and no graph of the
+target is built. Renaming never changes a term's shape, so at the first
+capture one walk builds a `LabelIndex`: the label positions, a count of
+each spelling's labels, and a number for each occurrence, in the order
+the resolve met it. Every round respells the resolve's spelling map
+through it. The index notes each label it respelled; `comp_renaming`
+spells them fresh, so `BindingFrames.rebind` re-binds only those labels
+and the references bound to them: no other reference can see a
+different declaration of its spelling. The first re-binding of a
+reference reads its occurrence frames by their numbers and groups them
+by the binder each sees; a later one looks up only the frames of a
+respelled binder, unless the reference was respelled itself. The edge
+delta this yields updates the capture set by one rule:
 dropped edges leave it, and added edges are classified, since the source
 graph classifies capture edge by edge (`NameGraph.unintended`, one query
 per edge set). No round builds a graph. A round costs what it changes:
 a `comp_renaming` whose lookups are by label, whose used spellings are
 the index's counts and whose `gensym` resumes at a cursor per base (but
-a captured synthesized declaration makes it group every synthesized
-label of the term by spelling); a respelling that rebuilds only the
-compounds above the renamed names (one of them may be as wide as the
-program's list of functions); a re-binding that moves only the renamed
-top declarations between spelling buckets and looks each stale frame up
-at most once per spelling; and set operations on the delta and the
-capture set. A capture-free input costs one resolve and one
-`find_capture`. A resolver without binding forms is resolved in full
-every round, its delta the difference of two edge sets, its spelling
-map `spellings(t)`.
+a captured synthesized declaration makes it scan the spelling map for
+the labels spelled like a captured declaration); a respelling that
+rebuilds only the compounds above the renamed names (one of them may be
+as wide as the program's list of functions); a re-binding that moves
+only the renamed top declarations between spelling buckets and looks
+each stale frame up at most once per spelling; and set operations on the
+delta and the capture set. A capture-free input costs one resolve and
+one `find_capture`, and builds no index. A resolver without binding
+forms is resolved in full every round, its delta the difference of two
+edge sets, its spelling map `spellings(t)`.
 """
 
 from __future__ import annotations
@@ -188,9 +191,10 @@ class _Taken(dict):
 _NO_CAPTURE = CaptureSet(frozenset())
 
 
-def find_capture(gs: NameGraph, gt: NameGraph) -> CaptureSet:
+def find_capture(gs: NameGraph, gt: NameGraph | BindingFrames) -> CaptureSet:
     """Edges of the target graph that break reference intent or
-    declaration extent relative to the source graph."""
+    declaration extent relative to the source graph. The target's
+    `BindingFrames` will do for its graph: only the edges are read."""
     if not gt.edges:  # nothing to check: leave gs's index unbuilt
         return _NO_CAPTURE
     return _captures(gs, gt.edges)
@@ -233,8 +237,11 @@ def comp_renaming(
         raise ValueError("comp_renaming requires a nonempty capture set")
     pi_src: dict[Label, str] = {}
     pi_syn: dict[Label, str] = {}
-    synthesized: dict[str, list[Label]] | None = None  # spelling -> labels, when needed
-    for v_d in sorted(capture.captured_declarations):
+    # spelling -> its labels that do not count as source, when needed, for
+    # the spellings of the captured declarations
+    synthesized: dict[str, list[Label]] | None = None
+    captured = sorted(capture.captured_declarations)
+    for v_d in captured:
         if gs.counts_as_source(v_d):
             if v_d not in pi_src:
                 fresh = gensym(spell[v_d], used, cursor)
@@ -245,7 +252,8 @@ def comp_renaming(
         elif v_d not in pi_syn:
             if synthesized is None:
                 synthesized = {}
-                for v in gs.foreign(spell):
+                wanted = {spell[d] for d in captured}
+                for v in gs.foreign([v for v, s in spell.items() if s in wanted]):
                     synthesized.setdefault(spell[v], []).append(v)
             group = synthesized.get(spell[v_d])
             if group:
@@ -262,7 +270,8 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
     applies its edge delta to the capture set. No round builds or keeps a
     graph: the binding frames hold the binding relation they re-bind, and
     a resolver without binding forms leaves only its last edge set, to
-    diff the next resolve against.
+    diff the next resolve against. The index that respells the term is
+    built at the first capture.
 
     Capture-free input comes back as the very same term object. A round
     renames every declaration its capture set holds, each at most once by
@@ -273,8 +282,7 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
         gt = r.resolve(t)
         edges = gt.edges
     else:
-        frames = BindingFrames(t, r.scopes, r.top(t))
-        gt = frames.graph
+        gt = frames = BindingFrames(t, r.scopes, r.top(t))
     capture = find_capture(gs, gt)
     steps: list[FixStep] = []
     renamed: dict[Label, int] = {}  # captured declaration -> the round renaming it
@@ -304,7 +312,7 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
             drop, add = edges - resolved, resolved - edges
             edges = resolved
         else:
-            drop, add = frames.rebind(index.respelled)
+            drop, add = frames.rebind(index)
         # Edges the round leaves alone keep their classification.
         kept = [e for e in capture.edges if (e.ref, e.decl) not in drop]
         capture = _captures(gs, add, kept)

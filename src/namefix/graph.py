@@ -29,6 +29,7 @@ from .term import (
     Compound,
     Const,
     Label,
+    LabelIndex,
     Name,
     Pairs,
     Term,
@@ -76,27 +77,30 @@ class NameGraph:
         return frozenset(d for _, d in self.edges)
 
     @cached_property
-    def _index(
-        self,
-    ) -> tuple[dict[Label, Label], dict[Label, frozenset[Label]], dict[Label, list[Label]]]:
+    def _index(self) -> tuple[dict[Label, Label], dict[Label, frozenset[Label]]]:
         """Lookups keyed by label, so by id: the graph's label of that id (with
-        its provenance), a reference's declarations and a declaration's
-        references. Built on the first query: a graph only iterated, as repair
-        iterates a target's edges, or only drawn, never builds one."""
+        its provenance) and a reference's declarations. Built on the first
+        query: a graph only iterated, or only drawn, never builds one."""
         decls: dict[Label, set[Label]] = {}
-        refs: dict[Label, list[Label]] = {}
         for r, d in self.edges:
             decls.setdefault(r, set()).add(d)
-            refs.setdefault(d, []).append(r)
         by_id = {v: v for v in self.labels}
-        return by_id, {r: frozenset(ds) for r, ds in decls.items()}, refs
+        return by_id, {r: frozenset(ds) for r, ds in decls.items()}
 
     def bindings(self, ref: Label) -> frozenset[Label]:
         return self._index[1].get(ref, _NOTHING)
 
     def references_to(self, decl: Label) -> Sequence[Label]:
-        """The references bound to decl: the inverse of `bindings`."""
-        return self._index[2].get(decl, ())
+        """The references bound to decl: the inverse of `bindings`. The map
+        from each declaration to its references is built on the first call,
+        which only repair makes, when a source declaration is captured."""
+        refs = self.__dict__.get("_references")
+        if refs is None:
+            refs = {}
+            for r, d in self.edges:
+                refs.setdefault(d, []).append(r)
+            object.__setattr__(self, "_references", refs)
+        return refs.get(decl, ())
 
     def find(self, label_id: int) -> Label | None:
         return self._index[0].get(label_id)
@@ -206,13 +210,14 @@ def scoped_names(t: Term, env: E, scopes: Scopes, bind: Bind) -> list[tuple[Name
 
 
 _UNSEEN = object()
+_SEVERAL = object()  # a spelling of more than one top declaration
 _NOTHING: frozenset[Label] = frozenset()
 
 
 class BindingFrames:
-    """The scopes of one term and the name graph they give it, kept to
-    re-bind its references after a respelling without resolving the whole
-    term again.
+    """The resolve of one term under its binding forms: its binding edges,
+    and the scopes they came from, kept to re-bind the term's references
+    after a respelling without resolving the whole term again.
 
     A frame is one `bind` of the term's `Scopes`: its parent frame and its
     binders in order, duplicates included. Frame 0 is the outermost scope
@@ -220,17 +225,21 @@ class BindingFrames:
     spelling up its frame's chain, else to a `top` declaration (visible
     everywhere) of its spelling, else to nothing. Of several such top
     declarations, it binds to the first that carries its label, else to the
-    last. Kept with the frames: the frames of each reference's occurrences,
-    grouped by its label, `graph`, the name graph of t, which holds each
-    reference's declarations, and `spelling`, every label of t mapped to
-    its spelling, which repair respells in place (`LabelIndex`) and
-    `rebind` reads. Built by one explicit-stack walk over the table of
-    binding forms, which raises InconsistentLabel; nothing here recurses.
+    last. The resolve keeps only what its lookups need and what repair
+    reads: `edges`, the binding edges of t, as (reference, declaration)
+    pairs; `spelling`, every label of t mapped to its spelling, which repair
+    respells in place (`LabelIndex`) and `rebind` reads; the frames, the
+    lookup memos and the top declarations; and `met`, the frame of every
+    name of t in the order the walk meets them, None for a declaration.
+    Every rule lists its names left to right, so that order is the term's
+    own: `met[k]` is the frame of the occurrence a `LabelIndex` of t
+    numbers k. Built by one explicit-stack walk over the table of binding
+    forms, which raises InconsistentLabel; nothing here recurses.
     """
 
     __slots__ = (
-        "graph", "spelling", "_frames", "_top", "_tops", "_first",
-        "_occurs", "_bound", "_referrers", "_top_at", "_groups",
+        "edges", "spelling", "met", "_frames", "_top", "_tops", "_first",
+        "_bound", "_resolved", "_referrers", "_top_at", "_groups",
     )
 
     def __init__(self, t: Term, scopes: Scopes, top: Iterable[Name]) -> None:
@@ -242,27 +251,34 @@ class BindingFrames:
         declared: list[Label] = []
         at: dict[str, list[int]] = {}
         first: dict[Label, Label] = {}
+        # spelling -> its one top declaration, which every reference of it
+        # that no binder sees binds to, or _SEVERAL
+        picks: dict[str, object] = {}
         for n in top:
             at.setdefault(n.text, []).append(len(declared))
             first.setdefault(n.label, n.label)
             declared.append(n.label)
+            picks[n.text] = _SEVERAL if n.text in picks else n.label
         self._top, self._tops, self._first = declared, at, first
         spell: dict[Label, str] = {}
         self.spelling = spell
-        # reference label -> that label as the term first carries it, then
-        # the frame of each of its occurrences
-        occurs: dict[Label, list] = {}
-        self._occurs = occurs
+        self.met: list[int | None] = []
+        note = self.met.append
         edges: set[Edge] = set()
-        # Built by the first rebind, from the graph's edges and the top
+        self.edges = edges
+        # Built by the first rebind, from the edges and the top
         # declarations, and kept up to date by each: reference label -> its
-        # declarations; declaration label -> the references bound to it;
-        # top declaration label -> its positions in `_top`; reference label
-        # -> its occurrence frames rebound so far, by the binder each sees.
+        # declarations, for each reference rebound or bound to several;
+        # reference label -> its one declaration as the edges give it;
+        # declaration label -> the references bound to it; top declaration
+        # label -> its positions in `_top`; reference label -> itself as the
+        # term first carries it, and its occurrence frames rebound so far,
+        # by the binder each sees.
         self._bound: dict[Label, set[Label]] | None = None
+        self._resolved: dict[Label, Label]
         self._referrers: dict[Label, set[Label]]
         self._top_at: dict[Label, list[int]]
-        self._groups: dict[Label, dict[Label | None, list[int]]]
+        self._groups: dict[Label, tuple[Label, dict[Label | None, list[int]]]]
         # spelling -> what it means at frame 0, at each frame binding it
         # and at each frame _lookup passed, for every spelling that a binder
         # met so far has; no other is bound in any scope
@@ -283,8 +299,8 @@ class BindingFrames:
 
         # The walk of `scoped_names`, with each name handled where it is
         # met: a loop over that function's list made resolving small lambda
-        # terms 1.1-1.3x slower.
-        rules = scopes.get
+        # terms 1.1-1.3x slower. A transparent compound's tag is skipped.
+        rules, pick = scopes.get, picks.get
         stack: list[tuple[Iterator, object]] = []
         nodes: Iterator = iter(((t, 0),))
         scope: object = _PAIRS
@@ -299,6 +315,7 @@ class BindingFrames:
                     label, text = x.label, x.text
                     if spell.setdefault(label, text) != text:
                         note_spelling(spell, x)  # raises InconsistentLabel
+                    note(env)
                     if env is None:
                         continue
                     memo = memos.get(text)
@@ -306,34 +323,29 @@ class BindingFrames:
                     if decl is _UNSEEN:
                         decl = self._lookup(env, text, memo)
                     if decl is None:
-                        positions = at.get(text)
-                        if positions:
-                            decl = first.get(label, declared[positions[-1]])
-                    frames_of = occurs.get(label)
-                    if frames_of is None:
-                        occurs[label] = [label, env]
-                    else:
-                        frames_of.append(env)
-                    if decl is not None:
-                        edges.add((label, decl))
+                        decl = pick(text)
+                        if decl is None:
+                            continue
+                        if decl is _SEVERAL:
+                            decl = first.get(label, declared[at[text][-1]])
+                    edges.add((label, decl))
                 elif kind is Compound:
                     children = x.children
-                    rule = (
-                        rules(children[0].value)
-                        if children and children[0].__class__ is Const
-                        else None
-                    )
                     stack.append((nodes, scope))
-                    if rule is None:
-                        nodes, scope = iter(children), env
+                    if children and children[0].__class__ is Const:
+                        rule = rules(children[0].value)
+                        if rule is None:
+                            nodes, scope = iter(children), env
+                            next(nodes)  # the tag
+                        else:
+                            nodes, scope = iter(rule(x, env, bind)), _PAIRS
                     else:
-                        nodes, scope = iter(rule(x, env, bind)), _PAIRS
+                        nodes, scope = iter(children), env
                     break
             else:
                 if not stack:
                     break
                 nodes, scope = stack.pop()
-        self.graph = NameGraph(spell, edges)
 
     def _lookup(self, f: int, s: str, memo: dict[int, Label | None]) -> Label | None:
         """The innermost binder spelled s up the chain of frame f, or None.
@@ -359,37 +371,47 @@ class BindingFrames:
             memo[f] = decl
         return decl
 
-    def rebind(self, respelled: Mapping[Label, str]) -> tuple[set[Edge], set[Edge]]:
-        """The edges to drop from the graph and to add to it after a
-        respelling of the term, given the labels `respelled`, each mapped to
-        its previous spelling, with `spelling` respelled in place (as
-        `LabelIndex.rename` does both). Each new spelling must be fresh: no
-        label outside `respelled` has it. A reference not respelled then
-        keeps its spelling and every binder of it but the respelled ones, so
-        only a respelled reference or one bound to a respelled label can
-        bind differently, and only those are looked up. From then on the
-        frames describe the respelled term; `graph` is left as it was.
+    def rebind(self, index: LabelIndex) -> tuple[set[Edge], set[Edge]]:
+        """The edges to drop from the term's edges and to add to them after
+        `index`, a `LabelIndex` of the term over `spelling`, respelled it:
+        `index.respelled` maps each label respelled to its previous
+        spelling, and `spelling` is respelled in place. Each new spelling
+        must be fresh: no label outside `respelled` has it. A reference not
+        respelled then keeps its spelling and every binder of it but the
+        respelled ones, so only a respelled reference or one bound to a
+        respelled label can bind differently, and only those are looked up.
+        From then on the frames describe the respelled term; `edges` is left
+        as it was.
 
-        The first rebind of a reference groups its occurrence frames by the
-        binder each one sees, or under None when none binds its spelling
-        there: those bind to the top declaration its spelling picks, if
-        any, all alike. A later rebind of a reference not respelled looks
-        up again only the frames of a respelled binder, and picks the top
-        declaration again. Only the respelled top declarations move to the
-        bucket of their new spelling; each bucket stays sorted, so its
-        last position is the last declaration of the spelling."""
+        The first rebind of a reference reads the frames of its
+        occurrences, by their numbers in `index`, from `met`, and groups
+        them by the binder each one sees, or under None when none binds its
+        spelling there: those bind to the top declaration its spelling
+        picks, if any, all alike. A later rebind of a reference not
+        respelled looks up again only the frames of a respelled binder, and
+        picks the top declaration again. Only the respelled top declarations
+        move to the bucket of their new spelling; each bucket stays sorted,
+        so its last position is the last declaration of the spelling."""
+        respelled = index.respelled
         spelling, tops, top = self.spelling, self._tops, self._top
-        occurs, bound = self._occurs, self._bound
+        bound = self._bound
         if bound is None:
+            edges = self.edges
+            # a declaration of each reference, in one call; a reference
+            # with several has them all in `bound`
+            resolved = dict(edges)
             bound = {}
+            if len(resolved) < len(edges):
+                for v, d in edges:
+                    if resolved[v] != d:
+                        ds = bound.get(v)
+                        if ds is None:
+                            bound[v] = {resolved[v], d}
+                        else:
+                            ds.add(d)
             referrers: dict[Label, set[Label]] = {}
-            for v, d in self.graph.edges:
+            for v, d in edges:
                 # not setdefault: that makes a set per edge
-                ds = bound.get(v)
-                if ds is None:
-                    bound[v] = {d}
-                else:
-                    ds.add(d)
                 vs = referrers.get(d)
                 if vs is None:
                     referrers[d] = {v}
@@ -402,10 +424,10 @@ class BindingFrames:
                     top_at[d] = [i]
                 else:
                     positions.append(i)
-            self._bound, self._referrers, self._top_at = bound, referrers, top_at
-            self._groups = {}
+            self._bound, self._resolved = bound, resolved
+            self._referrers, self._top_at, self._groups = referrers, top_at, {}
         else:
-            referrers, top_at = self._referrers, self._top_at
+            resolved, referrers, top_at = self._resolved, self._referrers, self._top_at
         for d, was in respelled.items():
             positions = top_at.get(d)
             if positions:
@@ -415,21 +437,29 @@ class BindingFrames:
                     insort(into, i)
                 if not out:
                     del tops[was]
-        first, lookup, groups = self._first, self._lookup, self._groups
+        first, lookup, groups, met = self._first, self._lookup, self._groups, self.met
         drop: set[Edge] = set()
         add: set[Edge] = set()
         memos: dict[str, dict[int, Label | None]] = {}
-        for v in {v for v in respelled if v in occurs}.union(
-            *[referrers.get(d, ()) for d in respelled]
-        ):
-            by_binder = groups.get(v)
-            if by_binder is None or v in respelled:
-                # v as the term carries it: a respelled label may come with
-                # another provenance, as the source graph gives it
-                v, *frames = occurs[v]
-                by_binder = groups[v] = {}
+        for v in respelled.keys() | set().union(*[referrers.get(d, ()) for d in respelled]):
+            group = groups.get(v)
+            if group is None or v in respelled:
+                # v as the term carries it where it first occurs as a
+                # reference: a respelled label may come with another
+                # provenance, as the source graph gives it
+                frames = list(map(met.__getitem__, index.occurrences(v)))
+                j = 0
+                if None in frames:  # v is declared too: keep its references
+                    refs = [f for f in frames if f is not None]
+                    if not refs:
+                        continue
+                    # only None comes before its first reference
+                    j, frames = frames.index(refs[0]), refs
+                v = index.carried(v, j)
+                by_binder = {}
+                groups[v] = (v, by_binder)
             else:
-                v = occurs[v][0]
+                v, by_binder = group
                 stale = [d for d in by_binder if d in respelled]
                 frames = [f for d in stale for f in by_binder.pop(d)]
             s = spelling[v]
@@ -449,7 +479,10 @@ class BindingFrames:
                 decls.remove(None)
                 if at := tops.get(s):
                     decls.add(first.get(v, top[at[-1]]))
-            old = bound.get(v, _NOTHING)
+            old = bound.get(v)
+            if old is None:  # as the resolve bound it
+                d = resolved.get(v)
+                old = _NOTHING if d is None else {d}
             if decls != old:
                 for d in old - decls:
                     drop.add((v, d))
@@ -494,10 +527,11 @@ class Resolver:
 
     A resolver stated by binding forms is given its `scopes` and `top`
     declarations, and no `resolve`: its `resolve(p)` is then the graph of
-    `BindingFrames(p, scopes, top(p))`. Repair builds those frames as its
-    resolve of the target and re-binds through them instead of resolving
-    every round. A resolver given only `resolve` is resolved in full every
-    round."""
+    `BindingFrames(p, scopes, top(p))`, its spelling map's labels and its
+    edges. Repair builds those frames as its resolve of the target, finds
+    capture on their edges without a graph, and re-binds through them
+    instead of resolving every round. A resolver given only `resolve` is
+    resolved in full every round."""
 
     language: str
     resolve: Callable[[Term], NameGraph] = None  # type: ignore[assignment]
@@ -509,7 +543,8 @@ class Resolver:
             scopes, top = self.scopes, self.top
 
             def resolve(p: Term) -> NameGraph:
-                return BindingFrames(p, scopes, top(p)).graph
+                frames = BindingFrames(p, scopes, top(p))
+                return NameGraph(frames.spelling, frames.edges)
 
             object.__setattr__(self, "resolve", resolve)
 

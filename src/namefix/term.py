@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 import sys
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -391,9 +390,9 @@ class LabelAllocator:
 # ---------------------------------------------------------------------------
 # Traversal. A tree walk is a `descend`, a `fold` or a pass over `subterms`,
 # or, where the walk is hot, an explicit-stack loop of its own (the resolve
-# of `graph.BindingFrames`, the printers `simpl.pretty_simpl` and
-# `lam.pretty_lambda`): each keeps its own stack, so depth is bounded by
-# memory only.
+# of `graph.BindingFrames`, the walk that builds a `LabelIndex`, the
+# printers `simpl.pretty_simpl` and `lam.pretty_lambda`): each keeps its own
+# stack, or climbs its parent links, so depth is bounded by memory only.
 
 Pairs = Iterable[tuple[Term, E]]
 
@@ -534,9 +533,10 @@ def rename(t: Term, pi: Mapping[Label, str]) -> Term:
 
 
 # A compound at one position of an indexed term: [its current node, the
-# spine of its parent, its index there, its depth]. Positions share their
-# prefixes through the parent spines. Plain lists, because building them
-# is most of the cost of an index.
+# spine of its parent, its index there, its depth, and while the index is
+# built, the iterator over its children and the index of the child it gave
+# last]. Positions share their prefixes through the parent spines. Plain
+# lists, because building them is most of the cost of an index.
 Spine = list
 
 
@@ -552,35 +552,62 @@ class LabelIndex:
     label the last `rename` respelled to its previous spelling. `counts`
     maps each spelling of the term to the number of its labels that have
     it: `rename` keeps it up to date, and drops a spelling no label has
-    any more, so its keys are the spellings in use. Built by one walk.
+    any more, so its keys are the spellings in use. Each occurrence is
+    numbered in the order the names of t stand left to right, which is the
+    order a resolve meets them (`BindingFrames.met`): `occurrences` gives
+    those numbers. Built by one walk, which counts the spellings too.
     """
 
     def __init__(self, t: Term, spelling: dict[Label, str]) -> None:
         # A holder above the root, so that the root is a position too.
-        self._holder: Spine = [Compound((t,)), None, 0, 0]
+        self._holder: Spine = [Compound((t,)), None, 0, 0, None, -1]
         self.spelling = spelling
-        # A plain dict: a Counter's item access is slower.
-        self.counts: dict[str, int] = dict(Counter(spelling.values()))
+        self.counts: dict[str, int] = {}
+        counts = self.counts
         self.respelled: dict[Label, str] = {}
-        # label -> spine, index, spine, index, ... of its occurrences
+        # label -> spine, index, number, spine, index, number, ... of its
+        # occurrences, left to right
         self._at: dict[Label, list] = {}
         at = self._at
-        stack = [self._holder]
-        while stack:
-            spine = stack.pop()
-            depth = spine[3] + 1
-            i = -1
-            for child in spine[0].children:
+        k = 0  # the number of the next occurrence
+        # A child compound is walked where it is met, and then the walk
+        # climbs back to its parent spine and resumes that one's children.
+        spine = self._holder
+        children, i = iter(spine[0].children), -1
+        while True:
+            for child in children:
                 i += 1
                 kind = child.__class__
-                if kind is Compound:
-                    stack.append([child, spine, i, depth])
-                elif kind is Name:
+                if kind is Name:
                     places = at.get(child.label)
                     if places is None:
-                        at[child.label] = [spine, i]
+                        at[child.label] = [spine, i, k]
+                        text = child.text
+                        counts[text] = counts.get(text, 0) + 1
                     else:
-                        places += spine, i
+                        places += spine, i, k
+                    k += 1
+                elif kind is Compound:
+                    spine[4], spine[5] = children, i
+                    spine = [child, spine, i, spine[3] + 1, None, -1]
+                    children, i = iter(child.children), -1
+                    break
+            else:
+                spine = spine[1]
+                if spine is None:
+                    break
+                children, i = spine[4], spine[5]
+                spine[4] = None
+
+    def occurrences(self, v: Label) -> list[int]:
+        """The numbers of the occurrences of label v, left to right."""
+        return self._at[v][2::3]
+
+    def carried(self, v: Label, j: int) -> Label:
+        """Label v as the name at its j-th occurrence carries it, with its
+        provenance, which may differ from v's."""
+        places = self._at[v]
+        return places[3 * j][0].children[places[3 * j + 1]].label
 
     @property
     def term(self) -> Term:
@@ -608,7 +635,7 @@ class LabelIndex:
             else:
                 del counts[old]
             places = iter(self._at[label])
-            for spine, i in zip(places, places):
+            for spine, i, _ in zip(places, places, places):
                 entry = edited.get(id(spine))
                 if entry is None:
                     entry = edited[id(spine)] = (spine[3], spine, list(spine[0].children))

@@ -220,34 +220,51 @@ class TestRepairFlags:
 
 
 def count_resolves(argv):
-    """main(argv)'s exit code and how many whole-term resolves it ran: each
-    builds the term's BindingFrames, whether through a resolver or as
-    name_fix's target resolve."""
-    init = BindingFrames.__init__
-    calls = []
+    """main(argv)'s exit code, how many whole-term resolves it ran, each of
+    which builds the term's BindingFrames, whether through a resolver or as
+    name_fix's target resolve, and how many repair indexes it built: the
+    one walk a repair makes at its first capture, a `LabelIndex`."""
+    inits = {cls: cls.__init__ for cls in (BindingFrames, term.LabelIndex)}
+    calls = {cls: [] for cls in inits}
 
-    def counting(self, t, *rest):
-        calls.append(t)
-        init(self, t, *rest)
+    def counting(cls):
+        def init(self, t, *rest):
+            calls[cls].append(t)
+            inits[cls](self, t, *rest)
 
-    BindingFrames.__init__ = counting
+        return init
+
+    for cls in inits:
+        cls.__init__ = counting(cls)
     try:
-        return main(argv), len(calls)
+        return main(argv), len(calls[BindingFrames]), len(calls[term.LabelIndex])
     finally:
-        BindingFrames.__init__ = init
+        for cls, init in inits.items():
+            cls.__init__ = init
 
 
 def test_emit_graphs_resolves_each_drawn_term(tmp_path, capsys):
     p = tmp_path / "p.spl"
     p.write_text(OR_AND)
     # The source and the naive target: the repair round re-binds the
-    # target's references instead of resolving it again.
-    assert count_resolves(["inline", str(p), "and"]) == (0, 2)
+    # target's references instead of resolving it again, through the one
+    # index its capture built.
+    assert count_resolves(["inline", str(p), "and"]) == (0, 2, 1)
     # Repair keeps no graph, so the drawing resolves the naive target again
     # and the term of its one round.
-    assert count_resolves(["inline", "--emit-graphs", str(p), "and"]) == (0, 4)
-    # Without repair, one resolve of the target gives its capture and its file.
-    assert count_resolves(["inline", "--no-fix", "--emit-graphs", str(p), "and"]) == (0, 2)
+    assert count_resolves(["inline", "--emit-graphs", str(p), "and"]) == (0, 4, 1)
+    # Without repair, one resolve of the target gives its capture and its
+    # file, and nothing builds an index.
+    assert count_resolves(["inline", "--no-fix", "--emit-graphs", str(p), "and"]) == (0, 2, 0)
+
+
+def test_capture_free_compile_resolves_twice_and_builds_no_index(tmp_path, capsys):
+    p = tmp_path / "m.stm"
+    p.write_text("state idle\n  go => busy\nstate busy\n  stop => idle\n")
+    # The machine and its naive compilation; no capture, so no repair index.
+    assert count_resolves(["compile", str(p)]) == (0, 2, 0)
+    naive = statemachine.compile_machine(statemachine.parse_stm(p.read_text()))
+    assert capsys.readouterr().out == simpl.pretty_simpl(naive)
 
 
 # (command, input extension, fixture, trailing arguments, naive

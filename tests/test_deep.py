@@ -267,11 +267,11 @@ def assert_rebinds_like_reference(resolver, resolve, t, pis):
     """After each respelling of `pis`, the graph re-bound through t's
     BindingFrames is the reference resolver's graph of the respelled term."""
     frames = BindingFrames(t, resolver.scopes, resolver.top(t))
+    g = NameGraph(frames.spelling, frames.edges)
     index = LabelIndex(t, frames.spelling)
-    g = frames.graph
     for pi in pis:
         term = index.rename(pi)
-        drop, add = frames.rebind(index.respelled)
+        drop, add = frames.rebind(index)
         g = NameGraph(g.labels, g.edges - drop | add)
         assert typed(g) == typed(resolve(term))
 

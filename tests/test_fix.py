@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from namefix import simpl, statemachine
 from namefix.fix import (
     CaptureKind,
     IterationBudgetExceeded,
@@ -20,7 +21,7 @@ from namefix.lam import (
     pretty_lambda,
     resolve_lambda,
 )
-from namefix.term import Label, Name, Provenance, compound, labels_of, name_at, spellings
+from namefix.term import Label, LabelIndex, Name, Provenance, compound, labels_of, name_at, spellings
 
 import reference
 from reference import mark
@@ -214,28 +215,60 @@ class TestNameFixTraces:
         text = result.trace.format()
         assert "iteration 1" in text and "pi_src" in text and "pi_syn" in text
 
-    def test_a_repair_builds_one_name_graph_however_many_rounds(self, monkeypatch):
-        # The target's first resolve is the only graph: later rounds re-bind
-        # through its frames and keep just the capture set.
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
-        import workloads
-        from namefix import simpl
-
-        src, var, repl = workloads.gen_open_program(random.Random(1), 50)
-        p = simpl.parse_simpl(src)
-        gs = simpl.resolve_simpl(p)
-        t = simpl.subst_prog(p, var, simpl.parse_simpl_exp(repl))
-        init = NameGraph.__init__
-        built = []
-
-        def counting(self, *args):
-            built.append(self)
-            init(self, *args)
-
-        monkeypatch.setattr(NameGraph, "__init__", counting)
+    def test_a_repair_builds_no_target_graph_however_many_rounds(self, monkeypatch):
+        # Capture is classified off the edges of the target's resolve, and
+        # later rounds re-bind through its frames and keep just the capture
+        # set.
+        gs, t = open_subst(monkeypatch, 50)
+        built = counted_inits(monkeypatch, NameGraph)
         result = name_fix(gs, t, simpl.SIMPL_RESOLVER)
         assert len(result.trace) > 1
+        assert built == []
+
+    def test_only_a_capture_builds_the_repair_index_and_only_once(self, monkeypatch):
+        gs, t = open_subst(monkeypatch, 200)
+        built = counted_inits(monkeypatch, LabelIndex)
+        assert len(name_fix(gs, t, simpl.SIMPL_RESOLVER).trace) == 40
         assert len(built) == 1
+        built.clear()
+        import workloads
+
+        m = statemachine.parse_stm(workloads.gen_machine(random.Random(1), 100, clash=False).text)
+        p = simpl.parse_simpl("fun f(x) = x + y;\nf(y)")
+        s = parse_lambda(r"\x. x (\y. y x) z")
+        for gs, t, r in (
+            (statemachine.resolve_machine(m), statemachine.compile_machine(m), simpl.SIMPL_RESOLVER),
+            (simpl.resolve_simpl(p), simpl.subst_prog(p, "y", simpl.parse_simpl_exp("z + 1")), simpl.SIMPL_RESOLVER),
+            (resolve_lambda(s), s, LAMBDA_RESOLVER),
+        ):
+            result = name_fix(gs, t, r)
+            assert result.term is t and not result.trace
+        assert built == []
+
+
+def counted_inits(monkeypatch, cls):
+    """The instances of cls built from now on, in a list that grows."""
+    init = cls.__init__
+    built = []
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def open_subst(monkeypatch, n):
+    """The source graph of the spl-mix open program of n functions (seed
+    1) and the naive output of its `subst`, which takes n // 5 rounds to
+    repair."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    import workloads
+
+    src, var, repl = workloads.gen_open_program(random.Random(1), n)
+    p = simpl.parse_simpl(src)
+    return simpl.resolve_simpl(p), simpl.subst_prog(p, var, simpl.parse_simpl_exp(repl))
 
 
 class TestMarkInteraction:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import reference
 from namefix import lam, simpl
 from namefix.fix import IterationBudgetExceeded, comp_renaming, find_capture, gensym, name_fix, rewind
-from namefix.graph import BindingFrames, NameGraph, Resolver, alpha_equiv_relabel
+from namefix.graph import BindingFrames, NameGraph, Resolver, alpha_equiv_relabel, scoped_names, sub_alpha_equiv
 from namefix.lam import LAMBDA_RESOLVER, pretty_lambda, resolve_lambda
 from namefix.simpl import (
     SIMPL_RESOLVER,
@@ -178,6 +178,13 @@ REBINDING_CASES = {
 }
 
 
+def frames_graph(q, scopes, top):
+    """The name graph of the BindingFrames of q under `scopes` and `top`:
+    its spelling map's labels and its edges."""
+    frames = BindingFrames(q, scopes, top(q))
+    return NameGraph(frames.spelling, frames.edges)
+
+
 def test_resolvers_carry_their_binding_forms():
     """Each bundled resolver's `resolve` is its module function (the
     benchmark tracer finds resolvers by it) and is the graph `BindingFrames`
@@ -193,7 +200,7 @@ def test_resolvers_carry_their_binding_forms():
         (LAMBDA_RESOLVER, resolve_lambda, s),
     ):
         assert resolver.resolve is resolve
-        assert typed(BindingFrames(q, resolver.scopes, resolver.top(q)).graph) == typed(resolve(q))
+        assert typed(frames_graph(q, resolver.scopes, resolver.top)) == typed(resolve(q))
 
 
 def counted_rules(scopes):
@@ -227,7 +234,7 @@ def test_rules_run_only_at_compounds_of_their_tag(seed):
         (LAMBDA_RESOLVER, mutate_lambda(rng, s)),
     ):
         scopes, calls = counted_rules(resolver.scopes)
-        assert typed(BindingFrames(q, scopes, resolver.top(q)).graph) == typed(resolver.resolve(q))
+        assert typed(frames_graph(q, scopes, resolver.top)) == typed(resolver.resolve(q))
         assert all(tag(c) == key for key, c in calls)
         ruled = [c for c in subterms(q) if tag(c) in resolver.scopes]
         assert sorted(id(c) for _, c in calls) == sorted(map(id, ruled))
@@ -309,6 +316,15 @@ def test_rebinding_binds_the_label_the_term_carries():
             repair(resolve_lambda(source), target, LAMBDA_RESOLVER)
 
 
+def test_rebinding_binds_the_reference_as_it_occurs_not_as_declared():
+    """Label 5 is declared synthesized, @'5, and referenced as source, x@5,
+    under an inner x: respelling that inner x re-binds x@5 to @'5, and the
+    new edge carries the reference's own provenance, not the binder's,
+    which the term meets first."""
+    t = lam.lam(x(5, True), lam.lam(x(7), x(5)))
+    assert_rebinds_like_resolve(LAMBDA_RESOLVER, t, [{x(7).label: "z"}])
+
+
 def test_rebinding_names_the_declaration_captured_again():
     """On the same term repair stops in round 2, which captures @1 again,
     and names @1, its round and the edge, with binding frames and with a
@@ -386,6 +402,94 @@ def test_clashing_machines(seed):
     m = parse_stm(src + f"state {rng.choice(['event', 'state'])}\n")
     result = assert_same_repair(resolve_machine(m), compile_machine(m), SIMPL_RESOLVER)
     assert result.trace.steps
+
+
+def generated_terms(rng):
+    """Generated terms of each language, each with its resolver. Two share
+    one node object between positions: `compile_machine` reuses each
+    state's Name, and `subst_prog` places its one replacement object at
+    every site."""
+    p = parse_simpl(gen_simpl_source(rng, n_fdefs=rng.randrange(1, 8)))
+    m = parse_stm(gen_machine_source(rng))
+    s = gen_lambda(rng)
+    repl = parse_simpl_exp(rng.choice(["2 * n", "x + y", "f(1)", "let x = 2 in x + z"]))
+    return [
+        (SIMPL_RESOLVER, p),
+        (SIMPL_RESOLVER, compile_machine(m)),
+        (SIMPL_RESOLVER, subst_prog(p, rng.choice(["x", "y", "z", "n"]), repl)),
+        (STM_RESOLVER, m),
+        (LAMBDA_RESOLVER, s),
+        (LAMBDA_RESOLVER, mutate_lambda(rng, s)),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_binding_forms_list_names_left_to_right(seed):
+    """Each language's rules list the names of a term in the order they
+    stand in it, left to right, position by position: so the k-th frame the
+    resolve notes in `BindingFrames.met` is that of the occurrence
+    `LabelIndex` numbers k, which repair relies on."""
+    for resolver, q in generated_terms(random.Random(seed)):
+        listed = scoped_names(q, (), resolver.scopes, lambda env, names: env)
+        names = list(iter_names(q))
+        assert len(listed) == len(names)
+        assert all(a is b for (a, _), b in zip(listed, names))
+        frames = BindingFrames(q, resolver.scopes, resolver.top(q))
+        assert [f is None for f in frames.met] == [env is None for _, env in listed]
+        index = LabelIndex(q, dict(frames.spelling))
+        numbered = sorted(k for v in frames.spelling for k in index.occurrences(v))
+        assert numbered == list(range(len(names)))
+        for v in frames.spelling:
+            for j, k in enumerate(index.occurrences(v)):
+                assert index.carried(v, j) is names[k].label
+
+
+def shared(t) -> int:
+    """How many node objects stand at more than one position of t."""
+    return sum(1 for c in Counter(map(id, subterms(t))).values() if c > 1)
+
+
+SHARED_SUBST = [
+    # The replacement's g is captured by each top-level g in turn.
+    ("fun g(a) = a;\nfun g(b) = b + 1;\nfun g(c) = c * 2;\nfun f(x) = g(x) + y;\nf(y) + g(y)", "y", "g + 1"),
+    # Its z is captured under the let, and free at the other sites.
+    ("fun f(x) = let z = 1 in x + y + z;\nf(y) * y", "y", "z * 2"),
+]
+
+
+@pytest.mark.parametrize("src, var, repl", SHARED_SUBST)
+def test_repair_of_one_replacement_at_every_site(src, var, repl):
+    p = parse_simpl(src)
+    gs = resolve_simpl(p)
+    t = subst_prog(p, var, parse_simpl_exp(repl))
+    assert shared(t)
+    result = assert_same_repair(gs, t, SIMPL_RESOLVER)
+    assert result.trace.steps
+    assert sub_alpha_equiv(t, result.term, gs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_repair_of_nodes_shared_between_positions(seed):
+    """Repair respells a node shared between positions at every one, and
+    re-binds each position in its own scope: compiled machines, whose state
+    Names the compilation reuses, and substitutions, whose one replacement
+    object stands at every site."""
+    rng = random.Random(seed)
+    m = parse_stm(gen_machine_source(rng) + f"state {rng.choice(['event', 'state'])}\n")
+    t = compile_machine(m)
+    assert shared(t)
+    gs = resolve_machine(m)
+    result = assert_same_repair(gs, t, SIMPL_RESOLVER)
+    assert result.trace.steps
+    assert sub_alpha_equiv(t, result.term, gs)
+    p = parse_simpl(gen_simpl_source(rng))
+    gs = resolve_simpl(p)
+    repl = parse_simpl_exp(rng.choice(["2 * n", "x + y", "f(1)", "let x = 2 in x + z"]))
+    t = subst_prog(p, rng.choice(["x", "y", "z", "n"]), repl)
+    result = assert_same_repair(gs, t, SIMPL_RESOLVER)
+    assert sub_alpha_equiv(t, result.term, gs)
 
 
 @pytest.mark.parametrize("n", [50, 100])
@@ -539,12 +643,12 @@ def assert_rebinds_like_resolve(resolver, t, pis):
     """After each respelling of `pis`, the graph BindingFrames carries is
     the resolved graph of the respelled term, provenance included."""
     frames = BindingFrames(t, resolver.scopes, resolver.top(t))
+    g = NameGraph(frames.spelling, frames.edges)
     index = LabelIndex(t, frames.spelling)
-    g = frames.graph
     assert typed(g) == typed(resolver.resolve(t))
     for pi in pis:
         term = index.rename(pi)
-        drop, add = frames.rebind(index.respelled)
+        drop, add = frames.rebind(index)
         assert not drop & add
         g = NameGraph(g.labels, g.edges - drop | add)
         assert typed(g) == typed(resolver.resolve(term))

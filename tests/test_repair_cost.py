@@ -10,7 +10,8 @@ through counters inside the library:
 
 - gensym candidates tried: `in` tests on the used set gensym is handed;
 - spellings scanned to build that set: values read off the term's spelling
-  map (`BindingFrames.spelling`, which repair respells);
+  map (`BindingFrames.spelling`, which repair respells), and the labels a
+  `LabelIndex` counts by spelling as it is built;
 - top positions moved by `BindingFrames.rebind`: positions that end a
   round in a bucket list other than the one that held them before it;
 - `BindingFrames._lookup` calls made by `rebind`.
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from namefix import fix, simpl
 from namefix.graph import BindingFrames
-from namefix.term import spellings
+from namefix.term import LabelIndex, spellings
 
 SIZES = (100, 200, 400, 800)
 KINDS = ("gensym candidates", "spellings scanned", "top positions moved", "rebind lookups")
@@ -53,7 +54,7 @@ def counted_repair(monkeypatch, gs, t) -> tuple[dict[str, int], int]:
                 counts["spellings scanned"] += 1
                 yield s
 
-    gensym, init = fix.gensym, BindingFrames.__init__
+    gensym, init, index_init = fix.gensym, BindingFrames.__init__, LabelIndex.__init__
     rebind, lookup = BindingFrames.rebind, BindingFrames._lookup
 
     def counting_gensym(base, used, *rest):
@@ -63,11 +64,15 @@ def counted_repair(monkeypatch, gs, t) -> tuple[dict[str, int], int]:
         init(self, *args)
         self.spelling = Scanned(self.spelling)
 
-    def counting_rebind(self, respelled):
+    def counting_index_init(self, t, spelling):
+        index_init(self, t, spelling)
+        counts["spellings scanned"] += len(self.spelling)
+
+    def counting_rebind(self, index):
         before = {s: (bucket, set(bucket)) for s, bucket in self._tops.items()}
         in_rebind[0] = True
         try:
-            out = rebind(self, respelled)
+            out = rebind(self, index)
         finally:
             in_rebind[0] = False
         for s, bucket in self._tops.items():
@@ -81,6 +86,7 @@ def counted_repair(monkeypatch, gs, t) -> tuple[dict[str, int], int]:
 
     monkeypatch.setattr(fix, "gensym", counting_gensym)
     monkeypatch.setattr(BindingFrames, "__init__", scanned_init)
+    monkeypatch.setattr(LabelIndex, "__init__", counting_index_init)
     monkeypatch.setattr(BindingFrames, "rebind", counting_rebind)
     monkeypatch.setattr(BindingFrames, "_lookup", counting_lookup)
     result = fix.name_fix(gs, t, simpl.SIMPL_RESOLVER)
