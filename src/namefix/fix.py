@@ -9,18 +9,20 @@ Cost of a repair round. For a resolver stated by binding forms, the
 target's resolve is `BindingFrames`: one walk over the term that calls
 into the language only at the compounds its table of binding forms has a
 rule for, and keeps only what its lookups need, the frames, the edges,
-the spelling map and the top declarations, plus the frame of each name
-in one flat list; capture is found on those edges, and no graph of the
-target is built. Renaming never changes a term's shape, so at the first
-capture one walk builds a `LabelIndex`: the label positions, a count of
-each spelling's labels, and a number for each occurrence, in the order
-the resolve met it. Every round respells the resolve's spelling map
-through it. The index notes each label it respelled; `comp_renaming`
-spells them fresh, so `BindingFrames.rebind` re-binds only those labels
-and the references bound to them: no other reference can see a
-different declaration of its spelling. The first re-binding of a
-reference reads its occurrence frames by their numbers and groups them
-by the binder each sees; a later one looks up only the frames of a
+the first name of each label and the top declarations, plus the frame of
+each name in one flat list; capture is found on those edges, and no
+graph of the target is built. Renaming never changes a term's shape, so
+at the first capture one walk builds a `LabelIndex`: the label
+positions, a count of each spelling's labels, and a number for each
+occurrence, in the order the resolve met it. Every round respells
+through it a spelling map made from the resolve's names. The index notes
+each label it respelled, as the term carries it; `comp_renaming` spells
+them fresh, so `BindingFrames.rebind` re-binds only those labels and the
+references bound to them: no other reference can see a different
+declaration of its spelling. Each reference has one record, made from
+the edges at the first re-binding: its declarations, and its occurrence
+frames, read by their numbers when it is first looked up and grouped by
+the binder each sees; a later re-binding looks up only the frames of a
 respelled binder, unless the reference was respelled itself. The edge
 delta this yields updates the capture set by one rule:
 dropped edges leave it, and added edges are classified, since the source
@@ -297,7 +299,8 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
                 f"is captured again in round {len(steps) + 1}: {e}"
             )
         if index is None:
-            index = LabelIndex(t, spellings(t) if frames is None else frames.spelling)
+            spell = spellings(t) if frames is None else {v: n.text for v, n in frames.names.items()}
+            index = LabelIndex(t, spell)
         used = _Taken(index.counts)
         pair = comp_renaming(gs, index.spelling, capture, used, cursor)
         current = index.rename(pair.combined())

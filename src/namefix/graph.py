@@ -28,6 +28,7 @@ from .term import (
     E,
     Compound,
     Const,
+    InconsistentLabel,
     Label,
     LabelIndex,
     Name,
@@ -227,19 +228,23 @@ class BindingFrames:
     declarations, it binds to the first that carries its label, else to the
     last. The resolve keeps only what its lookups need and what repair
     reads: `edges`, the binding edges of t, as (reference, declaration)
-    pairs; `spelling`, every label of t mapped to its spelling, which repair
-    respells in place (`LabelIndex`) and `rebind` reads; the frames, the
-    lookup memos and the top declarations; and `met`, the frame of every
-    name of t in the order the walk meets them, None for a declaration.
-    Every rule lists its names left to right, so that order is the term's
-    own: `met[k]` is the frame of the occurrence a `LabelIndex` of t
-    numbers k. Built by one explicit-stack walk over the table of binding
-    forms, which raises InconsistentLabel; nothing here recurses.
+    pairs; `names`, every label of t mapped to the first name carrying it,
+    from which repair makes the spelling map of its `LabelIndex`; the
+    frames, the lookup memos and the top declarations; and `met`, the frame
+    of every name of t in the order the walk meets them, None for a
+    declaration. Every rule lists its names left to right, so that order is
+    the term's own: `met[k]` is the frame of the occurrence a `LabelIndex`
+    of t numbers k.
+
+    The term must carry each label id with one spelling and one
+    provenance: the walk compares each name with the first of its id, and
+    raises InconsistentLabel when either differs. Built by one
+    explicit-stack walk over the table of binding forms; nothing recurses.
     """
 
     __slots__ = (
-        "edges", "spelling", "met", "_frames", "_top", "_tops", "_first",
-        "_bound", "_resolved", "_referrers", "_top_at", "_groups",
+        "edges", "names", "met", "_spelling", "_frames", "_top", "_tops", "_first",
+        "_refs", "_referrers", "_top_at",
     )
 
     def __init__(self, t: Term, scopes: Scopes, top: Iterable[Name]) -> None:
@@ -260,25 +265,22 @@ class BindingFrames:
             declared.append(n.label)
             picks[n.text] = _SEVERAL if n.text in picks else n.label
         self._top, self._tops, self._first = declared, at, first
-        spell: dict[Label, str] = {}
-        self.spelling = spell
+        names: dict[Label, Name] = {}
+        self.names = names
+        self._spelling: dict[Label, str] = {}  # the last rebind's index's
         self.met: list[int | None] = []
         note = self.met.append
         edges: set[Edge] = set()
         self.edges = edges
         # Built by the first rebind, from the edges and the top
         # declarations, and kept up to date by each: reference label -> its
-        # declarations, for each reference rebound or bound to several;
-        # reference label -> its one declaration as the edges give it;
-        # declaration label -> the references bound to it; top declaration
-        # label -> its positions in `_top`; reference label -> itself as the
-        # term first carries it, and its occurrence frames rebound so far,
-        # by the binder each sees.
-        self._bound: dict[Label, set[Label]] | None = None
-        self._resolved: dict[Label, Label]
+        # record, [its occurrence frames by the binder each sees, or None
+        # until a rebind looks them up, then its declarations]; declaration
+        # label -> the references bound to it; top declaration label -> its
+        # positions in `_top`.
+        self._refs: dict[Label, list] | None = None
         self._referrers: dict[Label, set[Label]]
         self._top_at: dict[Label, list[int]]
-        self._groups: dict[Label, tuple[Label, dict[Label | None, list[int]]]]
         # spelling -> what it means at frame 0, at each frame binding it
         # and at each frame _lookup passed, for every spelling that a binder
         # met so far has; no other is bound in any scope
@@ -313,8 +315,10 @@ class BindingFrames:
                 kind = x.__class__
                 if kind is Name:
                     label, text = x.label, x.text
-                    if spell.setdefault(label, text) != text:
-                        note_spelling(spell, x)  # raises InconsistentLabel
+                    n = names.setdefault(label, x)
+                    if n is not x and (n.text != text or n.label.__class__ is not label.__class__):
+                        note_spelling({label: n.text}, x)  # raises InconsistentLabel
+                        raise InconsistentLabel(f"label id {label.id} occurs as both {n.label!r} and {label!r}")
                     note(env)
                     if env is None:
                         continue
@@ -352,10 +356,10 @@ class BindingFrames:
         `memo` holds what s means at frames looked up before, frame 0 (which
         binds nothing) among them: the answer is noted there for every frame
         passed, and read from it where the chain meets such a frame, so each
-        frame is looked up once per spelling. A binder the walk has not met
-        yet, and so is missing from `spelling`, is spelled as its Name node
+        frame is looked up once per spelling. A binder is spelled as the
+        spelling map of the last rebind's index says, else as its Name node
         says."""
-        frames, spelling = self._frames, self.spelling
+        frames, spelling = self._frames, self._spelling
         path = []
         decl = _UNSEEN
         while decl is _UNSEEN:
@@ -373,46 +377,37 @@ class BindingFrames:
 
     def rebind(self, index: LabelIndex) -> tuple[set[Edge], set[Edge]]:
         """The edges to drop from the term's edges and to add to them after
-        `index`, a `LabelIndex` of the term over `spelling`, respelled it:
-        `index.respelled` maps each label respelled to its previous
-        spelling, and `spelling` is respelled in place. Each new spelling
-        must be fresh: no label outside `respelled` has it. A reference not
-        respelled then keeps its spelling and every binder of it but the
-        respelled ones, so only a respelled reference or one bound to a
-        respelled label can bind differently, and only those are looked up.
-        From then on the frames describe the respelled term; `edges` is left
-        as it was.
+        `index`, a `LabelIndex` of the term, respelled it: `index.respelled`
+        maps each label respelled, as the term carries it, to its previous
+        spelling, and `index.spelling` gives every label's spelling now.
+        Each new spelling must be fresh: no label outside `respelled` has
+        it. A reference not respelled then keeps its spelling and every
+        binder of it but the respelled ones, so only a respelled reference
+        or one bound to a respelled label can bind differently, and only
+        those are looked up. From then on the frames describe the respelled
+        term; `edges` is left as it was.
 
-        The first rebind of a reference reads the frames of its
-        occurrences, by their numbers in `index`, from `met`, and groups
-        them by the binder each one sees, or under None when none binds its
-        spelling there: those bind to the top declaration its spelling
-        picks, if any, all alike. A later rebind of a reference not
-        respelled looks up again only the frames of a respelled binder, and
-        picks the top declaration again. Only the respelled top declarations
-        move to the bucket of their new spelling; each bucket stays sorted,
-        so its last position is the last declaration of the spelling."""
+        Each reference has one record, made from the edges at the first
+        rebind: its declarations, and its occurrence frames grouped by the
+        binder each sees, or under None when none binds its spelling there:
+        those bind to the top declaration its spelling picks, if any, all
+        alike. The frames are read from `met`, by the occurrences' numbers
+        in `index`, when a rebind first looks the reference up, or again
+        when it is respelled; a later rebind looks up only the frames of a
+        respelled binder, and picks the top declaration again. Only the
+        respelled top declarations move to the bucket of their new
+        spelling; each bucket stays sorted, so its last position is the
+        last declaration of the spelling."""
         respelled = index.respelled
-        spelling, tops, top = self.spelling, self._tops, self._top
-        bound = self._bound
-        if bound is None:
-            edges = self.edges
-            # a declaration of each reference, in one call; a reference
-            # with several has them all in `bound`
-            resolved = dict(edges)
-            bound = {}
-            if len(resolved) < len(edges):
-                for v, d in edges:
-                    if resolved[v] != d:
-                        ds = bound.get(v)
-                        if ds is None:
-                            bound[v] = {resolved[v], d}
-                        else:
-                            ds.add(d)
+        spelling, tops, top = index.spelling, self._tops, self._top
+        self._spelling = spelling
+        refs = self._refs
+        if refs is None:
+            refs = {}
             referrers: dict[Label, set[Label]] = {}
-            for v, d in edges:
-                # not setdefault: that makes a set per edge
-                vs = referrers.get(d)
+            for v, d in self.edges:
+                refs.setdefault(v, [None]).append(d)
+                vs = referrers.get(d)  # not setdefault: that makes a set per edge
                 if vs is None:
                     referrers[d] = {v}
                 else:
@@ -424,10 +419,9 @@ class BindingFrames:
                     top_at[d] = [i]
                 else:
                     positions.append(i)
-            self._bound, self._resolved = bound, resolved
-            self._referrers, self._top_at, self._groups = referrers, top_at, {}
+            self._refs, self._referrers, self._top_at = refs, referrers, top_at
         else:
-            resolved, referrers, top_at = self._resolved, self._referrers, self._top_at
+            referrers, top_at = self._referrers, self._top_at
         for d, was in respelled.items():
             positions = top_at.get(d)
             if positions:
@@ -437,52 +431,30 @@ class BindingFrames:
                     insort(into, i)
                 if not out:
                     del tops[was]
-        first, lookup, groups, met = self._first, self._lookup, self._groups, self.met
+        first, lookup, met = self._first, self._lookup, self.met
         drop: set[Edge] = set()
         add: set[Edge] = set()
         memos: dict[str, dict[int, Label | None]] = {}
         for v in respelled.keys() | set().union(*[referrers.get(d, ()) for d in respelled]):
-            group = groups.get(v)
-            if group is None or v in respelled:
-                # v as the term carries it where it first occurs as a
-                # reference: a respelled label may come with another
-                # provenance, as the source graph gives it
-                frames = list(map(met.__getitem__, index.occurrences(v)))
-                j = 0
-                if None in frames:  # v is declared too: keep its references
-                    refs = [f for f in frames if f is not None]
-                    if not refs:
-                        continue
-                    # only None comes before its first reference
-                    j, frames = frames.index(refs[0]), refs
-                v = index.carried(v, j)
-                by_binder = {}
-                groups[v] = (v, by_binder)
+            record = refs.setdefault(v, [None])
+            by_binder = record[0]
+            if by_binder is None or v in respelled:
+                frames = [f for f in map(met.__getitem__, index.occurrences(v)) if f is not None]
+                by_binder = record[0] = {}
             else:
-                v, by_binder = group
                 stale = [d for d in by_binder if d in respelled]
                 frames = [f for d in stale for f in by_binder.pop(d)]
             s = spelling[v]
-            if frames:
-                memo = memos.setdefault(s, {0: None})
-                for f in frames:
-                    decl = memo.get(f, _UNSEEN)
-                    if decl is _UNSEEN:
-                        decl = lookup(f, s, memo)
-                    same = by_binder.get(decl)
-                    if same is None:
-                        by_binder[decl] = [f]
-                    else:
-                        same.append(f)
-            decls = set(by_binder)
-            if None in decls:
-                decls.remove(None)
-                if at := tops.get(s):
-                    decls.add(first.get(v, top[at[-1]]))
-            old = bound.get(v)
-            if old is None:  # as the resolve bound it
-                d = resolved.get(v)
-                old = _NOTHING if d is None else {d}
+            memo = memos.setdefault(s, {0: None})
+            for f in frames:
+                decl = memo.get(f, _UNSEEN)
+                if decl is _UNSEEN:
+                    decl = lookup(f, s, memo)
+                by_binder.setdefault(decl, []).append(f)
+            decls = {d for d in by_binder if d is not None}
+            if None in by_binder and (at := tops.get(s)):
+                decls.add(first.get(v, top[at[-1]]))
+            old = set(record[1:])
             if decls != old:
                 for d in old - decls:
                     drop.add((v, d))
@@ -490,7 +462,7 @@ class BindingFrames:
                 for d in decls - old:
                     add.add((v, d))
                     referrers.setdefault(d, set()).add(v)
-                bound[v] = decls
+                record[1:] = decls
         return drop, add
 
 
@@ -544,7 +516,7 @@ class Resolver:
 
             def resolve(p: Term) -> NameGraph:
                 frames = BindingFrames(p, scopes, top(p))
-                return NameGraph(frames.spelling, frames.edges)
+                return NameGraph(frames.names, frames.edges)
 
             object.__setattr__(self, "resolve", resolve)
 

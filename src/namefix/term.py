@@ -32,7 +32,8 @@ class LabelNotFound(TermError):
 
 
 class InconsistentLabel(TermError):
-    """Occurrences of one label disagree on the name text (corrupt term)."""
+    """Occurrences of one label id disagree on the name text, or in a
+    resolve by binding forms on the provenance (corrupt term)."""
 
 
 class PinError(TermError):
@@ -59,8 +60,10 @@ class Label(int):
     `Label` is source, and `Label(id, Provenance.SYNTHESIZED)` makes an
     instance of a private subclass. Two consequences: `Label(3) == 3`, and
     `Label(0)` is falsy, so code never tests a label for truth (write
-    `is None`). A term gives each id one spelling and one provenance:
-    repair looks labels up by id and reads the provenance of the one found.
+    `is None`). A term gives each id one spelling and one provenance, as
+    origin tracking does (a copied name keeps its label, an invented one
+    gets a fresh id): repair looks labels up by id, and a resolve by
+    binding forms rejects a term that carries one id under both.
     """
 
     __slots__ = ()
@@ -543,19 +546,20 @@ Spine = list
 class LabelIndex:
     """The positions where each label of one term occurs, for respelling
     the term round after round, with `spelling`, every label's spelling as
-    `spellings(t)` or the resolve of t (`BindingFrames.spelling`) gives it.
+    `spellings(t)` or the resolve of t (`BindingFrames.names`) gives it.
 
     Renaming never changes a term's shape, so the index built once serves
     every later respelling: `rename` rebuilds only the compounds above the
     names it respells, shares every other subterm, and respells `spelling`
     in place, so the index describes the new term. `respelled` maps each
-    label the last `rename` respelled to its previous spelling. `counts`
-    maps each spelling of the term to the number of its labels that have
-    it: `rename` keeps it up to date, and drops a spelling no label has
-    any more, so its keys are the spellings in use. Each occurrence is
-    numbered in the order the names of t stand left to right, which is the
-    order a resolve meets them (`BindingFrames.met`): `occurrences` gives
-    those numbers. Built by one walk, which counts the spellings too.
+    label the last `rename` respelled, with the provenance the term gives
+    it, to its previous spelling. `counts` maps each spelling of the term
+    to the number of its labels that have it: `rename` keeps it up to date,
+    and drops a spelling no label has any more, so its keys are the
+    spellings in use. Each occurrence is numbered in the order the names of
+    t stand left to right, which is the order a resolve meets them
+    (`BindingFrames.met`): `occurrences` gives those numbers. Built by one
+    walk, which counts the spellings too.
     """
 
     def __init__(self, t: Term, spelling: dict[Label, str]) -> None:
@@ -603,12 +607,6 @@ class LabelIndex:
         """The numbers of the occurrences of label v, left to right."""
         return self._at[v][2::3]
 
-    def carried(self, v: Label, j: int) -> Label:
-        """Label v as the name at its j-th occurrence carries it, with its
-        provenance, which may differ from v's."""
-        places = self._at[v]
-        return places[3 * j][0].children[places[3 * j + 1]].label
-
     @property
     def term(self) -> Term:
         return self._holder[0].children[0]
@@ -626,7 +624,6 @@ class LabelIndex:
             old = spelling.get(label)
             if old is None or old == text:
                 continue
-            respelled[label] = old
             spelling[label] = text
             counts[text] = counts.get(text, 0) + 1
             left = counts[old] - 1
@@ -641,6 +638,7 @@ class LabelIndex:
                     entry = edited[id(spine)] = (spine[3], spine, list(spine[0].children))
                 children = entry[2]
                 children[i] = Name(text, children[i].label)
+            respelled[children[i].label] = old  # as the term carries it
         if not edited:
             return self.term
         # Every compound above a respelled name is rebuilt, deepest first.

@@ -10,6 +10,7 @@ copied names keep their labels.
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 from namefix.graph import NameGraph
 from namefix.lam import add as ladd
@@ -20,11 +21,16 @@ from namefix.term import (
     Label,
     LabelAllocator,
     Name,
+    Provenance,
     Term,
+    fold,
     fresh_source_label,
     iter_names,
     labels_of,
     rename,
+    share,
+    subterms,
+    tag,
 )
 
 NAME_POOL = ["x", "y", "z", "f", "g"]
@@ -78,6 +84,57 @@ def mutate_lambda(rng: random.Random, s: Term) -> Term:
         else:
             t = ladd(Name(pick_name(), syn.fresh()), t)
     return t
+
+
+# ---------------------------------------------------------------------------
+# Every small lambda term, and naive outputs planted in each
+
+SMALL_POOL = ("x", "y")
+
+
+def every_lambda(n: int) -> Iterator[Term]:
+    """Every lambda term of at most n nodes, smallest first, with names
+    spelled from SMALL_POOL and labelled 1, 2, ... (source) in the order
+    they stand. A node is a name, the constant 0, an `app`, an `add`, or a
+    `lam` together with its binder."""
+    by_size: list[list[Term]] = [[]]
+    for size in range(1, n + 1):
+        if size == 1:
+            terms: list[Term] = [Name(s, Label(0)) for s in SMALL_POOL] + [Const(0)]
+        else:
+            terms = [lam(Name(s, Label(0)), body) for s in SMALL_POOL for body in by_size[size - 1]]
+            for i in range(1, size - 1):
+                for a in by_size[i]:
+                    for b in by_size[size - 1 - i]:
+                        terms += [app(a, b), ladd(a, b)]
+        by_size.append(terms)
+        for t in terms:
+            ids = iter(range(1, size + 1))
+            yield fold(t, lambda name: Name(name.text, Label(next(ids))))
+
+
+def planted_targets(s: Term) -> Iterator[Term]:
+    """Naive outputs of s that copy its names: under each `lam` of s, its
+    body plus a copy of one subterm of s, as it is (the same node) or with
+    every name flipped to synthesized, ids kept; each target then also
+    under a synthesized outer binder spelled SMALL_POOL[0]. A flipped copy
+    of a subterm with names carries their ids under the other provenance
+    too."""
+    nodes = subterms(s)
+    copies: list[Term] = []
+    for u in nodes:
+        flipped = fold(u, lambda name: Name(name.text, Label(name.label.id, Provenance.SYNTHESIZED)))
+        copies += [u] if flipped is u else [u, flipped]
+    outer = Name(SMALL_POOL[0], LabelAllocator.after(labels_of(s)).fresh())
+    for site in nodes:
+        if tag(site) != "lam":
+            continue
+        binder, body = site.children[1], site.children[2]
+        for copy in copies:
+            planted = lam(binder, ladd(body, copy))
+            t = fold(s, node=lambda c, parts: planted if c is site else share(c, parts))
+            yield t
+            yield lam(outer, t)
 
 
 # ---------------------------------------------------------------------------

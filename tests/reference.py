@@ -9,7 +9,9 @@ the oracle for the library's version, which reads it off the name graph,
 and the state-machine resolver as two loops over the states, as the oracle
 for the library's, which `Resolver` derives from the machine's binding
 forms through the shared `graph.BindingFrames`, as it does every bundled
-resolver.
+resolver. Each resolver here rejects a term that carries one label id
+with two spellings or under both provenances (`resolved_labels`), as the
+library's resolve does, by a walk of its own.
 
 The tree walks below are plain recursive functions, one per walk, as the
 library had them before it ran every walk through the explicit-stack
@@ -63,7 +65,6 @@ from namefix.term import (
     compound,
     fold,
     iter_names,
-    note_spelling,
     show_name,
     spellings,
     tag,
@@ -99,6 +100,23 @@ def labels_of(t: Term) -> frozenset[Label]:
                 f"label {node.label!r} occurs as both {prior[1]!r} and {node.text!r}"
             )
     return frozenset(label for label, _ in seen.values())
+
+
+def resolved_labels(t: Term) -> frozenset[Label]:
+    """The labels of t, as a resolver gives them: each id must occur with
+    one spelling and one provenance, else InconsistentLabel."""
+    seen: dict[int, Name] = {}
+    for node in iter_names(t):
+        prior = seen.setdefault(node.label.id, node)
+        if prior.text != node.text:
+            raise InconsistentLabel(
+                f"label {prior.label!r} occurs as both {prior.text!r} and {node.text!r}"
+            )
+        if prior.label.provenance is not node.label.provenance:
+            raise InconsistentLabel(
+                f"label id {node.label.id} occurs as both {prior.label!r} and {node.label!r}"
+            )
+    return frozenset(node.label for node in seen.values())
 
 
 def names_of(t: Term) -> frozenset[str]:
@@ -359,16 +377,13 @@ def resolve_machine(m: Term) -> NameGraph:
         n = state_name(s)
         decls.setdefault(n.text, []).append(n.label)
     edges: set[tuple[Label, Label]] = set()
-    spell: dict[Label, str] = {}
     for s in machine_states(m):
-        note_spelling(spell, state_name(s))
         for t in state_transitions(s):
             target = trans_target(t)
-            note_spelling(spell, target)
             candidates = decls.get(target.text)
             if candidates:
                 edges.add((target.label, pick_declaration(candidates, target.label)))
-    return NameGraph(spell, edges)
+    return NameGraph(resolved_labels(m), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +515,7 @@ def resolve_simpl(p: Term) -> NameGraph:
         walk(fdef_body(f), env)
     for e in prog_main(p):
         walk(e, {})
-    return NameGraph(term.labels_of(p), edges)
+    return NameGraph(resolved_labels(p), edges)
 
 
 def declarations_of(p: Term) -> frozenset[Label]:
@@ -714,7 +729,7 @@ def resolve_lambda(p: Term) -> NameGraph:
                 walk(child, env)
 
     walk(p, {})
-    return NameGraph(term.labels_of(p), edges)
+    return NameGraph(resolved_labels(p), edges)
 
 
 def lam_declarations_of(p: Term) -> frozenset[Label]:

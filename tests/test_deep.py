@@ -37,7 +37,7 @@ from namefix.simpl import (
     resolve_simpl,
 )
 from namefix.statemachine import compile_machine, parse_stm, resolve_machine
-from namefix.term import Const, Label, LabelIndex, Name, Provenance, compound, fold, label_equiv
+from namefix.term import Const, Label, LabelIndex, Name, Provenance, compound, fold, label_equiv, spellings
 from test_oracle import respellings, typed
 
 STATES = 5_000
@@ -267,8 +267,8 @@ def assert_rebinds_like_reference(resolver, resolve, t, pis):
     """After each respelling of `pis`, the graph re-bound through t's
     BindingFrames is the reference resolver's graph of the respelled term."""
     frames = BindingFrames(t, resolver.scopes, resolver.top(t))
-    g = NameGraph(frames.spelling, frames.edges)
-    index = LabelIndex(t, frames.spelling)
+    g = NameGraph(frames.names, frames.edges)
+    index = LabelIndex(t, spellings(t))
     for pi in pis:
         term = index.rename(pi)
         drop, add = frames.rebind(index)

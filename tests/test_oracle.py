@@ -67,11 +67,13 @@ from namefix.term import (
 
 from gen import (
     ADVERSARIAL_STATE_NAMES,
+    every_lambda,
     gen_dispatch_clash_machine,
     gen_lambda,
     gen_machine_source,
     gen_simpl_source,
     mutate_lambda,
+    planted_targets,
 )
 
 seeds = st.integers(0, 2**32 - 1)
@@ -180,9 +182,9 @@ REBINDING_CASES = {
 
 def frames_graph(q, scopes, top):
     """The name graph of the BindingFrames of q under `scopes` and `top`:
-    its spelling map's labels and its edges."""
+    the labels of its names and its edges."""
     frames = BindingFrames(q, scopes, top(q))
-    return NameGraph(frames.spelling, frames.edges)
+    return NameGraph(frames.names, frames.edges)
 
 
 def test_resolvers_carry_their_binding_forms():
@@ -316,15 +318,6 @@ def test_rebinding_binds_the_label_the_term_carries():
             repair(resolve_lambda(source), target, LAMBDA_RESOLVER)
 
 
-def test_rebinding_binds_the_reference_as_it_occurs_not_as_declared():
-    """Label 5 is declared synthesized, @'5, and referenced as source, x@5,
-    under an inner x: respelling that inner x re-binds x@5 to @'5, and the
-    new edge carries the reference's own provenance, not the binder's,
-    which the term meets first."""
-    t = lam.lam(x(5, True), lam.lam(x(7), x(5)))
-    assert_rebinds_like_resolve(LAMBDA_RESOLVER, t, [{x(7).label: "z"}])
-
-
 def test_rebinding_names_the_declaration_captured_again():
     """On the same term repair stops in round 2, which captures @1 again,
     and names @1, its round and the edge, with binding frames and with a
@@ -338,6 +331,51 @@ def test_rebinding_names_the_declaration_captured_again():
             "declaration @1, renamed in round 1, is captured again in round 2: "
             "@'2 -> @1 (synthesized-reference-captured)"
         )
+
+
+def assert_two_provenances_rejected(t, *resolves):
+    """Each of `resolves` raises InconsistentLabel on t, which carries one
+    label id both as source and as synthesized."""
+    for resolve in resolves:
+        with pytest.raises(InconsistentLabel, match=r"^label id \d+ occurs as both @'?\d+ and @'?\d+$"):
+            resolve(t)
+
+
+def test_a_label_declared_synthesized_and_referenced_as_source_is_rejected():
+    """Label 5 is declared synthesized, @'5, and referenced as source, x@5:
+    one id under two provenances merges two names, so the resolve, the
+    reference resolver and both repair loops reject the term."""
+    t = lam.lam(x(5, True), lam.lam(x(7), x(5)))
+    assert_two_provenances_rejected(
+        t,
+        resolve_lambda,
+        reference.resolve_lambda,
+        lambda t: BindingFrames(t, LAMBDA_RESOLVER.scopes, ()),
+        lambda t: name_fix(resolve_lambda(t), t, LAMBDA_RESOLVER),
+        lambda t: reference.name_fix(resolve_lambda(t), t, LAMBDA_RESOLVER),
+    )
+
+
+def test_the_smallest_term_that_kept_a_capture_is_rejected():
+    r"""A copy of `(\z@2. z@3) + z@4` with every name flipped to
+    synthesized, planted under \z@2, carries @2 and @'2. Without the
+    provenance check, repair returns after one round with @'4 -> @1 still
+    captured. Both resolvers and both repair loops reject it."""
+    z = lambda i, synth=False: Name("z", lbl(i, synth))
+    source = lam.lam(z(1), lam.add(lam.lam(z(2), z(3)), z(4)))
+    copy = lam.add(lam.lam(z(2, True), z(3, True)), z(4, True))
+    target = lam.lam(
+        Name("y", lbl(5, True)),
+        lam.lam(z(1), lam.add(lam.lam(z(2), lam.add(z(3), copy)), z(4))),
+    )
+    gs = resolve_lambda(source)
+    assert_two_provenances_rejected(
+        target,
+        resolve_lambda,
+        reference.resolve_lambda,
+        lambda t: name_fix(gs, t, LAMBDA_RESOLVER),
+        lambda t: reference.name_fix(gs, t, LAMBDA_RESOLVER),
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -437,12 +475,16 @@ def test_binding_forms_list_names_left_to_right(seed):
         assert all(a is b for (a, _), b in zip(listed, names))
         frames = BindingFrames(q, resolver.scopes, resolver.top(q))
         assert [f is None for f in frames.met] == [env is None for _, env in listed]
-        index = LabelIndex(q, dict(frames.spelling))
-        numbered = sorted(k for v in frames.spelling for k in index.occurrences(v))
+        assert {v: n.text for v, n in frames.names.items()} == spellings(q)
+        index = LabelIndex(q, spellings(q))
+        numbered = sorted(k for v in frames.names for k in index.occurrences(v))
         assert numbered == list(range(len(names)))
-        for v in frames.spelling:
-            for j, k in enumerate(index.occurrences(v)):
-                assert index.carried(v, j) is names[k].label
+        # A rename keyed by the other provenance notes each label respelled
+        # as the term carries it, which `rebind` binds.
+        index.rename({lbl(v.id, not v.synthesized): f"{n.text}0" for v, n in frames.names.items()})
+        assert index.respelled.keys() == frames.names.keys()
+        for v in index.respelled:
+            assert all(names[k].label.synthesized is v.synthesized for k in index.occurrences(v))
 
 
 def shared(t) -> int:
@@ -563,8 +605,9 @@ def test_machine_resolvers_reject_a_label_spelled_two_ways():
 def with_top_level_duplicates(rng, p, tops, refs):
     """p with references that carry the label of an earlier top-level
     declaration spelled like them, then that term with two same-spelled
-    top-level declarations sharing a label id but not its provenance. In
-    both, every id is lowered by the least one, so one label is 0."""
+    top-level declarations sharing a label id but not its provenance, which
+    every resolver must reject. In both, every id is lowered by the least
+    one, so one label is 0."""
     alike = {}
     for n in tops:
         alike.setdefault(n.text, []).append(n)
@@ -610,13 +653,17 @@ def test_top_level_pick_matches_the_scan(seed):
     tops = [fdef_name(f) for f in prog_fdefs(p)]
     declared = simpl.declarations_of(p)
     refs = [n for n in iter_names(p) if n.label not in declared]
-    for q in with_top_level_duplicates(rng, p, tops, refs):
-        assert typed(resolve_simpl(q)) == typed(reference.resolve_simpl(q))
+    q, *mixed = with_top_level_duplicates(rng, p, tops, refs)
+    assert typed(resolve_simpl(q)) == typed(reference.resolve_simpl(q))
+    for q in mixed:
+        assert_two_provenances_rejected(q, resolve_simpl, reference.resolve_simpl)
     m = parse_stm(gen_machine_source(rng) + gen_machine_source(rng))
     states = [state_name(s) for s in machine_states(m)]
     targets = [trans_target(t) for s in machine_states(m) for t in state_transitions(s)]
-    for q in with_top_level_duplicates(rng, m, states, targets):
-        assert typed(resolve_machine(q)) == typed(reference.resolve_machine(q))
+    q, *mixed = with_top_level_duplicates(rng, m, states, targets)
+    assert typed(resolve_machine(q)) == typed(reference.resolve_machine(q))
+    for q in mixed:
+        assert_two_provenances_rejected(q, resolve_machine, reference.resolve_machine)
 
 
 def respellings(rng, t, rounds):
@@ -643,8 +690,8 @@ def assert_rebinds_like_resolve(resolver, t, pis):
     """After each respelling of `pis`, the graph BindingFrames carries is
     the resolved graph of the respelled term, provenance included."""
     frames = BindingFrames(t, resolver.scopes, resolver.top(t))
-    g = NameGraph(frames.spelling, frames.edges)
-    index = LabelIndex(t, frames.spelling)
+    g = NameGraph(frames.names, frames.edges)
+    index = LabelIndex(t, spellings(t))
     assert typed(g) == typed(resolver.resolve(t))
     for pi in pis:
         term = index.rename(pi)
@@ -668,8 +715,13 @@ def test_rebinding_matches_resolve_after_respellings(seed):
     tops = [fdef_name(f) for f in prog_fdefs(p)]
     declared = simpl.declarations_of(p)
     refs = [n for n in iter_names(p) if n.label not in declared]
-    for q in [p, *with_top_level_duplicates(rng, p, tops, refs)]:
+    q, *mixed = with_top_level_duplicates(rng, p, tops, refs)
+    for q in [p, q]:
         assert_rebinds_like_resolve(SIMPL_RESOLVER, q, respellings(rng, q, 4))
+    for q in mixed:
+        assert_two_provenances_rejected(
+            q, lambda q: BindingFrames(q, SIMPL_RESOLVER.scopes, SIMPL_RESOLVER.top(q)), reference.resolve_simpl
+        )
     m = parse_stm(gen_machine_source(rng) + gen_machine_source(rng))
     assert_rebinds_like_resolve(STM_RESOLVER, m, respellings(rng, m, 4))
     assert_rebinds_like_resolve(SIMPL_RESOLVER, compile_machine(m), respellings(rng, compile_machine(m), 4))
@@ -916,3 +968,40 @@ def test_lambda_walks_match_their_recursive_versions(seed):
         assert alpha_equiv_relabel(a, b, LAMBDA_RESOLVER) is reference.alpha_equiv_relabel(
             a, b, LAMBDA_RESOLVER
         )
+
+
+def two_provenances(t) -> bool:
+    """Whether t carries some label id both as source and as synthesized."""
+    seen = {}
+    return any(seen.setdefault(n.label.id, n.label.synthesized) is not n.label.synthesized for n in iter_names(t))
+
+
+def repair_every_small_target(n):
+    """Every planted target of every lambda term of at most n nodes: one
+    that carries each label id under one provenance repairs as the
+    reference does, capture-free, each declaration renamed at most once,
+    and sub-alpha-equivalent to the target; one that carries an id under
+    both is rejected by both repair loops. Returns the two counts."""
+    single = mixed = 0
+    for s in every_lambda(n):
+        gs = resolve_lambda(s)
+        for t in planted_targets(s):
+            if two_provenances(t):
+                mixed += 1
+                for repair in (name_fix, reference.name_fix):
+                    with pytest.raises(InconsistentLabel):
+                        repair(gs, t, LAMBDA_RESOLVER)
+            else:
+                single += 1
+                got = assert_same_repair(gs, t, LAMBDA_RESOLVER)
+                assert sub_alpha_equiv(t, got.term, gs)
+    return single, mixed
+
+
+def test_every_lambda_target_up_to_5_nodes():
+    assert repair_every_small_target(5) == (25_608, 16_384)
+
+
+@pytest.mark.exhaustive
+def test_every_lambda_target_up_to_6_nodes():
+    assert repair_every_small_target(6) == (196_488, 124_128)

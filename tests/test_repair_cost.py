@@ -10,7 +10,7 @@ through counters inside the library:
 
 - gensym candidates tried: `in` tests on the used set gensym is handed;
 - spellings scanned to build that set: values read off the term's spelling
-  map (`BindingFrames.spelling`, which repair respells), and the labels a
+  map (`LabelIndex.spelling`, which repair respells), and the labels a
   `LabelIndex` counts by spelling as it is built;
 - top positions moved by `BindingFrames.rebind`: positions that end a
   round in a bucket list other than the one that held them before it;
@@ -54,18 +54,14 @@ def counted_repair(monkeypatch, gs, t) -> tuple[dict[str, int], int]:
                 counts["spellings scanned"] += 1
                 yield s
 
-    gensym, init, index_init = fix.gensym, BindingFrames.__init__, LabelIndex.__init__
+    gensym, index_init = fix.gensym, LabelIndex.__init__
     rebind, lookup = BindingFrames.rebind, BindingFrames._lookup
 
     def counting_gensym(base, used, *rest):
         return gensym(base, Tried(used), *rest)
 
-    def scanned_init(self, *args):
-        init(self, *args)
-        self.spelling = Scanned(self.spelling)
-
     def counting_index_init(self, t, spelling):
-        index_init(self, t, spelling)
+        index_init(self, t, Scanned(spelling))
         counts["spellings scanned"] += len(self.spelling)
 
     def counting_rebind(self, index):
@@ -85,7 +81,6 @@ def counted_repair(monkeypatch, gs, t) -> tuple[dict[str, int], int]:
         return lookup(self, *args)
 
     monkeypatch.setattr(fix, "gensym", counting_gensym)
-    monkeypatch.setattr(BindingFrames, "__init__", scanned_init)
     monkeypatch.setattr(LabelIndex, "__init__", counting_index_init)
     monkeypatch.setattr(BindingFrames, "rebind", counting_rebind)
     monkeypatch.setattr(BindingFrames, "_lookup", counting_lookup)
