@@ -6,38 +6,23 @@ graph of its output, and iteratively renames the capturing declarations
 most once, until the output is capture-free.
 
 Cost of a repair round. For a resolver stated by binding forms, the
-target's resolve is `BindingFrames`: one walk over the term that calls
-into the language only at the compounds its table of binding forms has a
-rule for, and keeps only what its lookups need, the frames, the edges,
-the first name of each label and the top declarations, plus the frame of
-each name in one flat list; capture is found on those edges, and no
-graph of the target is built. Renaming never changes a term's shape, so
-at the first capture one walk builds a `LabelIndex`: the label
-positions, a count of each spelling's labels, and a number for each
-occurrence, in the order the resolve met it. Every round respells
-through it a spelling map made from the resolve's names. The index notes
-each label it respelled, as the term carries it; `comp_renaming` spells
-them fresh, so `BindingFrames.rebind` re-binds only those labels and the
-references bound to them: no other reference can see a different
-declaration of its spelling. Each reference has one record, made from
-the edges at the first re-binding: its declarations, and its occurrence
-frames, read by their numbers when it is first looked up and grouped by
-the binder each sees; a later re-binding looks up only the frames of a
-respelled binder, unless the reference was respelled itself. The edge
-delta this yields updates the capture set by one rule:
-dropped edges leave it, and added edges are classified, since the source
-graph classifies capture edge by edge (`NameGraph.unintended`, one query
-per edge set). No round builds a graph. A round costs what it changes:
-a `comp_renaming` whose lookups are by label, whose used spellings are
-the index's counts and whose `gensym` resumes at a cursor per base (but
-a captured synthesized declaration makes it scan the spelling map for
-the labels spelled like a captured declaration); a respelling that
-rebuilds only the compounds above the renamed names (one of them may be
-as wide as the program's list of functions); a re-binding that moves
-only the renamed top declarations between spelling buckets and looks
-each stale frame up at most once per spelling; and set operations on the
-delta and the capture set. A capture-free input costs one resolve and
-one `find_capture`, and builds no index. A resolver without binding
+target's resolve is `BindingFrames`, one walk that fills a map from each
+reference to its declaration; `find_capture` classifies that map against
+the source graph, whose queries read the maps of its own resolve, so no
+graph is built on either side. At the first capture one walk builds a
+`LabelIndex`, which respells a spelling map made from the resolve's names
+round after round and notes each label it respelled; `comp_renaming`
+spells those fresh, so `BindingFrames.rebind` re-binds only them and the
+references bound to them, each reference from a record made when it is
+first looked up. Its edge delta updates the capture set: dropped edges
+leave it and added ones are classified (`NameGraph.unintended`). A round
+thus costs what it changes: lookups by label in `comp_renaming` (whose
+`gensym` resumes at a cursor per base; a captured synthesized declaration
+makes it scan the spelling map), a respelling of the compounds above the
+renamed names, a re-binding that moves only renamed top declarations and
+looks each stale frame up once per spelling, and set operations on the
+delta. A capture-free input costs one resolve and one `find_capture`,
+builds no index and shares one empty trace. A resolver without binding
 forms is resolved in full every round, its delta the difference of two
 edge sets, its spelling map `spellings(t)`.
 """
@@ -62,7 +47,7 @@ class CaptureKind(Enum):
     SYNTHESIZED_CAPTURED = "synthesized-reference-captured"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaptureEdge:
     ref: Label
     decl: Label
@@ -72,7 +57,7 @@ class CaptureEdge:
         return f"{self.ref!r} -> {self.decl!r} ({self.kind.value})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaptureSet:
     edges: frozenset[CaptureEdge]
 
@@ -90,7 +75,7 @@ class CaptureSet:
         return "{" + ", ".join(map(str, sorted(self.edges, key=lambda e: (e.ref, e.decl)))) + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RenamingPair:
     pi_src: Mapping[Label, str]
     pi_syn: Mapping[Label, str]
@@ -101,7 +86,7 @@ class RenamingPair:
         return merged
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixStep:
     """One repair round: the capture it found, its renaming, the new term."""
 
@@ -110,7 +95,7 @@ class FixStep:
     term: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixTrace:
     steps: tuple[FixStep, ...] = ()
 
@@ -129,7 +114,7 @@ class FixTrace:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixResult:
     """The repaired term and its rounds; its graph is the resolver's to give."""
 
@@ -191,15 +176,18 @@ class _Taken(dict):
 
 
 _NO_CAPTURE = CaptureSet(frozenset())
+_NO_STEPS = FixTrace()
 
 
 def find_capture(gs: NameGraph, gt: NameGraph | BindingFrames) -> CaptureSet:
     """Edges of the target graph that break reference intent or
     declaration extent relative to the source graph. The target's
-    `BindingFrames` will do for its graph: only the edges are read."""
-    if not gt.edges:  # nothing to check: leave gs's index unbuilt
+    `BindingFrames` will do for its graph: its map from each reference to
+    a declaration is classified as it is."""
+    edges = gt.bound.items() if gt.__class__ is BindingFrames and not gt.several else gt.edges
+    if not edges:
         return _NO_CAPTURE
-    return _captures(gs, gt.edges)
+    return _captures(gs, edges)
 
 
 def _captures(gs: NameGraph, edges: Iterable[Edge], kept: Collection[CaptureEdge] = ()) -> CaptureSet:
@@ -268,12 +256,9 @@ def comp_renaming(
 
 def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
     """Repair loop: resolve, detect capture, rename, repeat until clean.
-    Every round respells the spelling map of the target's resolve, and
-    applies its edge delta to the capture set. No round builds or keeps a
-    graph: the binding frames hold the binding relation they re-bind, and
-    a resolver without binding forms leaves only its last edge set, to
-    diff the next resolve against. The index that respells the term is
-    built at the first capture.
+    No round builds or keeps a graph (see the cost of a round above): a
+    resolver without binding forms leaves only its last edge set, to diff
+    the next resolve against.
 
     Capture-free input comes back as the very same term object. A round
     renames every declaration its capture set holds, each at most once by
@@ -292,7 +277,7 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
     cursor: dict[str, int] = {}  # gensym's, kept across rounds
     current = t
     while capture:
-        if again := [e for e in capture.edges if e.decl in renamed]:
+        if renamed and (again := [e for e in capture.edges if e.decl in renamed]):
             e = min(again, key=lambda e: (e.ref, e.decl))
             raise IterationBudgetExceeded(
                 f"declaration {e.decl!r}, renamed in round {renamed[e.decl]}, "
@@ -309,7 +294,8 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
         counts = index.counts
         rewind(cursor, [s for s in {*index.respelled.values(), *used} if s not in counts])
         steps.append(FixStep(capture, pair, current))
-        renamed.update(dict.fromkeys(capture.captured_declarations, len(steps)))
+        for e in capture.edges:
+            renamed[e.decl] = len(steps)
         if frames is None:
             resolved = r.resolve(current).edges
             drop, add = edges - resolved, resolved - edges
@@ -319,4 +305,4 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
         # Edges the round leaves alone keep their classification.
         kept = [e for e in capture.edges if (e.ref, e.decl) not in drop]
         capture = _captures(gs, add, kept)
-    return FixResult(current, FixTrace(tuple(steps)))
+    return FixResult(current, FixTrace(tuple(steps)) if steps else _NO_STEPS)

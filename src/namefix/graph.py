@@ -21,22 +21,20 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .term import (
     E,
     Compound,
     Const,
-    InconsistentLabel,
     Label,
     LabelIndex,
     Name,
     Pairs,
     Term,
+    inconsistent,
     label_equiv,
     lockstep,
-    note_spelling,
     rename,
     show_name,
     spellings,
@@ -45,23 +43,32 @@ from .term import (
 Edge = tuple[Label, Label]
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class NameGraph:
-    """Label set plus binding edges (reference label, declaration label)."""
+    """Label set plus binding edges (reference label, declaration label),
+    given as pairs or as a map from each reference to its declaration. A
+    resolve hands over the maps its walk filled, `NameGraph(names, bound,
+    several)` (see `BindingFrames`): every query reads them, with no pass
+    over the edges, and `labels` and `edges` are made on first use."""
 
-    labels: frozenset[Label]
-    edges: frozenset[Edge]
+    __slots__ = ("_names", "_bound", "_several", "_labels", "_edges", "_references")
 
     def __init__(
         self,
-        labels: Iterable[Label],
+        labels: Iterable[Label] | Mapping[Label, Name],
         edges: Mapping[Label, Label] | Iterable[Edge],
+        several: Mapping[Label, Collection[Label]] | None = None,
     ) -> None:
-        object.__setattr__(self, "labels", frozenset(labels))
-        # Not isinstance(edges, Mapping): that ABC check costs about a tenth
-        # of resolving a small lambda term.
-        pairs = edges.items() if hasattr(edges, "items") else edges
-        object.__setattr__(self, "edges", frozenset(pairs))
+        self._labels = self._edges = self._references = None
+        if several is not None:
+            self._names, self._bound, self._several = labels, edges, several
+        else:  # made by hand: make the maps that the queries read
+            self._labels = frozenset(labels)
+            self._edges = frozenset(edges.items() if hasattr(edges, "items") else edges)
+            self._names = {v: Name("", v) for v in self._labels}  # only their labels are read
+            self._bound, self._several = bound, several = {}, {}
+            for v, d in self._edges:
+                if bound.setdefault(v, d) != d:
+                    several.setdefault(v, set()).add(d)
 
     def __repr__(self) -> str:
         edges = ", ".join(
@@ -69,42 +76,46 @@ class NameGraph:
         )
         return f"NameGraph(|V|={len(self.labels)}, {{{edges}}})"
 
-    @property
-    def references(self) -> frozenset[Label]:
-        return frozenset(r for r, _ in self.edges)
+    references = property(lambda self: frozenset(r for r, _ in self.edges))
+    declarations = property(lambda self: frozenset(d for _, d in self.edges))
 
     @property
-    def declarations(self) -> frozenset[Label]:
-        return frozenset(d for _, d in self.edges)
+    def labels(self) -> frozenset[Label]:
+        if self._labels is None:
+            self._labels = frozenset(self._names)
+        return self._labels
 
-    @cached_property
-    def _index(self) -> tuple[dict[Label, Label], dict[Label, frozenset[Label]]]:
-        """Lookups keyed by label, so by id: the graph's label of that id (with
-        its provenance) and a reference's declarations. Built on the first
-        query: a graph only iterated, or only drawn, never builds one."""
-        decls: dict[Label, set[Label]] = {}
-        for r, d in self.edges:
-            decls.setdefault(r, set()).add(d)
-        by_id = {v: v for v in self.labels}
-        return by_id, {r: frozenset(ds) for r, ds in decls.items()}
+    @property
+    def edges(self) -> frozenset[Edge]:
+        if self._edges is None:
+            several = [(v, d) for v, ds in self._several.items() for d in ds]
+            self._edges = frozenset([*self._bound.items(), *several])
+        return self._edges
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, NameGraph) and (self.labels, self.edges) == (other.labels, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.edges))
 
     def bindings(self, ref: Label) -> frozenset[Label]:
-        return self._index[1].get(ref, _NOTHING)
+        d = self._bound.get(ref)
+        return _NOTHING if d is None else frozenset((d, *self._several.get(ref, ())))
 
     def references_to(self, decl: Label) -> Sequence[Label]:
         """The references bound to decl: the inverse of `bindings`. The map
         from each declaration to its references is built on the first call,
         which only repair makes, when a source declaration is captured."""
-        refs = self.__dict__.get("_references")
+        refs = self._references
         if refs is None:
-            refs = {}
-            for r, d in self.edges:
+            refs = self._references = {}
+            for r, d in self.edges if self._several else self._bound.items():
                 refs.setdefault(d, []).append(r)
-            object.__setattr__(self, "_references", refs)
         return refs.get(decl, ())
 
     def find(self, label_id: int) -> Label | None:
-        return self._index[0].get(label_id)
+        n = self._names.get(label_id)
+        return None if n is None else n.label
 
     def counts_as_source(self, v: Label) -> bool:
         """Whether v, as it occurs in a target program, originates here.
@@ -112,8 +123,8 @@ class NameGraph:
         Membership is by id, but a provenance flip (a marked name) makes a
         label count as synthesized even when its id is known to this graph.
         """
-        w = self._index[0].get(v)
-        return w is not None and w.provenance is v.provenance
+        n = self._names.get(v)
+        return n is not None and n.label.__class__ is v.__class__
 
     def unintended(self, edges: Iterable[Edge]) -> tuple[list[Edge], list[Edge], list[Edge]]:
         """The edges among `edges`, those of a transformation's target with
@@ -123,33 +134,30 @@ class NameGraph:
         source, with none here, bound to a label other than itself; and
         one that does not count as source bound to a declaration that does.
         """
-        by_id, decls = self._index[0], self._index[1]
+        names, bound, several = self._names, self._bound, self._several
         rebound: list[Edge] = []
         free: list[Edge] = []
         synthesized: list[Edge] = []
         for v, d in edges:
-            w = by_id.get(v)
-            if w is not None and w.provenance is v.provenance:
-                bound = decls.get(v)
-                if bound is not None:
-                    if d not in bound:
+            n = names.get(v)
+            if n is not None and n.label.__class__ is v.__class__:
+                b = bound.get(v)
+                if b is not None:
+                    if b != d and d not in several.get(v, _NOTHING):
                         rebound.append((v, d))
                 elif v != d:
                     free.append((v, d))
             else:
-                w = by_id.get(d)
-                if w is not None and w.provenance is d.provenance:
+                n = names.get(d)
+                if n is not None and n.label.__class__ is d.__class__:
                     synthesized.append((v, d))
         return rebound, free, synthesized
 
     def foreign(self, labels: Iterable[Label]) -> list[Label]:
         """The labels among `labels` that do not count as source here, in
         order, in one query."""
-        by_id = self._index[0]
-        return [
-            v for v in labels
-            if (w := by_id.get(v)) is None or w.provenance is not v.provenance
-        ]
+        names = self._names
+        return [v for v in labels if (n := names.get(v)) is None or n.label.__class__ is not v.__class__]
 
 
 # What a language states about its binding forms: a table from the tag of
@@ -227,23 +235,21 @@ class BindingFrames:
     everywhere) of its spelling, else to nothing. Of several such top
     declarations, it binds to the first that carries its label, else to the
     last. The resolve keeps only what its lookups need and what repair
-    reads: `edges`, the binding edges of t, as (reference, declaration)
-    pairs; `names`, every label of t mapped to the first name carrying it,
-    from which repair makes the spelling map of its `LabelIndex`; the
-    frames, the lookup memos and the top declarations; and `met`, the frame
-    of every name of t in the order the walk meets them, None for a
-    declaration. Every rule lists its names left to right, so that order is
-    the term's own: `met[k]` is the frame of the occurrence a `LabelIndex`
-    of t numbers k.
-
-    The term must carry each label id with one spelling and one
-    provenance: the walk compares each name with the first of its id, and
-    raises InconsistentLabel when either differs. Built by one
-    explicit-stack walk over the table of binding forms; nothing recurses.
+    reads: the edges as `bound`, each reference label mapped to the
+    declaration of its first bound occurrence, and `several`, a reference
+    whose occurrences bind to more than one mapped to its others (read as
+    they are by `find_capture` and a resolve's `NameGraph`); `names`, each
+    label mapped to the first name carrying it; the frames, the lookup
+    memos and the top declarations; and `met`, the frame of every name in
+    the order the walk meets them, None for a declaration. Every rule lists
+    its names left to right, so `met[k]` is the frame of the occurrence a
+    `LabelIndex` of t numbers k. Each name is compared with the first of
+    its id: a term carrying one id with two spellings or provenances
+    raises InconsistentLabel. One explicit-stack walk; nothing recurses.
     """
 
     __slots__ = (
-        "edges", "names", "met", "_spelling", "_frames", "_top", "_tops", "_first",
+        "bound", "several", "names", "met", "_spelling", "_frames", "_top", "_tops", "_first",
         "_refs", "_referrers", "_top_at",
     )
 
@@ -265,19 +271,15 @@ class BindingFrames:
             declared.append(n.label)
             picks[n.text] = _SEVERAL if n.text in picks else n.label
         self._top, self._tops, self._first = declared, at, first
-        names: dict[Label, Name] = {}
-        self.names = names
+        self.names = names = {}
         self._spelling: dict[Label, str] = {}  # the last rebind's index's
         self.met: list[int | None] = []
         note = self.met.append
-        edges: set[Edge] = set()
-        self.edges = edges
-        # Built by the first rebind, from the edges and the top
-        # declarations, and kept up to date by each: reference label -> its
-        # record, [its occurrence frames by the binder each sees, or None
-        # until a rebind looks them up, then its declarations]; declaration
-        # label -> the references bound to it; top declaration label -> its
-        # positions in `_top`.
+        self.bound, self.several = bound, several = {}, {}
+        # Kept up to date by every rebind: reference label -> [its
+        # occurrence frames by the binder each sees, then its declarations],
+        # made when a rebind first looks it up; declaration label -> the
+        # references bound to it; top declaration label -> its positions.
         self._refs: dict[Label, list] | None = None
         self._referrers: dict[Label, set[Label]]
         self._top_at: dict[Label, list[int]]
@@ -317,8 +319,7 @@ class BindingFrames:
                     label, text = x.label, x.text
                     n = names.setdefault(label, x)
                     if n is not x and (n.text != text or n.label.__class__ is not label.__class__):
-                        note_spelling({label: n.text}, x)  # raises InconsistentLabel
-                        raise InconsistentLabel(f"label id {label.id} occurs as both {n.label!r} and {label!r}")
+                        raise inconsistent(n, x)
                     note(env)
                     if env is None:
                         continue
@@ -332,7 +333,9 @@ class BindingFrames:
                             continue
                         if decl is _SEVERAL:
                             decl = first.get(label, declared[at[text][-1]])
-                    edges.add((label, decl))
+                    d = bound.setdefault(label, decl)
+                    if d is not decl and d != decl:
+                        several.setdefault(label, set()).add(decl)
                 elif kind is Compound:
                     children = x.children
                     stack.append((nodes, scope))
@@ -350,6 +353,11 @@ class BindingFrames:
                 if not stack:
                     break
                 nodes, scope = stack.pop()
+
+    @property
+    def edges(self) -> set[Edge]:
+        """The pairs of `bound` and `several`."""
+        return {*self.bound.items(), *[(v, d) for v, ds in self.several.items() for d in ds]}
 
     def _lookup(self, f: int, s: str, memo: dict[int, Label | None]) -> Label | None:
         """The innermost binder spelled s up the chain of frame f, or None.
@@ -380,33 +388,27 @@ class BindingFrames:
         `index`, a `LabelIndex` of the term, respelled it: `index.respelled`
         maps each label respelled, as the term carries it, to its previous
         spelling, and `index.spelling` gives every label's spelling now.
-        Each new spelling must be fresh: no label outside `respelled` has
-        it. A reference not respelled then keeps its spelling and every
-        binder of it but the respelled ones, so only a respelled reference
-        or one bound to a respelled label can bind differently, and only
-        those are looked up. From then on the frames describe the respelled
-        term; `edges` is left as it was.
+        Each new spelling must be fresh, so only a respelled reference or
+        one bound to a respelled label can bind differently: only those are
+        looked up, and a respelled label that occurs as no reference is
+        passed over. `bound` and `several` stay as the resolve found them.
 
-        Each reference has one record, made from the edges at the first
-        rebind: its declarations, and its occurrence frames grouped by the
-        binder each sees, or under None when none binds its spelling there:
-        those bind to the top declaration its spelling picks, if any, all
-        alike. The frames are read from `met`, by the occurrences' numbers
-        in `index`, when a rebind first looks the reference up, or again
-        when it is respelled; a later rebind looks up only the frames of a
-        respelled binder, and picks the top declaration again. Only the
-        respelled top declarations move to the bucket of their new
-        spelling; each bucket stays sorted, so its last position is the
-        last declaration of the spelling."""
+        A reference's record is made when a rebind first looks it up: its
+        declarations, from `bound` and `several`, and its occurrence
+        frames, read from `met` by their numbers in `index` and grouped by
+        the binder each sees (under None where none binds its spelling:
+        those take the top declaration it picks, if any). A later rebind
+        looks up only the frames of a respelled binder, or all of them if
+        the reference was respelled. Only the respelled top declarations
+        move to the sorted bucket of their new spelling."""
         respelled = index.respelled
         spelling, tops, top = index.spelling, self._tops, self._top
         self._spelling = spelling
-        refs = self._refs
+        bound, several, refs = self.bound, self.several, self._refs
         if refs is None:
             refs = {}
             referrers: dict[Label, set[Label]] = {}
-            for v, d in self.edges:
-                refs.setdefault(v, [None]).append(d)
+            for v, d in self.edges if several else bound.items():
                 vs = referrers.get(d)  # not setdefault: that makes a set per edge
                 if vs is None:
                     referrers[d] = {v}
@@ -435,13 +437,21 @@ class BindingFrames:
         drop: set[Edge] = set()
         add: set[Edge] = set()
         memos: dict[str, dict[int, Label | None]] = {}
-        for v in respelled.keys() | set().union(*[referrers.get(d, ()) for d in respelled]):
-            record = refs.setdefault(v, [None])
-            by_binder = record[0]
-            if by_binder is None or v in respelled:
+        todo = set(respelled)
+        for d in respelled:
+            todo |= referrers.get(d, _NOTHING)
+        for v in todo:
+            record = refs.get(v)
+            if record is None or v in respelled:
                 frames = [f for f in map(met.__getitem__, index.occurrences(v)) if f is not None]
+                if record is None:
+                    if not frames:  # a declaration only
+                        continue
+                    d = bound.get(v)
+                    record = refs[v] = [None] if d is None else [None, d, *several.get(v, ())]
                 by_binder = record[0] = {}
             else:
+                by_binder = record[0]
                 stale = [d for d in by_binder if d in respelled]
                 frames = [f for d in stale for f in by_binder.pop(d)]
             s = spelling[v]
@@ -498,9 +508,9 @@ class Resolver:
     """A language's name analysis: term -> name graph, pure and deterministic.
 
     A resolver stated by binding forms is given its `scopes` and `top`
-    declarations, and no `resolve`: its `resolve(p)` is then the graph of
-    `BindingFrames(p, scopes, top(p))`, its spelling map's labels and its
-    edges. Repair builds those frames as its resolve of the target, finds
+    declarations, and no `resolve`: its `resolve(p)` is then the graph
+    over the maps that `BindingFrames(p, scopes, top(p))` fills, built by
+    no further pass. Repair builds those frames as its resolve of the target, finds
     capture on their edges without a graph, and re-binds through them
     instead of resolving every round. A resolver given only `resolve` is
     resolved in full every round."""
@@ -516,7 +526,7 @@ class Resolver:
 
             def resolve(p: Term) -> NameGraph:
                 frames = BindingFrames(p, scopes, top(p))
-                return NameGraph(frames.names, frames.edges)
+                return NameGraph(frames.names, frames.bound, frames.several)
 
             object.__setattr__(self, "resolve", resolve)
 

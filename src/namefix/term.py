@@ -32,8 +32,8 @@ class LabelNotFound(TermError):
 
 
 class InconsistentLabel(TermError):
-    """Occurrences of one label id disagree on the name text, or in a
-    resolve by binding forms on the provenance (corrupt term)."""
+    """Occurrences of one label id disagree on the name text or on the
+    provenance (corrupt term)."""
 
 
 class PinError(TermError):
@@ -62,8 +62,8 @@ class Label(int):
     `Label(0)` is falsy, so code never tests a label for truth (write
     `is None`). A term gives each id one spelling and one provenance, as
     origin tracking does (a copied name keeps its label, an invented one
-    gets a fresh id): repair looks labels up by id, and a resolve by
-    binding forms rejects a term that carries one id under both.
+    gets a fresh id): repair looks labels up by id, and `spellings` and the
+    resolve by binding forms reject a term carrying one id under both.
     """
 
     __slots__ = ()
@@ -496,21 +496,24 @@ def iter_names(t: Term) -> Iterator[Name]:
     return iter([node for node in subterms(t) if node.__class__ is Name])
 
 
-def note_spelling(spell: dict[Label, str], n: Name) -> None:
-    """Record n's spelling under its label. Raises InconsistentLabel when
-    the label is already recorded with another spelling."""
-    text = spell.setdefault(n.label, n.text)
-    if text != n.text:
-        raise InconsistentLabel(f"label {n.label!r} occurs as both {text!r} and {n.text!r}")
+def inconsistent(first: Name, n: Name) -> InconsistentLabel:
+    """The error for n, when `first`, the first name of its id, differs."""
+    if first.text != n.text:
+        return InconsistentLabel(f"label {n.label!r} occurs as both {first.text!r} and {n.text!r}")
+    return InconsistentLabel(f"label id {n.label.id} occurs as both {first.label!r} and {n.label!r}")
 
 
 def spellings(t: Term) -> dict[Label, str]:
     """Every label of t mapped to its spelling, in order of first occurrence.
-    Raises InconsistentLabel when two occurrences of a label disagree."""
-    spell: dict[Label, str] = {}
-    for node in iter_names(t):
-        note_spelling(spell, node)
-    return spell
+    Raises InconsistentLabel when a name's spelling or provenance differs
+    from the first name of its id (one identity test when it is that name)."""
+    first: dict[Label, Name] = {}
+    for node in subterms(t):
+        if node.__class__ is Name:
+            n = first.setdefault(node.label, node)
+            if n is not node and (n.text != node.text or n.label.__class__ is not node.label.__class__):
+                raise inconsistent(n, node)
+    return {v: n.text for v, n in first.items()}
 
 
 def name_at(t: Term, v: Label) -> str:

@@ -74,6 +74,19 @@ class TestNameGraphBasics:
         unqueried = NameGraph({lbl(1), lbl(2), lbl(3)}, edges)
         assert g == unqueried and hash(g) == hash(unqueried)
 
+    def test_a_resolve_graph_answers_from_the_maps_of_its_walk(self):
+        # Every query reads the maps the resolve filled: none makes the
+        # graph's label or edge set, which only a caller that asks builds.
+        s = parse_lambda(r"\x. x (\y. y x) z")
+        t = parse_lambda(r"\y. \x. x (\y. y x) z")
+        g, edges = resolve_lambda(s), sorted(resolve_lambda(t).edges)
+        g.unintended(edges)
+        g.foreign(labels_of(t))
+        for v in labels_of(t):
+            g.counts_as_source(v), g.bindings(v), g.references_to(v), g.find(v.id)
+        assert g._labels is None and g._edges is None
+        assert g == NameGraph(labels_of(s), g.edges)
+
     def test_counts_as_source_checks_provenance(self):
         g = NameGraph({lbl(1)}, {})
         assert g.counts_as_source(lbl(1))

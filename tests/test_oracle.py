@@ -58,7 +58,10 @@ from namefix.term import (
     descend,
     fold,
     iter_names,
+    compound,
     label_equiv,
+    labels_of,
+    name_at,
     rename,
     spellings,
     subterms,
@@ -356,11 +359,11 @@ def test_a_label_declared_synthesized_and_referenced_as_source_is_rejected():
     )
 
 
-def test_the_smallest_term_that_kept_a_capture_is_rejected():
-    r"""A copy of `(\z@2. z@3) + z@4` with every name flipped to
-    synthesized, planted under \z@2, carries @2 and @'2. Without the
-    provenance check, repair returns after one round with @'4 -> @1 still
-    captured. Both resolvers and both repair loops reject it."""
+def smallest_kept_capture():
+    r"""The source `\z@1. (\z@2. z@3) + z@4`, and a target that plants, under
+    \z@2, a copy of `(\z@2. z@3) + z@4` with every name flipped to
+    synthesized, so that it carries @2 and @'2. Without the provenance
+    check, repair returns after one round with @'4 -> @1 still captured."""
     z = lambda i, synth=False: Name("z", lbl(i, synth))
     source = lam.lam(z(1), lam.add(lam.lam(z(2), z(3)), z(4)))
     copy = lam.add(lam.lam(z(2, True), z(3, True)), z(4, True))
@@ -368,6 +371,13 @@ def test_the_smallest_term_that_kept_a_capture_is_rejected():
         Name("y", lbl(5, True)),
         lam.lam(z(1), lam.add(lam.lam(z(2), lam.add(z(3), copy)), z(4))),
     )
+    return source, target
+
+
+def test_the_smallest_term_that_kept_a_capture_is_rejected():
+    """Both resolvers and both repair loops reject the target of
+    `smallest_kept_capture`."""
+    source, target = smallest_kept_capture()
     gs = resolve_lambda(source)
     assert_two_provenances_rejected(
         target,
@@ -376,6 +386,83 @@ def test_the_smallest_term_that_kept_a_capture_is_rejected():
         lambda t: name_fix(gs, t, LAMBDA_RESOLVER),
         lambda t: reference.name_fix(gs, t, LAMBDA_RESOLVER),
     )
+
+
+def test_every_walk_built_on_spellings_rejects_one_id_under_two_provenances():
+    """`spellings`, and `labels_of`, `name_at` and `rename`, which are built
+    on it, reject a term that carries @4 and @'4, as a resolve does."""
+    t = compound(Name("x", lbl(4, False)), Name("x", lbl(4, True)))
+    assert_two_provenances_rejected(
+        t, spellings, labels_of, lambda t: name_at(t, lbl(4, False)), lambda t: rename(t, {lbl(4, False): "y"})
+    )
+
+
+def test_a_resolver_given_only_resolve_is_checked_through_its_spellings():
+    """A resolver given only `resolve` may not check provenance: this one
+    resolves the term with every label read as source. Repair makes its
+    spelling map with `spellings`, so it still rejects the target of
+    `smallest_kept_capture` in place of leaving a capture in it."""
+
+    def unchecked(t):
+        flat = fold(t, lambda n: Name(n.text, lbl(n.label.id, False)))
+        return NameGraph({n.label for n in iter_names(t)}, resolve_lambda(flat).edges)
+
+    source, target = smallest_kept_capture()
+    gs = resolve_lambda(source)
+    assert find_capture(gs, unchecked(target))
+    assert_two_provenances_rejected(target, lambda t: name_fix(gs, t, Resolver("lambda", resolve=unchecked)))
+
+
+def assert_graph_of_its_pairs(r, t, probe):
+    """The graph `r.resolve(t)`, which reads the maps its walk filled,
+    answers every query as the graph built by hand from the labels and the
+    edge pairs of the same walk; `probe`, edges of another term, probes
+    `unintended`, and their labels, under both provenances, the label
+    queries."""
+    got, want = r.resolve(t), frames_graph(t, r.scopes, r.top)
+    labels = {v for e in probe for v in e} | set(want.labels)
+    labels |= {lbl(v.id, not v.synthesized) for v in labels}
+    found = lambda g, v: None if (w := g.find(v.id)) is None else (w.id, w.synthesized)
+    for v in sorted(labels):
+        assert got.bindings(v) == want.bindings(v)
+        assert set(got.references_to(v)) == set(want.references_to(v))
+        assert got.counts_as_source(v) == want.counts_as_source(v)
+        assert found(got, v) == found(want, v)
+    assert got.foreign(sorted(labels)) == want.foreign(sorted(labels))
+    assert got.unintended(probe) == want.unintended(probe)
+    assert typed(got) == typed(want) and got == want and hash(got) == hash(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_a_resolve_graph_is_the_graph_of_its_pairs(seed):
+    rng = random.Random(seed)
+    s = gen_lambda(rng)
+    t = mutate_lambda(rng, s)
+    p = parse_simpl(gen_simpl_source(rng, n_fdefs=rng.randrange(1, 8)))
+    m = parse_stm(gen_machine_source(rng))
+    for r, q, target in (
+        (LAMBDA_RESOLVER, s, t),
+        (LAMBDA_RESOLVER, t, s),
+        (SIMPL_RESOLVER, p, subst_prog(p, "y", parse_simpl_exp("x + 1"))),
+        (STM_RESOLVER, m, m),
+        (SIMPL_RESOLVER, compile_machine(m), compile_machine(m)),
+    ):
+        assert_graph_of_its_pairs(r, q, sorted(BindingFrames(target, r.scopes, r.top(target)).edges))
+
+
+def test_a_planted_target_graph_is_the_graph_of_its_pairs():
+    """The planted copies bind one reference label to two declarations:
+    the resolve keeps the second in `several`, which every query reads."""
+    several = 0
+    for s in every_lambda(4):
+        for t in planted_targets(s):
+            if not two_provenances(t):
+                frames = BindingFrames(t, LAMBDA_RESOLVER.scopes, ())
+                several += bool(frames.several)
+                assert_graph_of_its_pairs(LAMBDA_RESOLVER, t, sorted(resolve_lambda(s).edges))
+                assert_graph_of_its_pairs(LAMBDA_RESOLVER, s, sorted(frames.edges))
+    assert several
 
 
 @settings(max_examples=300, deadline=None)

@@ -9,9 +9,10 @@ the library's functions and the sizes of what they are given, never
 through counters inside the library:
 
 - gensym candidates tried: `in` tests on the used set gensym is handed;
-- spellings scanned to build that set: values read off the term's spelling
-  map (`LabelIndex.spelling`, which repair respells), and the labels a
-  `LabelIndex` counts by spelling as it is built;
+- spellings scanned: entries read off the term's spelling map
+  (`LabelIndex.spelling`, which repair respells) by a whole-map scan, its
+  values, items, keys or plain iteration, and the labels a `LabelIndex`
+  counts by spelling as it is built;
 - top positions moved by `BindingFrames.rebind`: positions that end a
   round in a bucket list other than the one that held them before it;
 - `BindingFrames._lookup` calls made by `rebind`.
@@ -49,10 +50,25 @@ def counted_repair(monkeypatch, gs, t) -> tuple[dict[str, int], int]:
             return s in self.used
 
     class Scanned(dict):
-        def values(self):
-            for s in dict.values(self):
+        """Counts each entry read by a whole-map scan: `values()`,
+        `items()`, `keys()` or plain iteration."""
+
+        def scan(self, entries):
+            for entry in entries:
                 counts["spellings scanned"] += 1
-                yield s
+                yield entry
+
+        def values(self):
+            return self.scan(dict.values(self))
+
+        def items(self):
+            return self.scan(dict.items(self))
+
+        def keys(self):
+            return self.scan(dict.keys(self))
+
+        def __iter__(self):
+            return self.scan(dict.__iter__(self))
 
     gensym, index_init = fix.gensym, LabelIndex.__init__
     rebind, lookup = BindingFrames.rebind, BindingFrames._lookup

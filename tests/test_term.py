@@ -56,14 +56,14 @@ def terms(draw, depth=3):
 
 @st.composite
 def consistent_terms(draw):
-    """Terms where every label id carries one fixed spelling."""
+    """Terms where every label id carries one fixed spelling and one
+    provenance."""
     t = draw(terms())
-    spell = {}
+    first = {}
 
     def fix(u):
         if isinstance(u, Name):
-            text = spell.setdefault(u.label.id, u.text)
-            return Name(text, u.label)
+            return first.setdefault(u.label.id, u)
         if isinstance(u, Compound):
             return Compound(tuple(fix(c) for c in u.children))
         return u
