@@ -10,31 +10,33 @@ target's resolve is `BindingFrames`, one walk that fills a map from each
 reference to its declaration; `find_capture` classifies that map against
 the source graph, whose queries read the maps of its own resolve, so no
 graph is built on either side. At the first capture one walk builds a
-`LabelIndex`, which respells a spelling map made from the resolve's names
-round after round and notes each label it respelled; `comp_renaming`
-spells those fresh, so `BindingFrames.rebind` re-binds only them and the
+`LabelIndex`, the one owner of the repair's spellings: it spells and
+groups every label, hands out fresh spellings, respells the term round
+after round and notes each label it respelled. `comp_renaming` spells
+those fresh, so `BindingFrames.rebind` re-binds only them and the
 references bound to them, each reference from a record made when it is
 first looked up. Its edge delta updates the capture set: dropped edges
 leave it and added ones are classified (`NameGraph.unintended`). A round
-thus costs what it changes: lookups by label in `comp_renaming` (whose
-`gensym` resumes at a cursor per base; a captured synthesized declaration
-makes it scan the spelling map), a respelling of the compounds above the
-renamed names, a re-binding that moves only renamed top declarations and
-looks each stale frame up once per spelling, and set operations on the
-delta. A capture-free input costs one resolve and one `find_capture`,
-builds no index and shares one empty trace. A resolver without binding
-forms is resolved in full every round, its delta the difference of two
-edge sets, its spelling map `spellings(t)`.
+thus costs what it changes: lookups by label and by spelling in
+`comp_renaming` (whose fresh spellings resume at a cursor per base), a
+respelling of the compounds above the renamed names, a re-binding that
+moves only renamed top declarations and looks each stale frame up once
+per spelling, and set operations on the delta. A capture-free input
+costs one resolve and one `find_capture`, builds no index and shares one
+empty trace. A resolver without binding forms is resolved in full every
+round, its delta the difference of two edge sets; its index is built
+right after its first resolve, so that the index's walk checks the
+term's label ids even when no capture is found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Container, Iterable, Mapping, MutableMapping
+from typing import Collection, Iterable, Mapping
 
 from .graph import BindingFrames, Edge, NameGraph, Resolver
-from .term import Label, LabelIndex, Term, spellings
+from .term import Label, LabelIndex, Term
 
 
 class CaptureKind(Enum):
@@ -130,51 +132,6 @@ class IterationBudgetExceeded(FixError):
     """A declaration captured again after repair renamed it: a resolver contract violation."""
 
 
-def gensym(base: str, used: Container[str], cursor: dict[str, int]) -> str:
-    """base plus the smallest decimal suffix k for which base<k> is not in
-    `used`: never base itself. `cursor` maps a base to a suffix below which
-    every candidate is in `used`, so the search starts there, and gensym
-    leaves the base's cursor at its pick. Kept across calls, the cursor
-    stays true as `used` grows; when base<k> leaves `used`, with k below
-    the base's cursor, `rewind` moves the cursor back to k. An empty
-    cursor searches from 0."""
-    k = cursor.get(base, 0)
-    while (candidate := f"{base}{k}") in used:
-        k += 1
-    cursor[base] = k
-    return candidate
-
-
-def rewind(cursor: dict[str, int], gone: Iterable[str]) -> None:
-    """Keep `gensym`'s cursor true when the spellings `gone` leave its used
-    set: each base<k> among them with k below the base's cursor moves that
-    cursor back to k. A spelling such as `x12` is both `x1` with suffix 2
-    and `x` with 12, so every split is checked."""
-    for s in gone:
-        i = len(s)
-        while i and "0" <= s[i - 1] <= "9":
-            i -= 1
-            k = cursor.get(s[:i])
-            if k is not None and len(s) - i <= len(str(k)):
-                j = int(s[i:])
-                if j < k and str(j) == s[i:]:  # as gensym spells base<j>
-                    cursor[s[:i]] = j
-
-
-class _Taken(dict):
-    """The spellings a round of repair must avoid: the fresh ones it hands
-    out, its own keys, and those of the term, `term`. A ChainMap would do,
-    but its `in` costs about three times as much."""
-
-    __slots__ = ("term",)
-
-    def __init__(self, term: Container[str]) -> None:
-        self.term = term
-
-    def __contains__(self, s: object) -> bool:
-        return dict.__contains__(self, s) or s in self.term
-
-
 _NO_CAPTURE = CaptureSet(frozenset())
 _NO_STEPS = FixTrace()
 
@@ -205,18 +162,9 @@ def _captures(gs: NameGraph, edges: Iterable[Edge], kept: Collection[CaptureEdge
     ]))
 
 
-def comp_renaming(
-    gs: NameGraph,
-    spell: Mapping[Label, str],
-    capture: CaptureSet,
-    used: MutableMapping[str, int],
-    cursor: dict[str, int],
-) -> RenamingPair:
-    """Fresh spellings for every captured-into declaration, given the
-    spelling of every label of the target term (as its resolve gives it),
-    the spellings `used` in the term, to which it adds each fresh one it
-    hands out, and `gensym`'s cursor: spellings no label of the term has,
-    each handed out once.
+def comp_renaming(gs: NameGraph, index: LabelIndex, capture: CaptureSet) -> RenamingPair:
+    """Fresh spellings, handed out by `index.fresh`, for every captured
+    declaration of the term that `index` spells.
 
     A source declaration is renamed together with its source references; a
     synthesized declaration drags along every synthesized label that shares
@@ -225,30 +173,19 @@ def comp_renaming(
     """
     if not capture:
         raise ValueError("comp_renaming requires a nonempty capture set")
+    spell, spelled = index.spelling, index.spelled
     pi_src: dict[Label, str] = {}
     pi_syn: dict[Label, str] = {}
-    # spelling -> its labels that do not count as source, when needed, for
-    # the spellings of the captured declarations
-    synthesized: dict[str, list[Label]] | None = None
-    captured = sorted(capture.captured_declarations)
-    for v_d in captured:
+    for v_d in sorted(capture.captured_declarations):
         if gs.counts_as_source(v_d):
             if v_d not in pi_src:
-                fresh = gensym(spell[v_d], used, cursor)
-                pi_src[v_d] = fresh
-                used[fresh] = 1
+                fresh = pi_src[v_d] = index.fresh(spell[v_d])
                 for v_r in gs.references_to(v_d):
                     pi_src[v_r] = fresh
         elif v_d not in pi_syn:
-            if synthesized is None:
-                synthesized = {}
-                wanted = {spell[d] for d in captured}
-                for v in gs.foreign([v for v, s in spell.items() if s in wanted]):
-                    synthesized.setdefault(spell[v], []).append(v)
-            group = synthesized.get(spell[v_d])
+            group = gs.foreign(spelled[spell[v_d]])
             if group:
-                fresh = gensym(spell[v_d], used, cursor)
-                used[fresh] = 1
+                fresh = index.fresh(spell[v_d])
                 for v in group:
                     pi_syn[v] = fresh
     return RenamingPair(pi_src, pi_syn)
@@ -256,25 +193,26 @@ def comp_renaming(
 
 def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
     """Repair loop: resolve, detect capture, rename, repeat until clean.
-    No round builds or keeps a graph (see the cost of a round above): a
-    resolver without binding forms leaves only its last edge set, to diff
-    the next resolve against.
+    A round is `comp_renaming` on the term's `LabelIndex`, built once, and
+    that index's `rename`. No round builds or keeps a graph (see the cost
+    of a round above): a resolver without binding forms leaves only its
+    last edge set, to diff the next resolve against.
 
     Capture-free input comes back as the very same term object. A round
     renames every declaration its capture set holds, each at most once by
     the repair argument: one captured again raises, so the loop ends.
     """
     frames: BindingFrames | None = None
+    index: LabelIndex | None = None
     if r.scopes is None:
         gt = r.resolve(t)
         edges = gt.edges
+        index = LabelIndex(t)
     else:
         gt = frames = BindingFrames(t, r.scopes, r.top(t))
     capture = find_capture(gs, gt)
     steps: list[FixStep] = []
     renamed: dict[Label, int] = {}  # captured declaration -> the round renaming it
-    index: LabelIndex | None = None
-    cursor: dict[str, int] = {}  # gensym's, kept across rounds
     current = t
     while capture:
         if renamed and (again := [e for e in capture.edges if e.decl in renamed]):
@@ -284,15 +222,9 @@ def name_fix(gs: NameGraph, t: Term, r: Resolver) -> FixResult:
                 f"is captured again in round {len(steps) + 1}: {e}"
             )
         if index is None:
-            spell = spellings(t) if frames is None else {v: n.text for v, n in frames.names.items()}
-            index = LabelIndex(t, spell)
-        used = _Taken(index.counts)
-        pair = comp_renaming(gs, index.spelling, capture, used, cursor)
+            index = LabelIndex(t)
+        pair = comp_renaming(gs, index, capture)
         current = index.rename(pair.combined())
-        # A fresh spelling no label took, or an old one no label has now,
-        # is free for gensym again.
-        counts = index.counts
-        rewind(cursor, [s for s in {*index.respelled.values(), *used} if s not in counts])
         steps.append(FixStep(capture, pair, current))
         for e in capture.edges:
             renamed[e.decl] = len(steps)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 import operator
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Container, Iterable, Iterator, Mapping, TypeVar
 
 
 class Provenance(Enum):
@@ -535,7 +535,38 @@ def rename(t: Term, pi: Mapping[Label, str]) -> Term:
     returns t itself. Raises InconsistentLabel on a corrupt term."""
     if not pi:
         return t
-    return LabelIndex(t, spellings(t)).rename(pi)
+    return LabelIndex(t).rename(pi)
+
+
+def gensym(base: str, used: Container[str], cursor: dict[str, int]) -> str:
+    """base plus the smallest decimal suffix k for which base<k> is not in
+    `used`: never base itself. `cursor` maps a base to a suffix below which
+    every candidate is in `used`, so the search starts there, and gensym
+    leaves the base's cursor at its pick. Kept across calls, the cursor
+    stays true as `used` grows; when base<k> leaves `used`, with k below
+    the base's cursor, `rewind` moves the cursor back to k. An empty
+    cursor searches from 0."""
+    k = cursor.get(base, 0)
+    while (candidate := f"{base}{k}") in used:
+        k += 1
+    cursor[base] = k
+    return candidate
+
+
+def rewind(cursor: dict[str, int], gone: Iterable[str]) -> None:
+    """Keep `gensym`'s cursor true when the spellings `gone` leave its used
+    set: each base<k> among them with k below the base's cursor moves that
+    cursor back to k. A spelling such as `x12` is both `x1` with suffix 2
+    and `x` with 12, so every split is checked."""
+    for s in gone:
+        i = len(s)
+        while i and "0" <= s[i - 1] <= "9":
+            i -= 1
+            k = cursor.get(s[:i])
+            if k is not None and len(s) - i <= len(str(k)):
+                j = int(s[i:])
+                if j < k and str(j) == s[i:]:  # as gensym spells base<j>
+                    cursor[s[:i]] = j
 
 
 # A compound at one position of an indexed term: [its current node, the
@@ -547,31 +578,39 @@ Spine = list
 
 
 class LabelIndex:
-    """The positions where each label of one term occurs, for respelling
-    the term round after round, with `spelling`, every label's spelling as
-    `spellings(t)` or the resolve of t (`BindingFrames.names`) gives it.
+    """The spellings of one term and the positions where each of its labels
+    occurs, for respelling the term round after round: the one owner of a
+    repair's spellings.
 
-    Renaming never changes a term's shape, so the index built once serves
-    every later respelling: `rename` rebuilds only the compounds above the
-    names it respells, shares every other subterm, and respells `spelling`
-    in place, so the index describes the new term. `respelled` maps each
-    label the last `rename` respelled, with the provenance the term gives
-    it, to its previous spelling. `counts` maps each spelling of the term
-    to the number of its labels that have it: `rename` keeps it up to date,
-    and drops a spelling no label has any more, so its keys are the
-    spellings in use. Each occurrence is numbered in the order the names of
-    t stand left to right, which is the order a resolve meets them
-    (`BindingFrames.met`): `occurrences` gives those numbers. Built by one
-    walk, which counts the spellings too.
+    `spelling` maps every label, keyed as its first name carries it, to its
+    spelling, and `spelled` maps every spelling of the term to its labels,
+    as the term carries them (an ordered dict with None values). Each
+    occurrence is numbered in the order the names of t stand left to
+    right, which is the order a resolve meets them (`BindingFrames.met`):
+    `occurrences` gives those numbers. Built by one walk, which raises
+    InconsistentLabel when a name's spelling or provenance differs from
+    the first name of its id, as `spellings` does.
+
+    `fresh(base)` hands out `gensym`'s pick for base against `spelled`,
+    resuming at the index's own cursor per base, and holds the pick in
+    `spelled`, with no label yet, until the next `rename`. Renaming never
+    changes a term's shape, so the index built once serves every later
+    respelling: `rename` rebuilds only the compounds above the names it
+    respells, shares every other subterm, and keeps `spelling` and
+    `spelled` true of the new term. `respelled` maps each label the last
+    `rename` respelled, with the provenance the term gives it, to its
+    previous spelling.
     """
 
-    def __init__(self, t: Term, spelling: dict[Label, str]) -> None:
+    def __init__(self, t: Term) -> None:
         # A holder above the root, so that the root is a position too.
         self._holder: Spine = [Compound((t,)), None, 0, 0, None, -1]
-        self.spelling = spelling
-        self.counts: dict[str, int] = {}
-        counts = self.counts
+        self.spelling: dict[Label, str] = {}
+        self.spelled: dict[str, dict[Label, None]] = {}
         self.respelled: dict[Label, str] = {}
+        self._cursor: dict[str, int] = {}  # gensym's, kept across rounds
+        self._held: list[str] = []  # fresh picks since the last rename
+        spelling, spelled = self.spelling, self.spelled
         # label -> spine, index, number, spine, index, number, ... of its
         # occurrences, left to right
         self._at: dict[Label, list] = {}
@@ -586,12 +625,22 @@ class LabelIndex:
                 i += 1
                 kind = child.__class__
                 if kind is Name:
-                    places = at.get(child.label)
+                    label = child.label
+                    places = at.get(label)
                     if places is None:
-                        at[child.label] = [spine, i, k]
-                        text = child.text
-                        counts[text] = counts.get(text, 0) + 1
+                        at[label] = [spine, i, k]
+                        text = spelling[label] = child.text
+                        group = spelled.get(text)
+                        if group is None:
+                            spelled[text] = {label: None}
+                        else:
+                            group[label] = None
                     else:
+                        first = places[0][0].children[places[1]]
+                        if first is not child and (
+                            first.text != child.text or first.label.__class__ is not label.__class__
+                        ):
+                            raise inconsistent(first, child)
                         places += spine, i, k
                     k += 1
                 elif kind is Compound:
@@ -614,11 +663,21 @@ class LabelIndex:
     def term(self) -> Term:
         return self._holder[0].children[0]
 
+    def fresh(self, base: str) -> str:
+        """A spelling the term does not have and no earlier call since the
+        last `rename` handed out: base plus gensym's smallest free suffix."""
+        pick = gensym(base, self.spelled, self._cursor)
+        self.spelled[pick] = {}
+        self._held.append(pick)
+        return pick
+
     def rename(self, pi: Mapping[Label, str]) -> Term:
         """The term with every label in dom(pi) respelled, as `rename` gives
         it; from then on the index describes that term. Labels the term
-        does not have are ignored."""
-        spelling, counts = self.spelling, self.counts
+        does not have are ignored. A spelling no label has any more, old or
+        handed out by `fresh`, leaves `spelled` and is free for `fresh`
+        again."""
+        spelling, spelled = self.spelling, self.spelled
         respelled = self.respelled = {}
         # id(spine) -> (its depth, spine, its new children), for every
         # spine to rebuild
@@ -628,12 +687,6 @@ class LabelIndex:
             if old is None or old == text:
                 continue
             spelling[label] = text
-            counts[text] = counts.get(text, 0) + 1
-            left = counts[old] - 1
-            if left:
-                counts[old] = left
-            else:
-                del counts[old]
             places = iter(self._at[label])
             for spine, i, _ in zip(places, places, places):
                 entry = edited.get(id(spine))
@@ -641,7 +694,15 @@ class LabelIndex:
                     entry = edited[id(spine)] = (spine[3], spine, list(spine[0].children))
                 children = entry[2]
                 children[i] = Name(text, children[i].label)
-            respelled[children[i].label] = old  # as the term carries it
+            label = children[i].label  # as the term carries it
+            respelled[label] = old
+            del spelled[old][label]
+            spelled.setdefault(text, {})[label] = None
+        gone = [s for s in {*respelled.values(), *self._held} if not spelled[s]]
+        for s in gone:
+            del spelled[s]
+        rewind(self._cursor, gone)
+        self._held = []
         if not edited:
             return self.term
         # Every compound above a respelled name is rebuilt, deepest first.

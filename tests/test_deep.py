@@ -37,7 +37,7 @@ from namefix.simpl import (
     resolve_simpl,
 )
 from namefix.statemachine import compile_machine, parse_stm, resolve_machine
-from namefix.term import Const, Label, LabelIndex, Name, Provenance, compound, fold, label_equiv, spellings
+from namefix.term import Const, Label, LabelIndex, Name, Provenance, compound, fold, label_equiv
 from test_oracle import respellings, typed
 
 STATES = 5_000
@@ -268,7 +268,7 @@ def assert_rebinds_like_reference(resolver, resolve, t, pis):
     BindingFrames is the reference resolver's graph of the respelled term."""
     frames = BindingFrames(t, resolver.scopes, resolver.top(t))
     g = NameGraph(frames.names, frames.edges)
-    index = LabelIndex(t, spellings(t))
+    index = LabelIndex(t)
     for pi in pis:
         term = index.rename(pi)
         drop, add = frames.rebind(index)

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,9 +9,7 @@ from namefix.fix import (
     IterationBudgetExceeded,
     comp_renaming,
     find_capture,
-    gensym,
     name_fix,
-    rewind,
 )
 from namefix.graph import NameGraph, Resolver
 from namefix.lam import (
@@ -21,7 +18,7 @@ from namefix.lam import (
     pretty_lambda,
     resolve_lambda,
 )
-from namefix.term import Label, LabelIndex, Name, Provenance, compound, labels_of, name_at, spellings
+from namefix.term import Label, LabelIndex, Name, Provenance, compound, gensym, labels_of, name_at, rewind, spellings
 
 import reference
 from reference import mark
@@ -34,8 +31,7 @@ def lbl(i: int, synth: bool = False) -> Label:
 
 def first_renaming(gs, t, capture):
     """comp_renaming of a repair's first round on t."""
-    spell = spellings(t)
-    return comp_renaming(gs, spell, capture, Counter(spell.values()), {})
+    return comp_renaming(gs, LabelIndex(t), capture)
 
 
 class TestGensym:

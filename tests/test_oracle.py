@@ -12,7 +12,7 @@ which resolves every round.
 
 import random
 import re
-from collections import ChainMap, Counter
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import reference
 from namefix import lam, simpl
-from namefix.fix import IterationBudgetExceeded, comp_renaming, find_capture, gensym, name_fix, rewind
+from namefix.fix import IterationBudgetExceeded, comp_renaming, find_capture, name_fix
 from namefix.graph import BindingFrames, NameGraph, Resolver, alpha_equiv_relabel, scoped_names, sub_alpha_equiv
 from namefix.lam import LAMBDA_RESOLVER, pretty_lambda, resolve_lambda
 from namefix.simpl import (
@@ -57,6 +57,7 @@ from namefix.term import (
     Provenance,
     descend,
     fold,
+    gensym,
     iter_names,
     compound,
     label_equiv,
@@ -398,19 +399,26 @@ def test_every_walk_built_on_spellings_rejects_one_id_under_two_provenances():
 
 
 def test_a_resolver_given_only_resolve_is_checked_through_its_spellings():
-    """A resolver given only `resolve` may not check provenance: this one
-    resolves the term with every label read as source. Repair makes its
-    spelling map with `spellings`, so it still rejects the target of
-    `smallest_kept_capture` in place of leaving a capture in it."""
+    r"""A resolver given only `resolve` may not check provenance: this one
+    resolves the term with every label read as source. Repair builds its
+    index right after that resolve, and the index's walk checks every id,
+    so it still rejects the target of `smallest_kept_capture` in place of
+    leaving a capture in it, and `\x@1. x@2 x@'2`, in which it finds no
+    capture, in place of returning it."""
 
     def unchecked(t):
         flat = fold(t, lambda n: Name(n.text, lbl(n.label.id, False)))
         return NameGraph({n.label for n in iter_names(t)}, resolve_lambda(flat).edges)
 
+    r = Resolver("lambda", resolve=unchecked)
     source, target = smallest_kept_capture()
     gs = resolve_lambda(source)
     assert find_capture(gs, unchecked(target))
-    assert_two_provenances_rejected(target, lambda t: name_fix(gs, t, Resolver("lambda", resolve=unchecked)))
+    assert_two_provenances_rejected(target, lambda t: name_fix(gs, t, r))
+    source, target = lam.lam(x(1), x(2)), lam.lam(x(1), lam.app(x(2), x(2, True)))
+    gs = resolve_lambda(source)
+    assert not find_capture(gs, unchecked(target))
+    assert_two_provenances_rejected(target, lambda t: name_fix(gs, t, r))
 
 
 def assert_graph_of_its_pairs(r, t, probe):
@@ -563,7 +571,7 @@ def test_binding_forms_list_names_left_to_right(seed):
         frames = BindingFrames(q, resolver.scopes, resolver.top(q))
         assert [f is None for f in frames.met] == [env is None for _, env in listed]
         assert {v: n.text for v, n in frames.names.items()} == spellings(q)
-        index = LabelIndex(q, spellings(q))
+        index = LabelIndex(q)
         numbered = sorted(k for v in frames.names for k in index.occurrences(v))
         assert numbered == list(range(len(names)))
         # A rename keyed by the other provenance notes each label respelled
@@ -637,8 +645,7 @@ def test_many_captures_in_one_round(n):
     assert_rounds_resolve_alike(gs, t, SIMPL_RESOLVER, got)
     before = [t] + [step.term for step in got.trace.steps]
     for prior, step, ref_step in zip(before, got.trace.steps, want.trace.steps):
-        spell = spellings(prior)
-        pair = comp_renaming(gs, spell, step.capture, Counter(spell.values()), {})
+        pair = comp_renaming(gs, LabelIndex(prior), step.capture)
         assert pair == ref_step.renaming  # reference.comp_renaming on the same graphs
 
 
@@ -778,7 +785,7 @@ def assert_rebinds_like_resolve(resolver, t, pis):
     the resolved graph of the respelled term, provenance included."""
     frames = BindingFrames(t, resolver.scopes, resolver.top(t))
     g = NameGraph(frames.names, frames.edges)
-    index = LabelIndex(t, spellings(t))
+    index = LabelIndex(t)
     assert typed(g) == typed(resolver.resolve(t))
     for pi in pis:
         term = index.rename(pi)
@@ -861,39 +868,41 @@ def test_comp_renaming_on_arbitrary_graphs(data):
     gt = NameGraph(spell, {(r, d) for r, d in data.draw(edges) if d not in gs.references})
     capture = find_capture(gs, gt)
     if capture:
-        spell = spellings(t)
-        got = comp_renaming(gs, spell, capture, Counter(spell.values()), {})
+        got = comp_renaming(gs, LabelIndex(t), capture)
         assert got == reference.comp_renaming(gs, gt, t, capture)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_gensym_cursor_picks_what_the_scan_from_zero_picks(data):
-    """Rounds as repair runs them: gensym hands out fresh spellings with
-    one cursor kept across rounds, a renaming gives some of them to labels
-    and leaves others unused, and a label's old spelling may leave the term.
-    Every spelling that left is rewound, as `name_fix` does, and every pick
-    is the reference's smallest-unused one."""
+    """Rounds as repair runs them: one index hands out fresh spellings with
+    its cursor kept across rounds, a renaming gives some of them to labels
+    and leaves others unused (the last one of a round always), and a
+    label's old spelling may leave the term. The index's rename frees every
+    spelling that left, and every pick is the reference's smallest-unused
+    one."""
     # Spellings that are bases, candidates of one another (x1 is x's, x12
     # both x's and x1's) or neither.
     texts = st.sampled_from(["x", "x0", "x1", "x12", "x2", "y", "y0"])
+    bases = st.sampled_from(["x", "x1", "y"])
     spell = data.draw(st.dictionaries(labels, texts, min_size=1, max_size=8))
-    index = LabelIndex(Compound(tuple(Name(text, v) for v, text in spell.items())), dict(spell))
-    cursor: dict[str, int] = {}
+    index = LabelIndex(Compound(tuple(Name(text, v) for v, text in spell.items())))
     for _ in range(data.draw(st.integers(1, 6))):
-        taken = ChainMap({}, index.counts)
-        used = set(index.spelling.values())
-        assert used == set(index.counts)
+        groups: dict[str, set[Label]] = {}
+        for v, text in index.spelling.items():
+            groups.setdefault(text, set()).add(v)
+        assert {text: set(vs) for text, vs in index.spelled.items()} == groups
+        used = set(groups)
         picks = []
-        for base in data.draw(st.lists(st.sampled_from(["x", "x1", "y"]), min_size=1, max_size=3)):
-            picks.append(gensym(base, taken, cursor))
+        for base in data.draw(st.lists(bases, min_size=2, max_size=4)):
+            picks.append(index.fresh(base))
             assert picks[-1] == reference.gensym(base, used)
-            taken[picks[-1]] = 1
             used.add(picks[-1])
+        *offered, unused = picks
         chosen = data.draw(st.lists(st.sampled_from(sorted(spell)), unique=True))
-        pi = {v: data.draw(st.sampled_from(picks)) for v in chosen}
+        pi = {v: data.draw(st.sampled_from(offered)) for v in chosen}
         index.rename(pi)
-        rewind(cursor, [s for s in {*index.respelled.values(), *picks} if s not in index.counts])
+        assert unused not in index.spelled
 
 
 # ---------------------------------------------------------------------------
@@ -955,7 +964,7 @@ def assert_successive_renamings(rng, t, rounds=4):
     against a whole-term reference.rename per round. Each renaming maps
     some labels to a new spelling, some to their current one, and one
     label the term does not have; only the first kind is respelled."""
-    index = LabelIndex(t, spellings(t))
+    index = LabelIndex(t)
     want = t
     for _ in range(rounds):
         spell = spellings(want)

@@ -9,10 +9,10 @@ the library's functions and the sizes of what they are given, never
 through counters inside the library:
 
 - gensym candidates tried: `in` tests on the used set gensym is handed;
-- spellings scanned: entries read off the term's spelling map
-  (`LabelIndex.spelling`, which repair respells) by a whole-map scan, its
-  values, items, keys or plain iteration, and the labels a `LabelIndex`
-  counts by spelling as it is built;
+- spellings scanned: the labels a `LabelIndex` spells as it is built, and
+  entries read off the spelling maps it builds (`LabelIndex.spelling` and
+  `spelled`, which repair keeps) by a whole-map scan, their values, items,
+  keys or plain iteration;
 - top positions moved by `BindingFrames.rebind`: positions that end a
   round in a bucket list other than the one that held them before it;
 - `BindingFrames._lookup` calls made by `rebind`.
@@ -25,7 +25,7 @@ so this holds a linear repair to account where timings could not.
 import random
 from pathlib import Path
 
-from namefix import fix, simpl
+from namefix import fix, simpl, statemachine, term
 from namefix.graph import BindingFrames
 from namefix.term import LabelIndex, spellings
 
@@ -70,14 +70,15 @@ def counted_repair(monkeypatch, gs, t) -> tuple[dict[str, int], int]:
         def __iter__(self):
             return self.scan(dict.__iter__(self))
 
-    gensym, index_init = fix.gensym, LabelIndex.__init__
+    gensym, index_init = term.gensym, LabelIndex.__init__
     rebind, lookup = BindingFrames.rebind, BindingFrames._lookup
 
     def counting_gensym(base, used, *rest):
         return gensym(base, Tried(used), *rest)
 
-    def counting_index_init(self, t, spelling):
-        index_init(self, t, Scanned(spelling))
+    def counting_index_init(self, t):
+        index_init(self, t)
+        self.spelling, self.spelled = Scanned(self.spelling), Scanned(self.spelled)
         counts["spellings scanned"] += len(self.spelling)
 
     def counting_rebind(self, index):
@@ -96,7 +97,7 @@ def counted_repair(monkeypatch, gs, t) -> tuple[dict[str, int], int]:
         counts["rebind lookups"] += in_rebind[0]
         return lookup(self, *args)
 
-    monkeypatch.setattr(fix, "gensym", counting_gensym)
+    monkeypatch.setattr(term, "gensym", counting_gensym)
     monkeypatch.setattr(LabelIndex, "__init__", counting_index_init)
     monkeypatch.setattr(BindingFrames, "rebind", counting_rebind)
     monkeypatch.setattr(BindingFrames, "_lookup", counting_lookup)
@@ -128,3 +129,20 @@ def test_repair_work_per_label_is_flat_in_program_size(monkeypatch):
         if any(per_label[n][kind] > FACTOR * per_label[SIZES[0]][kind] + SLACK for n in SIZES)
     }
     assert not grown, f"work per label grows with the program: {grown}"
+
+
+def test_a_clash_machine_is_spelled_once_by_its_one_round(monkeypatch):
+    """The naive compilation of a machine with a clashing state captures a
+    synthesized declaration, whose synthesized labels of the same spelling
+    are renamed with it. The index finds them by a lookup: the spelling
+    map is read as the index is built, one entry per label, and never
+    scanned."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    import workloads
+
+    for n in (50, 100, 200, 400):
+        m = statemachine.parse_stm(workloads.gen_machine(random.Random(n), n, clash=True).text)
+        t = statemachine.compile_machine(m)
+        counts, rounds = counted_repair(monkeypatch, statemachine.resolve_machine(m), t)
+        assert rounds == 1
+        assert counts["spellings scanned"] == len(spellings(t)), n

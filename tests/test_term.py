@@ -145,7 +145,7 @@ class TestLabelIsItsId:
         want = reference.rename(t, {lbl(0): "y"})
         assert want == compound(Name("y", lbl(0)), compound(Name("y", lbl(0)), Name("x", lbl(1))))
         assert rename(t, {lbl(0): "y"}) == want
-        index = LabelIndex(t, spellings(t))
+        index = LabelIndex(t)
         assert index.spelling == {lbl(0): "x", lbl(1): "x"}
         assert index.rename({lbl(0): "y"}) == want
         assert index.spelling[lbl(0)] == "y"
